@@ -125,19 +125,27 @@ def _load_path(args) -> tuple[SampledPath, bool]:
     return ingest_series(times, values)
 
 
+def _require_finite(payload: dict):
+    """Refuse to report a non-finite number: NaN or inf means a numeric failure."""
+    for key, value in payload.items():
+        values = value if isinstance(value, list) else [value]
+        if any(isinstance(x, float) and not math.isfinite(x) for x in values):
+            raise FloatingPointError(f"non-finite value in report field {key!r}")
+
+
 def _emit(args, payload: dict, csv_text: str | None):
+    _require_finite(payload)
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if args.out:
         out = Path(args.out)
-        out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        out.write_text(text)
         if csv_text is not None:
             out.with_suffix(".csv").write_text(csv_text)
         print(str(out))
+    elif args.format == "csv" and csv_text is not None:
+        sys.stdout.write(csv_text)
     else:
-        if args.format == "csv" and csv_text is not None:
-            sys.stdout.write(csv_text)
-        else:
-            json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-            sys.stdout.write("\n")
+        sys.stdout.write(text)
 
 
 def _cmd_dyadic(args) -> int:

@@ -56,8 +56,8 @@ class LevelSeriesReport:
 def _check_exponents(alpha: float, p: float):
     if not (0.0 < alpha < 1.0):
         raise ParameterError(f"alpha must be in (0, 1), got {alpha}")
-    if p < 1.0:
-        raise ParameterError(f"p must be >= 1, got {p}")
+    if not (math.isfinite(p) and p >= 1.0):
+        raise ParameterError(f"p must be finite and >= 1, got {p}")
 
 
 def raw_level_sum(path: SampledPath, n: int, p: float) -> float:

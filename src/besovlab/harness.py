@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .besov import besov_norm, lp_norm, shift_norms, _log_t_grid, _modulus_on_grid
+from .besov import seminorm_integral, shift_norms
 from .criterion import Verdict, fit_tail_slope, raw_level_sum, series_from_raw, verdict_from_slope
 from .errors import ConfigurationError
 from .generators import GeneratorSpec
@@ -44,6 +44,8 @@ class ExperimentConfig:
             raise ConfigurationError("alpha grid must lie inside (0, 1)")
         if any(a2 <= a1 for a1, a2 in zip(alphas, alphas[1:])):
             raise ConfigurationError("alpha grid must be strictly increasing")
+        if not (math.isfinite(self.p) and self.p >= 1.0):
+            raise ConfigurationError(f"p must be finite and >= 1, got {self.p}")
         if self.replicates < 1:
             raise ConfigurationError("need at least one replicate")
         if self.n_levels > self.generator.grid.J:
@@ -229,16 +231,12 @@ def _replicate_seminorms(args) -> list[float]:
     out = []
     # the shift-norm table depends only on p: share it across params
     by_p: dict[float, np.ndarray] = {}
-    t_grid = _log_t_grid(path)
     for alpha, p, q in params_list:
         d = by_p.get(p)
         if d is None:
             d = shift_norms(path, p)
             by_p[p] = d
-        w = _modulus_on_grid(path, t_grid, d)
-        integrand = w**q * t_grid ** (-alpha * q)
-        val = float(np.trapezoid(integrand, np.log(t_grid)))
-        out.append(val ** (1.0 / q) if val > 0 else 0.0)
+        out.append(seminorm_integral(path, d, alpha, q) ** (1.0 / q))
     return out
 
 

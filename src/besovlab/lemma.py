@@ -24,8 +24,7 @@ from .paths import DyadicInterval, DyadicSet, StochasticMeasureSample, measure_o
 PZ_THRESHOLD_FACTOR = 0.25
 PZ_PROBABILITY_BOUND = 0.125
 EXACT_ENUM_LIMIT = 20
-
-_sign_matrix_cache: dict[int, np.ndarray] = {}
+SIGN_BLOCK_ROWS = 1 << 16  # sign patterns per block: 10 MiB of float rows at m = 20
 
 
 @dataclass(frozen=True)
@@ -136,16 +135,21 @@ def lemma_statistic(
     return np.cumsum(level_sums)
 
 
-def _sign_matrix(m: int) -> np.ndarray:
-    """All 2^m sign vectors as a (2^m, m) array of +-1 floats."""
-    cached = _sign_matrix_cache.get(m)
-    if cached is None:
-        codes = np.arange(1 << m, dtype=np.uint32)[:, None]
-        bits = (codes >> np.arange(m, dtype=np.uint32)) & 1
-        cached = 1.0 - 2.0 * bits.astype(float)
-        cached.flags.writeable = False
-        _sign_matrix_cache[m] = cached
-    return cached
+def _count_pz_hits(lam: np.ndarray, threshold: float) -> int:
+    """Number of the 2^m sign patterns with (sum lambda_i eps_i)^2 >= threshold.
+
+    Pattern `code` has eps_i = -1 where bit i of `code` is set; patterns are
+    enumerated in blocks of SIGN_BLOCK_ROWS so memory stays bounded.
+    """
+    m = len(lam)
+    shifts = np.arange(m, dtype=np.uint32)
+    hits = 0
+    for start in range(0, 1 << m, SIGN_BLOCK_ROWS):
+        codes = np.arange(start, min(start + SIGN_BLOCK_ROWS, 1 << m), dtype=np.uint32)
+        signs = 1.0 - 2.0 * ((codes[:, None] >> shifts) & 1).astype(float)
+        sums = signs @ lam
+        hits += int(np.count_nonzero(sums * sums >= threshold))
+    return hits
 
 
 @dataclass(frozen=True)
@@ -177,8 +181,7 @@ def paley_zygmund_check(
             raise SizeError(
                 f"exact enumeration limited to m <= {EXACT_ENUM_LIMIT}, got {m}"
             )
-        sums = _sign_matrix(m) @ lam
-        prob = float(np.mean(sums * sums >= threshold))
+        prob = _count_pz_hits(lam, threshold) / (1 << m)
         return PZResult(prob, PZ_PROBABILITY_BOUND, prob >= PZ_PROBABILITY_BOUND)
     if mode == "monte-carlo":
         rng = np.random.default_rng(seed)

@@ -8,6 +8,7 @@ holds by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -202,6 +203,10 @@ class BesovParams:
     q: float
 
     def __post_init__(self):
+        if not all(math.isfinite(x) for x in (self.alpha, self.p, self.q)):
+            raise ParameterError(
+                f"alpha, p, q must be finite, got {self.alpha}, {self.p}, {self.q}"
+            )
         if not (0.0 < self.alpha < 1.0):
             raise ParameterError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.p < 1.0 or self.q < 1.0:

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -11,12 +12,19 @@ from besovlab import (
     SampledPath,
     besov_norm,
     generate_bm,
+    generate_fgn,
     lp_norm,
     modulus,
     path_of,
 )
-from besovlab.besov import modulus_curve
-from besovlab.errors import ParameterError, ResolutionError
+from besovlab.besov import (
+    DIRECT_SHIFTS,
+    GENERAL_P_MAX_J,
+    POINTS_PER_OCTAVE,
+    modulus_curve,
+    shift_norms,
+)
+from besovlab.errors import ParameterError, ResolutionError, SizeError
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -44,6 +52,11 @@ class TestLpNorm:
     def test_p_below_one(self):
         with pytest.raises(ParameterError):
             lp_norm(ramp(4), 0.5)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ParameterError):
+                lp_norm(ramp(4), bad)
+            with pytest.raises(ParameterError):
+                shift_norms(ramp(4), bad)
 
 
 class TestModulus:
@@ -143,3 +156,119 @@ class TestBesovNorm:
         rep = besov_norm(path, BesovParams(0.8, 2.0, 2.0), extrapolate=True)
         assert rep.tail_diverges
         assert rep.extrapolated_seminorm is None
+
+
+def _closed_form_cells(g, dx):
+    """Integral of |piecewise-linear g|^2: (l^2 + l r + r^2) / 3 per cell."""
+    left, right = g[:-1], g[1:]
+    return float(np.sum(left * left + left * right + right * right)) / 3.0 * dx
+
+
+def _reference_p2(v, alpha, q, extrapolate):
+    """Shift norms, modulus curve and besov report fields, one shift at a time."""
+    N = len(v) - 1
+    J = N.bit_length() - 1
+    dx = 1.0 / N
+    d = np.array(
+        [math.sqrt(_closed_form_cells(v[: N + 1 - m] - v[m:], dx)) for m in range(1, N + 1)]
+    )
+    t = 2.0 ** (-J + np.arange(J * POINTS_PER_OCTAVE + 1) / POINTS_PER_OCTAVE)
+    w = np.maximum.accumulate(d)[np.minimum((t / dx * (1.0 + 1e-12)).astype(int), N) - 1]
+    f = w**q * t ** (-alpha * q)
+    integral = float(np.sum(0.5 * (f[1:] + f[:-1]) * np.diff(np.log(t))))
+    seminorm = integral ** (1.0 / q)
+    extrapolated, diverges = None, False
+    if extrapolate and d[0] > 0.0 and d[1] > 0.0:
+        beta = math.log2(d[1] / d[0])
+        if beta <= alpha:
+            diverges = True
+        else:
+            tail = (d[0] / dx**beta) ** q * dx ** ((beta - alpha) * q) / ((beta - alpha) * q)
+            extrapolated = (integral + tail) ** (1.0 / q)
+    lp = math.sqrt(_closed_form_cells(v, dx))
+    report = {
+        "lp_norm": lp,
+        "seminorm_truncated": seminorm,
+        "truncation_floor": dx,
+        "extrapolated_seminorm": extrapolated,
+        "tail_diverges": diverges,
+        "norm_total": lp + seminorm,
+    }
+    return d, w, report
+
+
+def _test_path(kind, J, seed, H):
+    g = Grid(0.0, 1.0, J)
+    x = g.points()
+    if kind == "bm":
+        return path_of(generate_bm(g, seed))
+    if kind == "fbm":
+        return SampledPath(g, np.concatenate([[0.0], np.cumsum(generate_fgn(g, H, seed))]))
+    values = {"ramp": x, "x2": x * x, "sin": np.sin(2.0 * np.pi * x)}[kind]
+    return SampledPath(g, values)
+
+
+class TestP2ShiftNorms:
+    @pytest.mark.parametrize("kind", ["bm", "fbm", "ramp", "x2", "sin"])
+    @given(
+        st.integers(8, 12),  # N > 2 * DIRECT_SHIFTS: the FFT path runs
+        st.integers(0, 2**32 - 1),
+        st.floats(0.1, 0.95),
+        st.floats(0.05, 0.95),
+        st.floats(1.0, 4.0),
+        st.booleans(),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_matches_per_shift_closed_form(self, kind, J, seed, H, alpha, q, extrapolate):
+        path = _test_path(kind, J, seed, H)
+        d, w, ref = _reference_p2(path.values, alpha, q, extrapolate)
+        np.testing.assert_allclose(modulus_curve(path, 2.0).w_values, w, rtol=1e-10)
+        np.testing.assert_allclose(shift_norms(path, 2.0)[:2], d[:2], rtol=1e-10)
+        got = besov_norm(path, BesovParams(alpha, 2.0, q), extrapolate=extrapolate).to_dict()
+        for field, want in ref.items():
+            if want is None or isinstance(want, bool):
+                assert got[field] == want, field
+            else:
+                assert got[field] == pytest.approx(want, rel=1e-10), field
+
+    def test_constant_offset_invariant(self):
+        path = path_of(generate_bm(Grid(0.0, 1.0, 12), 17))
+        shifted = SampledPath(path.grid, path.values + 1e3)
+        np.testing.assert_allclose(
+            shift_norms(shifted, 2.0), shift_norms(path, 2.0), rtol=1e-10
+        )
+
+    def test_large_grid(self):
+        # J = 18 is far out of reach of an O(N^2) shift loop
+        path = path_of(generate_bm(Grid(0.0, 1.0, 18), 4))
+        d = shift_norms(path, 2.0)
+        v, N, dx = path.values, path.grid.n_cells, path.grid.dx
+        for m in (1, 2, DIRECT_SHIFTS + 1, 1000, N // 2, N - 1):
+            want = math.sqrt(_closed_form_cells(v[: N + 1 - m] - v[m:], dx))
+            assert d[m - 1] == pytest.approx(want, rel=1e-10), m
+        rep = besov_norm(path, BesovParams(0.4, 2.0, 2.0), extrapolate=True)
+        assert all(math.isfinite(x) for x in (rep.seminorm_truncated, rep.lp_norm))
+        assert rep.extrapolated_seminorm is not None
+
+    def test_overflow_propagates(self):
+        # squared shift differences overflow: the result is NaN/inf, never a number
+        g = Grid(0.0, 1.0, 8)
+        v = np.where(np.arange(g.n_points) % 2 == 0, 1.2e154, -1.2e154)
+        path = SampledPath(g, v)
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = shift_norms(path, 2.0)
+            rep = besov_norm(path, BesovParams(0.4, 2.0, 2.0))
+        assert not np.isfinite(d[DIRECT_SHIFTS:-DIRECT_SHIFTS]).any()
+        assert not math.isfinite(rep.seminorm_truncated)
+
+
+class TestGeneralPLimit:
+    def test_refused_above_limit(self):
+        # the check runs before any shift is integrated, so this returns at once
+        g = Grid(0.0, 1.0, GENERAL_P_MAX_J + 1)
+        path = SampledPath(g, g.points())
+        with pytest.raises(SizeError, match="p = 2"):
+            shift_norms(path, 3.0)
+        with pytest.raises(SizeError):
+            besov_norm(path, BesovParams(0.2, 3.0, 2.0))
+        assert shift_norms(path, 2.0, max_shift=4)[0] > 0.0

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from besovlab import Grid, generate_bm, kamont_series, path_of
-from besovlab.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, ingest_series, main
+from besovlab.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, ingest_series, main
 
 
 def run(capsys, *argv):
@@ -48,6 +48,18 @@ class TestGenerate:
     def test_usage_error(self, capsys):
         code, _, _ = run(capsys, "generate", "--process", "nope", "--out", "x")
         assert code == EXIT_USAGE
+
+
+def write_overflowing_csv(tmp_path, J=8):
+    """A path whose increments are 1e200: its squared values overflow."""
+    g = Grid(0.0, 1.0, J)
+    values = np.concatenate([[0.0], np.cumsum(np.full(g.n_cells, 1e200))])
+    f = tmp_path / "huge.csv"
+    f.write_text(
+        "t,value\n"
+        + "".join(f"{t!r},{v!r}\n" for t, v in zip(g.points().tolist(), values.tolist()))
+    )
+    return f
 
 
 class TestDyadic:
@@ -111,6 +123,17 @@ class TestDyadic:
         assert code == EXIT_DATA
         assert "error" in err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_result(self, tmp_path, capsys, fmt):
+        f = write_overflowing_csv(tmp_path)
+        code, out, err = run(
+            capsys, "dyadic", "--input", str(f), "--alpha", "0.4", "--format", fmt
+        )
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert "non-finite" in err
+
 
 class TestBesovCmd:
     def test_constant_input(self, tmp_path, capsys):
@@ -152,6 +175,25 @@ class TestBesovCmd:
         payload = json.loads(text)
         assert payload["extrapolated_seminorm"] is not None
         assert payload["extrapolated_seminorm"] >= payload["seminorm_truncated"]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_result(self, tmp_path, capsys):
+        f = write_overflowing_csv(tmp_path)
+        out_file = tmp_path / "report.json"
+        code, out, err = run(
+            capsys, "besov", "--input", str(f), "--alpha", "0.4", "--out", str(out_file)
+        )
+        assert code == EXIT_NUMERIC
+        assert out == "" and not out_file.exists()
+        assert "non-finite" in err
+
+    def test_general_p_grid_limit(self, tmp_path, capsys):
+        g = Grid(0.0, 1.0, 15)
+        f = tmp_path / "ramp.csv"
+        f.write_text("t,value\n" + "".join(f"{t!r},{t!r}\n" for t in g.points().tolist()))
+        code, _, err = run(capsys, "besov", "--input", str(f), "--alpha", "0.2", "--p", "3")
+        assert code == EXIT_USAGE
+        assert "p = 2" in err
 
 
 class TestSweepCmd:

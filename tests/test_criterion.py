@@ -57,6 +57,9 @@ class TestLevelTerm:
             level_term(ramp(6), 2, 1.5, 2.0)
         with pytest.raises(ParameterError):
             level_term(ramp(6), 2, 0.4, 0.5)
+        # NaN p once gave NaN terms and a "converges" verdict
+        with pytest.raises(ParameterError):
+            kamont_series(ramp(8), 8, 0.4, float("nan"))
 
 
 class TestKamontSeries:

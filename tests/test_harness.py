@@ -48,6 +48,11 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             ExperimentConfig.from_json("{nope")
 
+    @pytest.mark.parametrize("p", [float("nan"), float("inf"), 0.5, 0.0, -2.0])
+    def test_bad_p_rejected_up_front(self, p):
+        with pytest.raises(ConfigurationError):
+            bm_config(p=p)
+
     def test_schema_version_checked(self):
         d = bm_config().to_dict()
         d["schema_version"] = 99

@@ -129,6 +129,12 @@ class TestPaleyZygmund:
         assert res.probability == 1.0
         assert res.passed
 
+    def test_exact_spans_several_blocks(self):
+        # 2^17 patterns: the enumeration crosses a block boundary
+        m = 17
+        hits = sum(math.comb(m, k) for k in range(m + 1) if 4 * (m - 2 * k) ** 2 >= m)
+        assert paley_zygmund_check([0.7] * m).probability == hits / 2**m
+
     def test_exact_size_limit(self):
         with pytest.raises(SizeError):
             paley_zygmund_check([1.0] * 21, mode="exact")

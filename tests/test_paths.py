@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from besovlab import (
+    BesovParams,
     DyadicInterval,
     DyadicSet,
     Grid,
@@ -164,3 +165,20 @@ class TestIncrementsOf:
         path = SampledPath(g, np.zeros(9))
         with pytest.raises(ResolutionError):
             increments_of(path, 4)
+
+
+class TestBesovParams:
+    @pytest.mark.parametrize(
+        "alpha, p, q",
+        [
+            (float("nan"), 2.0, 2.0),
+            (0.3, float("nan"), 2.0),
+            (0.3, 2.0, float("nan")),
+            (0.3, float("inf"), 2.0),
+            (0.3, 2.0, float("inf")),
+            (0.3, 0.5, 2.0),
+        ],
+    )
+    def test_rejects_non_finite_and_small_exponents(self, alpha, p, q):
+        with pytest.raises(ParameterError):
+            BesovParams(alpha, p, q)
