@@ -43,5 +43,4 @@ from .harness import (
     ExperimentConfig,
     ExperimentReport,
     run_alpha_sweep,
-    run_besov_profile,
 )

@@ -46,12 +46,17 @@ class DataError(BesovLabError):
     """Unparseable or inconsistent input data."""
 
 
+CSV_CHUNK_ROWS = 1 << 16  # rows formatted per write: bounded memory at any J
+
+
 def _write_path_csv(path: SampledPath, out: Path):
+    times, values = path.grid.points(), path.values
     with out.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "value"])
-        for t, v in zip(path.grid.points(), path.values):
-            writer.writerow([repr(float(t)), repr(float(v))])
+        fh.write("t,value\n")
+        for lo in range(0, len(values), CSV_CHUNK_ROWS):
+            hi = lo + CSV_CHUNK_ROWS
+            rows = zip(times[lo:hi].tolist(), values[lo:hi].tolist())
+            fh.write("".join(f"{t!r},{v!r}\n" for t, v in rows))
 
 
 def read_series_csv(source: Path) -> tuple[np.ndarray, np.ndarray]:

@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ParameterError, ResolutionError
-from .paths import SampledPath, increments_of
+from .paths import SampledPath
 
 SLOPE_THRESHOLD = 0.05  # |slope| below this is Inconclusive
 MIN_LEVELS = 6
@@ -60,12 +60,33 @@ def _check_exponents(alpha: float, p: float):
         raise ParameterError(f"p must be finite and >= 1, got {p}")
 
 
+def level_sums(increments, n_levels: int, p: float) -> np.ndarray:
+    """sum_k |level-n increment|^p for n = 1..n_levels, from the 2^J finest increments.
+
+    A pairwise pyramid: level n - 1 is the sum of adjacent level-n cells, so
+    all levels cost O(N) together and no cumulative path is formed.
+    """
+    x = np.asarray(increments, dtype=float)
+    if x.ndim != 1 or len(x) < 2 or len(x) & (len(x) - 1):
+        raise ParameterError(f"need a 1-d array of 2^J >= 2 increments, got shape {x.shape}")
+    J = len(x).bit_length() - 1
+    if n_levels > J:
+        raise ResolutionError(f"level {n_levels} exceeds grid resolution J={J}")
+    if n_levels < 1:
+        raise ParameterError(f"need at least one level, got {n_levels}")
+    out = np.empty(n_levels)
+    for n in range(J, 0, -1):
+        if n <= n_levels:
+            out[n - 1] = np.sum(np.abs(x) ** p)
+        x = x[0::2] + x[1::2]
+    return out
+
+
 def raw_level_sum(path: SampledPath, n: int, p: float) -> float:
     """sum_k |level-n increment|^p, before the 2^{n(alpha p - 1)} prefactor."""
     if n > path.grid.J:
         raise ResolutionError(f"level {n} exceeds grid resolution J={path.grid.J}")
-    inc = increments_of(path, n)
-    return float(np.sum(np.abs(inc) ** p))
+    return float(level_sums(np.diff(path.values), n, p)[n - 1])
 
 
 def level_term(path: SampledPath, n: int, alpha: float, p: float) -> float:
@@ -75,7 +96,7 @@ def level_term(path: SampledPath, n: int, alpha: float, p: float) -> float:
     return 2.0 ** (n * (alpha * p - 1.0)) * raw_level_sum(path, n, p)
 
 
-def fit_tail_slope(terms) -> float:
+def fit_tail_slope(terms) -> float | np.ndarray:
     """Weighted LS slope of log2 T_n vs n over the last ceil(N/2) levels.
 
     Weights are 2^n: the level-n term averages 2^n increment powers, so the
@@ -83,28 +104,32 @@ def fit_tail_slope(terms) -> float:
     weighting sharpens the verdict near the critical exponent.  For exactly
     geometric terms the fitted slope is exact regardless of weights.
 
-    Levels with a zero term are dropped; if none are positive the series is
-    identically zero on the tail and the slope is -inf.
+    Levels with a zero (or NaN) term are dropped; if none are positive the
+    series is identically zero on the tail and the slope is -inf, and a
+    single positive level gives 0.0.  `terms` is one series (returns a
+    float) or an (R, N) array of R series (returns R slopes).
     """
     terms = np.asarray(terms, dtype=float)
-    N = len(terms)
+    rows = np.atleast_2d(terms)
+    N = rows.shape[-1]
     start = N - math.ceil(N / 2)
-    tail = terms[start:]
+    tail = rows[:, start:]
     ns = np.arange(start + 1, N + 1, dtype=float)
     pos = tail > _ZERO_FLOOR
-    if pos.sum() == 0:
-        return -math.inf
-    if pos.sum() == 1:
-        return 0.0
-    x = ns[pos]
-    y = np.log2(tail[pos])
-    w = 2.0 ** (x - x.max())  # normalized to avoid overflow
-    w /= w.sum()
-    xb = float(np.dot(w, x))
-    yb = float(np.dot(w, y))
-    sxx = float(np.dot(w, (x - xb) ** 2))
-    sxy = float(np.dot(w, (x - xb) * (y - yb)))
-    return sxy / sxx
+    n_pos = pos.sum(axis=1)
+    w = np.where(pos, 2.0 ** (ns - ns[-1]), 0.0)  # relative to the last level: no overflow
+    y = np.log2(tail, out=np.zeros_like(tail), where=pos)
+    # rows with fewer than two positive levels divide by zero and are replaced
+    # below; an infinite term makes the slope NaN, which reads as inconclusive
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w /= w.sum(axis=1, keepdims=True)
+        xb = np.sum(w * ns, axis=1)
+        yb = np.sum(w * y, axis=1)
+        dx = ns - xb[:, None]
+        sxx = np.sum(w * dx * dx, axis=1)
+        sxy = np.sum(w * dx * (y - yb[:, None]), axis=1)
+        slopes = np.where(n_pos > 1, sxy / sxx, np.where(n_pos == 1, 0.0, -math.inf))
+    return float(slopes[0]) if terms.ndim == 1 else slopes
 
 
 def verdict_from_slope(slope: float) -> Verdict:
@@ -115,20 +140,25 @@ def verdict_from_slope(slope: float) -> Verdict:
     return Verdict.INCONCLUSIVE
 
 
+def level_terms(raw_sums, alpha: float, p: float) -> np.ndarray:
+    """T_n = 2^{n (alpha p - 1)} raw_n for n = 1..N along the last axis."""
+    raw = np.asarray(raw_sums, dtype=float)
+    ns = np.arange(1, raw.shape[-1] + 1)
+    return 2.0 ** (ns * (alpha * p - 1.0)) * raw
+
+
 def series_from_raw(raw_sums, alpha: float, p: float) -> LevelSeriesReport:
     """Assemble the report from precomputed raw level sums for n = 1..N."""
     _check_exponents(alpha, p)
-    raw = np.asarray(raw_sums, dtype=float)
-    N = len(raw)
+    N = len(raw_sums)
     if N < MIN_LEVELS:
         raise ParameterError(f"need at least {MIN_LEVELS} levels, got {N}")
-    ns = np.arange(1, N + 1)
-    terms = 2.0 ** (ns * (alpha * p - 1.0)) * raw
+    terms = level_terms(raw_sums, alpha, p)
     slope = fit_tail_slope(terms)
     return LevelSeriesReport(
         alpha=alpha,
         p=p,
-        levels=tuple(int(n) for n in ns),
+        levels=tuple(range(1, N + 1)),
         terms=tuple(float(t) for t in terms),
         partial_sums=tuple(float(s) for s in np.cumsum(terms)),
         fitted_log2_slope=slope,
@@ -142,8 +172,7 @@ def kamont_series(path: SampledPath, N: int, alpha: float, p: float) -> LevelSer
         raise ParameterError(f"N={N} exceeds grid resolution J={path.grid.J}")
     if N < MIN_LEVELS:
         raise ParameterError(f"tail fit needs N >= {MIN_LEVELS}, got {N}")
-    raw = [raw_level_sum(path, n, p) for n in range(1, N + 1)]
-    return series_from_raw(raw, alpha, p)
+    return series_from_raw(level_sums(np.diff(path.values), N, p), alpha, p)
 
 
 def reweight_identity_check(

@@ -3,13 +3,18 @@
 All generators are pure functions of (grid, parameters, seed): equal seeds
 give bit-identical output regardless of scheduling.  Seeds may be ints or
 sequences of ints and are fed to numpy's PCG64 via default_rng.
+
+`GeneratorSpec.sampler()` is the one generation path: it computes what a
+spec's draws share (sqrt(dx), the weight at the cell midpoints, the fGn
+circulant embedding) once and returns `draw(seed)`.  `sample()` and the
+`generate_*` functions are single draws through the same samplers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -76,11 +81,22 @@ class WeightFn:
         return cls(kind, params)
 
 
+Sampler = Callable[[object], np.ndarray]  # seed -> finest-level increments
+
+
+def _bm_sampler(grid: Grid) -> Sampler:
+    n, scale = grid.n_cells, math.sqrt(grid.dx)
+    return lambda seed: np.random.default_rng(seed).standard_normal(n) * scale
+
+
+def _weighted(g: WeightFn, grid: Grid, draw: Sampler) -> Sampler:
+    weights = g(grid.midpoints())
+    return lambda seed: weights * draw(seed)
+
+
 def generate_bm(grid: Grid, seed) -> StochasticMeasureSample:
     """Brownian measure: independent N(0, dx) increments over finest cells."""
-    rng = np.random.default_rng(seed)
-    inc = rng.standard_normal(grid.n_cells) * math.sqrt(grid.dx)
-    return StochasticMeasureSample(grid, inc)
+    return StochasticMeasureSample(grid, _bm_sampler(grid)(seed))
 
 
 def generate_martingale(grid: Grid, g: WeightFn, seed) -> StochasticMeasureSample:
@@ -89,9 +105,7 @@ def generate_martingale(grid: Grid, g: WeightFn, seed) -> StochasticMeasureSampl
     Midpoint discretization: increment over cell k is g(midpoint_k) dW_k.
     With g == 1 the output is bit-identical to generate_bm at equal seeds.
     """
-    bm = generate_bm(grid, seed)
-    inc = g(grid.midpoints()) * bm.increments
-    return StochasticMeasureSample(grid, inc)
+    return StochasticMeasureSample(grid, _weighted(g, grid, _bm_sampler(grid))(seed))
 
 
 def _fgn_autocov(H: float, n_lags: int) -> np.ndarray:
@@ -101,22 +115,33 @@ def _fgn_autocov(H: float, n_lags: int) -> np.ndarray:
     )
 
 
-def _fgn_circulant(N: int, H: float, rng: np.random.Generator) -> Optional[np.ndarray]:
-    """Davies-Harte synthesis of unit-step fGn; None if embedding fails."""
+def _fgn_embedding(N: int, H: float) -> Optional[np.ndarray]:
+    """Square roots of the Davies-Harte circulant eigenvalues; None if the check fails.
+
+    They depend only on (N, H), so a sampler computes them once per spec.
+    """
     c = _fgn_autocov(H, N + 1)
     row = np.concatenate([c, c[-2:0:-1]])
     eig = np.fft.fft(row).real
     if eig.min() < -1e-10 * eig.max():
         return None
-    eig = np.clip(eig, 0.0, None)
+    return np.sqrt(np.clip(eig, 0.0, None))
+
+
+def _fgn_circulant(root: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Davies-Harte synthesis of unit-step fGn from the embedding's root."""
+    N = len(root) // 2
     Z = np.zeros(2 * N, dtype=complex)
     Z[0] = rng.standard_normal()
     Z[N] = rng.standard_normal()
-    V = rng.standard_normal((N - 1, 2))
-    Z[1:N] = (V[:, 0] + 1j * V[:, 1]) / math.sqrt(2.0)
-    Z[N + 1:] = np.conj(Z[1:N][::-1])
-    out = np.sqrt(2 * N) * np.fft.ifft(np.sqrt(eig) * Z).real[:N]
-    return out
+    # Z[1:N] = (V[:, 0] + 1j V[:, 1]) / sqrt(2) and Z[N+1:] its reversed conjugate,
+    # written through a (real, imag) view without complex temporaries.  NumPy
+    # divides a complex array by a real scalar as a product with its reciprocal.
+    parts = Z.view(float).reshape(2 * N, 2)
+    parts[1:N] = rng.standard_normal((N - 1, 2)) * (1.0 / math.sqrt(2.0))
+    parts[N + 1:, 0] = parts[N - 1:0:-1, 0]
+    parts[N + 1:, 1] = -parts[N - 1:0:-1, 1]
+    return np.sqrt(2 * N) * np.fft.ifft(root * Z).real[:N]
 
 
 def _fgn_hosking(N: int, H: float, rng: np.random.Generator) -> np.ndarray:
@@ -141,26 +166,31 @@ def _fgn_hosking(N: int, H: float, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
+def _fgn_sampler(grid: Grid, H: float, method: str = "auto") -> Sampler:
+    if not (0.0 < H < 1.0):
+        raise ParameterError(f"Hurst index must be in (0, 1), got {H}")
+    if method not in ("auto", "circulant", "hosking"):
+        raise ParameterError(f"unknown fgn method {method!r}")
+    N, scale = grid.n_cells, grid.dx**H
+    root = None if method == "hosking" else _fgn_embedding(N, H)
+    if root is None and method == "circulant":
+        raise ParameterError("circulant embedding failed (negative eigenvalues)")
+
+    def draw(seed) -> np.ndarray:
+        rng = np.random.default_rng(seed)
+        out = _fgn_hosking(N, H, rng) if root is None else _fgn_circulant(root, rng)
+        return out * scale
+
+    return draw
+
+
 def generate_fgn(grid: Grid, H: float, seed, method: str = "auto") -> np.ndarray:
     """Fractional Gaussian noise over the finest cells, scaled by dx^H.
 
     Circulant (FFT) embedding by default, falling back to the sequential
     recursion when the embedding eigenvalues go negative.
     """
-    if not (0.0 < H < 1.0):
-        raise ParameterError(f"Hurst index must be in (0, 1), got {H}")
-    if method not in ("auto", "circulant", "hosking"):
-        raise ParameterError(f"unknown fgn method {method!r}")
-    rng = np.random.default_rng(seed)
-    N = grid.n_cells
-    out = None
-    if method in ("auto", "circulant"):
-        out = _fgn_circulant(N, H, rng)
-        if out is None and method == "circulant":
-            raise ParameterError("circulant embedding failed (negative eigenvalues)")
-    if out is None:
-        out = _fgn_hosking(N, H, rng)
-    return out * grid.dx**H
+    return _fgn_sampler(grid, H, method)(seed)
 
 
 def generate_weighted_fbm_measure(
@@ -169,9 +199,7 @@ def generate_weighted_fbm_measure(
     """Weighted fBm measure, H > 1/2: increment k is f(midpoint_k) dW^H_k."""
     if not H > 0.5:
         raise ParameterError(f"weighted fBm measure requires H > 1/2, got {H}")
-    fgn = generate_fgn(grid, H, seed)
-    inc = f(grid.midpoints()) * fgn
-    return StochasticMeasureSample(grid, inc)
+    return StochasticMeasureSample(grid, _weighted(f, grid, _fgn_sampler(grid, H))(seed))
 
 
 def generate_linear(grid: Grid, slope: float = 1.0) -> StochasticMeasureSample:
@@ -201,20 +229,28 @@ class GeneratorSpec:
         if self.kind == "fbm" and self.H is not None and not (0.0 < self.H < 1.0):
             raise ParameterError(f"fbm requires H in (0, 1), got {self.H}")
 
+    def sampler(self) -> Sampler:
+        """`draw(seed)` -> finest-level increments, equal to `sample(seed).increments`.
+
+        The per-spec constants (sqrt(dx), the weight at the midpoints, the
+        fGn circulant embedding) are computed here once, not per draw.
+        """
+        grid, weight = self.grid, self.weight or WeightFn.one()
+        if self.kind == "bm":
+            return _bm_sampler(grid)
+        if self.kind == "martingale":
+            return _weighted(weight, grid, _bm_sampler(grid))
+        if self.kind == "fbm":
+            return _fgn_sampler(grid, self.H)
+        if self.kind == "wfbm":
+            return _weighted(weight, grid, _fgn_sampler(grid, self.H))
+        n, dx = grid.n_cells, grid.dx
+        return lambda seed: np.full(n, dx)
+
     def sample(self, seed=None) -> StochasticMeasureSample:
         """Draw one realization; seed overrides the spec's own seed."""
         s = self.seed if seed is None else seed
-        if self.kind == "bm":
-            return generate_bm(self.grid, s)
-        if self.kind == "martingale":
-            return generate_martingale(self.grid, self.weight or WeightFn.one(), s)
-        if self.kind == "fbm":
-            return StochasticMeasureSample(self.grid, generate_fgn(self.grid, self.H, s))
-        if self.kind == "wfbm":
-            return generate_weighted_fbm_measure(
-                self.grid, self.weight or WeightFn.one(), self.H, s
-            )
-        return generate_linear(self.grid)
+        return StochasticMeasureSample(self.grid, self.sampler()(s))
 
     def to_dict(self) -> dict:
         d = {

@@ -1,8 +1,14 @@
-"""Monte Carlo orchestration: alpha sweeps, Besov profiles, persistent reports.
+"""Monte Carlo orchestration: alpha sweeps and persistent reports.
 
 Per-replicate RNG streams are derived from (master seed, replicate index),
-so results are independent of worker count and scheduling.  Aggregation is
-a deterministic fold in replicate-index order after all replicates finish.
+so results are independent of worker count and scheduling.  The replicates
+run as contiguous blocks, one per worker process (`workers=1` runs a single
+block in-process).  Each worker receives the config once, builds the
+generator's sampler once (for fBm this is the circulant embedding) and
+returns only the raw level sums of its block, one row of n_levels per
+replicate; no path is kept.  Aggregation is a deterministic, vectorised
+fold over the (replicates, n_levels) array in replicate-index order after
+all blocks finish, so `workers` changes the wall time and never the report.
 """
 
 from __future__ import annotations
@@ -13,17 +19,15 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import __version__
-from .besov import seminorm_integral, shift_norms
-from .criterion import Verdict, fit_tail_slope, raw_level_sum, series_from_raw, verdict_from_slope
-from .errors import ConfigurationError
+from .criterion import SLOPE_THRESHOLD, fit_tail_slope, level_sums, level_terms
+from .errors import ConfigurationError, ParameterError
 from .generators import GeneratorSpec
-from .paths import BesovParams, path_of
 
 SCHEMA_VERSION = 1
 
@@ -153,44 +157,58 @@ def replicate_seed(master_seed: int, index: int) -> list[int]:
     return [int(master_seed), int(index)]
 
 
-def _replicate_raw_sums(args) -> list[float]:
-    """Worker task: raw level sums (before the alpha prefactor) for one replicate."""
-    config_dict, index = args
+def _replicate_block(args) -> np.ndarray:
+    """Worker task: raw level sums (before the alpha prefactor) of replicates start..stop-1.
+
+    Row i depends only on (master seed, start + i), never on the block bounds.
+    """
+    config_dict, start, stop = args
     config = ExperimentConfig.from_dict(config_dict)
-    seed = replicate_seed(config.generator.seed, index)
-    sample = config.generator.sample(seed=seed)
-    path = path_of(sample)
-    return [raw_level_sum(path, n, config.p) for n in range(1, config.n_levels + 1)]
+    draw = config.generator.sampler()
+    out = np.empty((stop - start, config.n_levels))
+    for row, index in enumerate(range(start, stop)):
+        increments = draw(replicate_seed(config.generator.seed, index))
+        out[row] = level_sums(increments, config.n_levels, config.p)
+    return out
 
 
-def _map_replicates(config: ExperimentConfig, task, payloads):
-    if config.workers == 1:
-        return [task(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=config.workers) as pool:
-        return list(pool.map(task, payloads))
+def _raw_level_sums(config: ExperimentConfig) -> np.ndarray:
+    """(replicates, n_levels) raw level sums, one contiguous block per worker."""
+    n_blocks = min(config.workers, config.replicates)
+    bounds = [config.replicates * k // n_blocks for k in range(n_blocks + 1)]
+    payloads = [(config.to_dict(), lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    if n_blocks == 1:
+        raw = _replicate_block(payloads[0])
+    else:
+        with ProcessPoolExecutor(max_workers=n_blocks) as pool:
+            raw = np.concatenate(list(pool.map(_replicate_block, payloads)))
+    # a non-finite increment reaches every coarser level, so this covers the increments too
+    bad = np.flatnonzero(~np.isfinite(raw).all(axis=1))
+    if bad.size:
+        raise ParameterError(
+            f"replicate {bad[0]} has non-finite level sums ({bad.size} of "
+            f"{config.replicates} replicates); the measure overflows double precision"
+        )
+    return raw
 
 
 def run_alpha_sweep(config: ExperimentConfig) -> ExperimentReport:
     """Per-alpha verdict fractions and median slopes over all replicates."""
     t0 = time.perf_counter()
-    payloads = [(config.to_dict(), i) for i in range(config.replicates)]
-    raw_by_rep = _map_replicates(config, _replicate_raw_sums, payloads)
-
+    raw = _raw_level_sums(config)
+    R = config.replicates
     rows = []
     for alpha in config.alpha_grid:
-        slopes = np.empty(config.replicates)
-        counts = {v: 0 for v in Verdict}
-        for i, raw in enumerate(raw_by_rep):
-            report = series_from_raw(raw, alpha, config.p)
-            slopes[i] = report.fitted_log2_slope
-            counts[report.verdict] += 1
+        slopes = fit_tail_slope(level_terms(raw, alpha, config.p))
+        converges = int(np.count_nonzero(slopes < -SLOPE_THRESHOLD))
+        diverges = int(np.count_nonzero(slopes > SLOPE_THRESHOLD))
         rows.append(
             AlphaRow(
                 alpha=alpha,
                 median_slope=float(np.median(slopes)),
-                frac_converges=counts[Verdict.CONVERGES] / config.replicates,
-                frac_diverges=counts[Verdict.DIVERGES] / config.replicates,
-                frac_inconclusive=counts[Verdict.INCONCLUSIVE] / config.replicates,
+                frac_converges=converges / R,
+                frac_diverges=diverges / R,
+                frac_inconclusive=(R - converges - diverges) / R,
             )
         )
 
@@ -212,48 +230,3 @@ def _critical_alpha(rows: Sequence[AlphaRow]) -> Optional[float]:
         if s1 < 0.0 <= s2:
             return r1.alpha + (r2.alpha - r1.alpha) * (-s1) / (s2 - s1)
     return None
-
-
-@dataclass(frozen=True)
-class BesovProfileRow:
-    alpha: float
-    p: float
-    q: float
-    median_seminorm: float
-    iqr_seminorm: float
-
-
-def _replicate_seminorms(args) -> list[float]:
-    config_dict, params_list, index = args
-    config = ExperimentConfig.from_dict(config_dict)
-    seed = replicate_seed(config.generator.seed, index)
-    path = path_of(config.generator.sample(seed=seed))
-    out = []
-    # the shift-norm table depends only on p: share it across params
-    by_p: dict[float, np.ndarray] = {}
-    for alpha, p, q in params_list:
-        d = by_p.get(p)
-        if d is None:
-            d = shift_norms(path, p)
-            by_p[p] = d
-        out.append(seminorm_integral(path, d, alpha, q) ** (1.0 / q))
-    return out
-
-
-def run_besov_profile(
-    config: ExperimentConfig, params_list: Sequence[BesovParams]
-) -> list[BesovProfileRow]:
-    """Median and interquartile range of the truncated seminorm per params."""
-    triples = [(prm.alpha, prm.p, prm.q) for prm in params_list]
-    payloads = [
-        (config.to_dict(), triples, i) for i in range(config.replicates)
-    ]
-    results = np.asarray(_map_replicates(config, _replicate_seminorms, payloads))
-    rows = []
-    for j, prm in enumerate(params_list):
-        col = results[:, j]
-        q25, q50, q75 = np.percentile(col, [25.0, 50.0, 75.0])
-        rows.append(
-            BesovProfileRow(prm.alpha, prm.p, prm.q, float(q50), float(q75 - q25))
-        )
-    return rows

@@ -1,11 +1,21 @@
+import csv
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from besovlab import Grid, generate_bm, kamont_series, path_of
-from besovlab.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, ingest_series, main
+from besovlab import Grid, SampledPath, generate_bm, kamont_series, path_of
+from besovlab.cli import (
+    CSV_CHUNK_ROWS,
+    EXIT_DATA,
+    EXIT_NUMERIC,
+    EXIT_OK,
+    EXIT_USAGE,
+    _write_path_csv,
+    ingest_series,
+    main,
+)
 
 
 def run(capsys, *argv):
@@ -36,6 +46,23 @@ class TestGenerate:
         assert len(lines) == 1 + 2**10 + 1  # header + grid points
         meta = json.loads((tmp_path / "fbm.csv.meta.json").read_text())
         assert meta["kind"] == "fbm" and meta["seed"] == 7
+
+    def test_csv_bytes_match_row_writer(self, tmp_path):
+        # reference: one csv.writer row per grid point, repr of each float
+        J = CSV_CHUNK_ROWS.bit_length()  # more than one chunk of rows
+        grid = Grid(-1.5, 2.25, J)
+        values = path_of(generate_bm(grid, 9)).values.copy()
+        values[1:6] = [1e-300, -0.0, 1e16, 1.0 / 3.0, -2.5e-7]
+        path = SampledPath(grid, values)
+        ref = tmp_path / "ref.csv"
+        with ref.open("w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["t", "value"])
+            for t, v in zip(grid.points(), path.values):
+                writer.writerow([repr(float(t)), repr(float(v))])
+        out = tmp_path / "out.csv"
+        _write_path_csv(path, out)
+        assert out.read_bytes() == ref.read_bytes()
 
     def test_wfbm_low_hurst_rejected(self, tmp_path, capsys):
         code, _, err = run(

@@ -1,18 +1,22 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from besovlab import (
     Grid,
+    GeneratorSpec,
     SampledPath,
     Verdict,
     generate_bm,
+    increments_of,
     kamont_series,
     level_term,
     path_of,
     reweight_identity_check,
 )
-from besovlab.criterion import raw_level_sum, series_from_raw
+from besovlab.criterion import fit_tail_slope, level_sums, raw_level_sum, series_from_raw
 from besovlab.errors import ParameterError, ResolutionError
 
 
@@ -150,3 +154,102 @@ class TestSeriesFromRaw:
         a = series_from_raw(raw, 0.45, 2.0)
         b = kamont_series(path, 12, 0.45, 2.0)
         assert a == b
+
+
+def scalar_tail_slope(terms) -> float:
+    """Reference: the one-series weighted tail fit, one level at a time."""
+    terms = np.asarray(terms, dtype=float)
+    N = len(terms)
+    start = N - math.ceil(N / 2)
+    tail = terms[start:]
+    ns = np.arange(start + 1, N + 1, dtype=float)
+    pos = tail > 1e-250
+    if pos.sum() == 0:
+        return -math.inf
+    if pos.sum() == 1:
+        return 0.0
+    x = ns[pos]
+    y = np.log2(tail[pos])
+    w = 2.0 ** (x - x.max())
+    w /= w.sum()
+    xb = float(np.dot(w, x))
+    yb = float(np.dot(w, y))
+    sxx = float(np.dot(w, (x - xb) ** 2))
+    sxy = float(np.dot(w, (x - xb) * (y - yb)))
+    return sxy / sxx
+
+
+class TestBatchedTailSlope:
+    @given(
+        st.integers(1, 12),
+        st.integers(6, 24),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scalar_reference(self, R, N, seed):
+        rng = np.random.default_rng(seed)
+        ns = np.arange(1, N + 1)
+        slope = rng.uniform(-3.0, 3.0, size=(R, 1))
+        terms = 2.0 ** (slope * ns + rng.uniform(-40.0, 40.0, size=(R, 1))
+                        + rng.normal(0.0, 0.5, size=(R, N)))
+        tail = N - math.ceil(N / 2)
+        for i, case in enumerate(rng.integers(0, 5, size=R)):
+            if case == 1:  # identically zero tail
+                terms[i, tail:] = 0.0
+            elif case == 2:  # a single positive tail level
+                keep = rng.integers(tail, N)
+                terms[i, tail:] = 0.0
+                terms[i, keep] = 1.0
+            elif case == 3:  # NaN terms are dropped like zeros
+                terms[i, rng.integers(0, N, size=2)] = np.nan
+            elif case == 4:  # some zero levels
+                terms[i, rng.integers(0, N, size=2)] = 0.0
+        expected = np.array([scalar_tail_slope(row) for row in terms])
+        got = fit_tail_slope(terms)
+        assert got.shape == (R,)
+        np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12, equal_nan=True)
+        for row, want in zip(terms, expected):
+            one = fit_tail_slope(row)
+            assert isinstance(one, float)
+            np.testing.assert_allclose(one, want, rtol=0.0, atol=1e-12, equal_nan=True)
+
+    def test_edge_cases(self):
+        rows = np.array([
+            [1.0] * 6 + [0.0] * 6,  # no positive tail term
+            [1.0] * 6 + [0.0, 0.0, 3.0, 0.0, 0.0, 0.0],  # exactly one
+            [1.0] * 6 + [1.0, 2.0, np.inf, 8.0, 16.0, 32.0],  # infinite term
+        ])
+        slopes = fit_tail_slope(rows)
+        assert slopes[0] == -math.inf
+        assert slopes[1] == 0.0
+        assert math.isnan(slopes[2])
+
+
+class TestLevelSums:
+    @given(
+        st.sampled_from(["bm", "fbm", "martingale"]),
+        st.integers(6, 14),
+        st.sampled_from([1.0, 2.0, 2.5, 3.0]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_path_definition(self, kind, J, p, seed):
+        spec = GeneratorSpec(kind, Grid(0.0, 1.0, J), seed=seed, H=0.8 if kind == "fbm" else None)
+        sample = spec.sample()
+        path = path_of(sample)
+        got = level_sums(sample.increments, J, p)
+        for n in range(1, J + 1):
+            by_path = raw_level_sum(path, n, p)
+            by_definition = float(np.sum(np.abs(increments_of(path, n)) ** p))
+            assert got[n - 1] == pytest.approx(by_path, rel=1e-12, abs=0.0)
+            assert got[n - 1] == pytest.approx(by_definition, rel=1e-12, abs=0.0)
+
+    def test_bad_shapes(self):
+        with pytest.raises(ParameterError):
+            level_sums(np.zeros(12), 2, 2.0)
+        with pytest.raises(ParameterError):
+            level_sums(np.zeros((2, 8)), 2, 2.0)
+        with pytest.raises(ResolutionError):
+            level_sums(np.zeros(16), 5, 2.0)
+        with pytest.raises(ParameterError):
+            level_sums(np.zeros(16), 0, 2.0)

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from besovlab import (
@@ -14,6 +17,7 @@ from besovlab import (
     path_of,
 )
 from besovlab.errors import ConfigurationError, ParameterError
+from besovlab import generators
 from besovlab.generators import _fgn_autocov, _fgn_hosking
 
 
@@ -183,3 +187,54 @@ class TestGeneratorSpec:
     def test_linear_stub(self):
         path = path_of(GeneratorSpec("linear", Grid(0.0, 1.0, 6)).sample())
         np.testing.assert_allclose(path.values, Grid(0.0, 1.0, 6).points(), atol=1e-15)
+
+
+def circulant_fgn_reference(N, H, rng):
+    """Davies-Harte draw in one piece, eigenvalues included, with complex arithmetic."""
+    c = _fgn_autocov(H, N + 1)
+    row = np.concatenate([c, c[-2:0:-1]])
+    eig = np.clip(np.fft.fft(row).real, 0.0, None)
+    Z = np.zeros(2 * N, dtype=complex)
+    Z[0] = rng.standard_normal()
+    Z[N] = rng.standard_normal()
+    V = rng.standard_normal((N - 1, 2))
+    Z[1:N] = (V[:, 0] + 1j * V[:, 1]) / math.sqrt(2.0)
+    Z[N + 1:] = np.conj(Z[1:N][::-1])
+    return np.sqrt(2 * N) * np.fft.ifft(np.sqrt(eig) * Z).real[:N]
+
+
+def spec_of(kind, J, H):
+    grid = Grid(-0.5, 1.5, J)
+    weight = WeightFn("sine", (1.5, 2.0, 0.3)) if kind in ("martingale", "wfbm") else None
+    return GeneratorSpec(kind, grid, seed=3, H=H if kind in ("fbm", "wfbm") else None,
+                         weight=weight)
+
+
+class TestSampler:
+    @given(
+        st.sampled_from(GeneratorSpec.KINDS),
+        st.integers(1, 12),
+        st.floats(0.55, 0.95),
+        st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=2),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_draws_equal_sample(self, kind, J, H, seed, force_hosking):
+        spec = spec_of(kind, min(J, 8) if force_hosking else J, H)
+        with pytest.MonkeyPatch.context() as mp:
+            if force_hosking:
+                mp.setattr(generators, "_fgn_embedding", lambda N, H: None)
+            draw = spec.sampler()
+            got = draw(seed)
+            assert np.array_equal(got, spec.sample(seed).increments)
+            assert np.array_equal(draw(seed), got)  # a sampler holds no draw state
+            if kind == "fbm" and force_hosking:
+                direct = _fgn_hosking(spec.grid.n_cells, H, np.random.default_rng(seed))
+                assert np.array_equal(got, direct * spec.grid.dx**H)
+
+    @pytest.mark.parametrize("H", [0.2, 0.5, 0.75, 0.95])
+    def test_circulant_matches_one_piece_reference(self, H):
+        g = Grid(0.0, 1.0, 11)
+        for seed in ([1, 0], [1, 1], 77):
+            expected = circulant_fgn_reference(g.n_cells, H, np.random.default_rng(seed))
+            assert np.array_equal(generate_fgn(g, H, seed), expected * g.dx**H)

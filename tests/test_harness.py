@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 from besovlab import (
-    BesovParams,
     ExperimentConfig,
     Grid,
     GeneratorSpec,
+    WeightFn,
     run_alpha_sweep,
-    run_besov_profile,
 )
 from besovlab.criterion import raw_level_sum, series_from_raw
-from besovlab.errors import ConfigurationError
-from besovlab.generators import generate_bm
+from besovlab.errors import ConfigurationError, ParameterError
+from besovlab.harness import _raw_level_sums
 from besovlab.paths import path_of
 
 
@@ -120,29 +119,48 @@ class TestAlphaSweep:
         assert len(lines) == 1 + len(report.rows)
 
 
-class TestBesovProfile:
-    def test_constant_stub_zero(self):
-        # linear stub rescaled to zero increments: constant path
-        cfg = bm_config(
-            generator=GeneratorSpec("linear", Grid(0.0, 1.0, 8)),
-            n_levels=6,
-            replicates=2,
-        )
-        # linear stub is a ramp, not constant: its seminorm is positive but
-        # identical across replicates
-        rows = run_besov_profile(cfg, [BesovParams(0.3, 2.0, 2.0)])
-        assert rows[0].iqr_seminorm == pytest.approx(0.0, abs=1e-12)
-        assert rows[0].median_seminorm > 0.0
+SPLIT_SPECS = {
+    "bm": GeneratorSpec("bm", Grid(0.0, 1.0, 10), seed=101),
+    "fbm": GeneratorSpec("fbm", Grid(0.0, 1.0, 10), seed=102, H=0.7),
+    "martingale": GeneratorSpec(
+        "martingale", Grid(0.0, 1.0, 10), seed=103, weight=WeightFn("affine", (1.0, 2.0))
+    ),
+}
 
-    def test_bm_profile_finite(self):
+
+class TestWorkerBlocks:
+    @pytest.mark.parametrize("kind", sorted(SPLIT_SPECS))
+    @pytest.mark.parametrize("replicates, worker_counts", [(7, (1, 2, 3)), (2, (1, 4))])
+    def test_rows_independent_of_split(self, kind, replicates, worker_counts):
+        configs = [
+            bm_config(generator=SPLIT_SPECS[kind], replicates=replicates, workers=w)
+            for w in worker_counts
+        ]
+        raws = [_raw_level_sums(cfg) for cfg in configs]
+        for raw in raws:
+            assert raw.shape == (replicates, 8)
+            assert raw.tobytes() == raws[0].tobytes()
+        reports = [run_alpha_sweep(cfg) for cfg in configs]
+        assert all(r.rows == reports[0].rows for r in reports)
+
+    def test_row_is_the_replicate_own_draw(self):
+        cfg = bm_config(generator=SPLIT_SPECS["fbm"], replicates=3, workers=2)
+        raw = _raw_level_sums(cfg)
+        for i in range(3):
+            path = path_of(cfg.generator.sample(seed=[cfg.generator.seed, i]))
+            expected = [raw_level_sum(path, n, cfg.p) for n in range(1, cfg.n_levels + 1)]
+            np.testing.assert_allclose(raw[i], expected, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_overflowing_level_sums_refused(self, workers):
         cfg = bm_config(
-            generator=GeneratorSpec("bm", Grid(0.0, 1.0, 8), seed=5),
+            generator=GeneratorSpec(
+                "martingale", Grid(0.0, 1.0, 8), seed=1,
+                weight=WeightFn.from_descriptor("constant:1e300"),
+            ),
             n_levels=6,
-            replicates=4,
+            replicates=3,
+            workers=workers,
         )
-        rows = run_besov_profile(
-            cfg, [BesovParams(0.3, 2.0, 2.0), BesovParams(0.45, 2.0, 2.0)]
-        )
-        assert all(np.isfinite(r.median_seminorm) for r in rows)
-        # heavier singularity weight at larger alpha: seminorm grows
-        assert rows[1].median_seminorm > rows[0].median_seminorm
+        with np.errstate(over="ignore"), pytest.raises(ParameterError, match="non-finite"):
+            run_alpha_sweep(cfg)
