@@ -74,6 +74,8 @@ def read_series_csv(source: Path) -> tuple[np.ndarray, np.ndarray]:
                 v.append(float(row[1]))
     except (OSError, ValueError) as exc:
         raise DataError(f"cannot read {source}: {exc}") from exc
+    except IndexError as exc:
+        raise DataError(f"{source}: line {reader.line_num} has fewer than two fields") from exc
     times = np.asarray(t)
     values = np.asarray(v)
     if len(times) < 2:
@@ -200,16 +202,22 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _coefficients(text: str) -> list[float]:
+    try:
+        return [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise ParameterError(f"bad coefficient list {text!r}") from exc
+
+
 def _cmd_lemma(args) -> int:
     did_something = False
     if args.pz_exact is not None:
-        lam = [float(tok) for tok in args.pz_exact.split(",") if tok.strip()]
-        res = paley_zygmund_check(lam, mode="exact")
+        res = paley_zygmund_check(_coefficients(args.pz_exact), mode="exact")
         status = "PASS" if res.passed else "FAIL"
         print(f"paley-zygmund probability {res.probability!r} bound {res.bound} {status}")
         did_something = True
     if args.pz_mc is not None:
-        lam = [float(tok) for tok in args.pz_mc.split(",") if tok.strip()]
+        lam = _coefficients(args.pz_mc)
         res = paley_zygmund_check(
             lam, mode="monte-carlo", samples=args.samples, seed=args.seed
         )
@@ -220,15 +228,7 @@ def _cmd_lemma(args) -> int:
         )
         did_something = True
     if args.statistic:
-        grid = Grid(args.a, args.b, args.J)
-        spec = GeneratorSpec(
-            kind=args.process,
-            grid=grid,
-            seed=args.seed,
-            H=args.H,
-            weight=WeightFn.from_descriptor(args.weight) if args.weight else None,
-        )
-        sample = spec.sample()
+        sample = _generator_from_args(args).sample()
         weights = WeightSequence.geometric(args.alpha, args.p, args.N)
         family = DisjointFamily.full_dyadic(args.N)
         partial = lemma_statistic(sample, weights, family)
@@ -237,10 +237,10 @@ def _cmd_lemma(args) -> int:
             print(f"{n},{float(s)!r}")
         did_something = True
     if args.probe:
-        grid = Grid(args.a, args.b, args.J)
-        spec = GeneratorSpec(kind=args.process, grid=grid, seed=args.seed, H=args.H)
         sizes = [int(tok) for tok in args.sizes.split(",") if tok.strip()]
-        rows = boundedness_probe(spec, sizes, args.replicates, args.quantile)
+        rows = boundedness_probe(
+            _generator_from_args(args), sizes, args.replicates, args.quantile
+        )
         print("family_size,quantile")
         for row in rows:
             print(f"{row.family_size},{row.quantile!r}")

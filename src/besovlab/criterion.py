@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator
 
 import numpy as np
 
@@ -60,11 +61,26 @@ def _check_exponents(alpha: float, p: float):
         raise ParameterError(f"p must be finite and >= 1, got {p}")
 
 
+def dyadic_pyramid(cells: np.ndarray, coarsest: int = 1) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (n, level-n cell measures) for n = J, J - 1, ..., coarsest.
+
+    `cells` is a 1-d float array of the 2^J finest increments.  A pairwise
+    pyramid: level n - 1 is the sum of adjacent level-n cells, so all levels
+    cost O(N) together and no cumulative path is formed.
+    """
+    n = len(cells).bit_length() - 1
+    while True:
+        yield n, cells
+        if n <= coarsest:
+            return
+        cells = cells[0::2] + cells[1::2]
+        n -= 1
+
+
 def level_sums(increments, n_levels: int, p: float) -> np.ndarray:
     """sum_k |level-n increment|^p for n = 1..n_levels, from the 2^J finest increments.
 
-    A pairwise pyramid: level n - 1 is the sum of adjacent level-n cells, so
-    all levels cost O(N) together and no cumulative path is formed.
+    The level-n increments come from `dyadic_pyramid`, O(N) for all levels.
     """
     x = np.asarray(increments, dtype=float)
     if x.ndim != 1 or len(x) < 2 or len(x) & (len(x) - 1):
@@ -75,10 +91,9 @@ def level_sums(increments, n_levels: int, p: float) -> np.ndarray:
     if n_levels < 1:
         raise ParameterError(f"need at least one level, got {n_levels}")
     out = np.empty(n_levels)
-    for n in range(J, 0, -1):
+    for n, cells in dyadic_pyramid(x):
         if n <= n_levels:
-            out[n - 1] = np.sum(np.abs(x) ** p)
-        x = x[0::2] + x[1::2]
+            out[n - 1] = np.sum(np.abs(cells) ** p)
     return out
 
 

@@ -7,6 +7,19 @@ The central object is the partial sum
 
 over per-level families of pairwise-disjoint dyadic sets, with summable
 positive weights a_n.
+
+A `DisjointFamily` stores each level as one integer label array over the
+cells at that level's common dyadic resolution: the index of the set that
+holds the cell, or -1 for a cell in no set.  The measures of all sets of a
+level are then one `np.bincount` over the cell measures, which come from the
+same pairwise pyramid as `criterion.level_sums`; a full dyadic family needs
+no per-cell objects, and its statistic at p = 2 is the Kamont partial sum.
+`randomize_signs` maps each level's signs onto its labels.
+
+The exact Paley-Zygmund check enumerates the two halves of lambda
+separately, 2^ceil(m/2) and 2^floor(m/2) signed sums, and counts the hits
+over their outer sum in blocks; lambda is first scaled by a power of two so
+that tiny or huge coefficients neither under- nor overflow.
 """
 
 from __future__ import annotations
@@ -17,14 +30,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .criterion import dyadic_pyramid
 from .errors import ConfigurationError, ParameterError, ResolutionError, SizeError
 from .generators import GeneratorSpec
-from .paths import DyadicInterval, DyadicSet, StochasticMeasureSample, measure_of
+from .paths import MAX_RESOLUTION, DyadicSet, StochasticMeasureSample, measure_of
 
 PZ_THRESHOLD_FACTOR = 0.25
 PZ_PROBABILITY_BOUND = 0.125
 EXACT_ENUM_LIMIT = 20
-SIGN_BLOCK_ROWS = 1 << 16  # sign patterns per block: 10 MiB of float rows at m = 20
+PZ_BLOCK_SUMS = 1 << 16  # pattern sums per block: 512 KiB of floats
 
 
 @dataclass(frozen=True)
@@ -68,50 +82,85 @@ class WeightSequence:
 
 
 @dataclass(frozen=True)
+class _LabelLevel:
+    """One level of a family: labels[j] is the set holding cell j + 1 at `resolution`, or -1."""
+
+    resolution: int
+    labels: np.ndarray
+    n_sets: int
+
+    def sets(self) -> tuple[DyadicSet, ...]:
+        order = np.argsort(self.labels, kind="stable")
+        bounds = np.searchsorted(self.labels[order], np.arange(self.n_sets + 1))
+        return tuple(
+            DyadicSet(self.resolution, tuple((order[lo:hi] + 1).tolist()))
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        )
+
+
+def _label_level(n: int, sets: tuple[DyadicSet, ...]) -> _LabelLevel:
+    """Label the cells of one level's sets; raises if two sets share a cell."""
+    members = [(i, s) for i, s in enumerate(sets) if not s.is_empty()]
+    resolution = max((s.level for _, s in members), default=0)
+    if resolution > MAX_RESOLUTION:
+        raise ResolutionError(
+            f"set at level {resolution} exceeds the resolution bound {MAX_RESOLUTION}"
+        )
+    labels = np.full(1 << resolution, -1, dtype=np.intp)
+    if members:
+        blocks = [
+            ((np.asarray(s.ks) - 1)[:, None] << (resolution - s.level))
+            + np.arange(1 << (resolution - s.level))
+            for _, s in members
+        ]
+        cells = np.concatenate([b.ravel() for b in blocks])
+        if np.bincount(cells, minlength=len(labels)).max() > 1:
+            raise ConfigurationError(f"sets at level {n} are not disjoint")
+        labels[cells] = np.repeat([i for i, _ in members], [b.size for b in blocks])
+    return _LabelLevel(resolution, labels, len(sets))
+
+
 class DisjointFamily:
-    """Per-level lists of pairwise-disjoint dyadic sets; levels[i] is level i+1."""
+    """Per-level families of pairwise-disjoint dyadic sets; index i is level i+1.
 
-    levels: tuple[tuple[DyadicSet, ...], ...]
+    Each level is stored as one label array over the cells at its common
+    dyadic resolution (the finest level among its sets), so the measures of
+    all sets of a level are one `np.bincount`.  `levels` gives the same
+    family as tuples of `DyadicSet`, built only when asked for.
+    """
 
-    def __post_init__(self):
-        # disjointness within a level == no duplicate cell at the common level
-        for n, sets in enumerate(self.levels, start=1):
-            nonempty = [s for s in sets if not s.is_empty()]
-            if not nonempty:
-                continue
-            common = max(s.level for s in nonempty)
-            seen: set[int] = set()
-            count = 0
-            for s in nonempty:
-                f = 1 << (common - s.level)
-                count += len(s.ks) * f
-                seen.update(
-                    (k - 1) * f + j for k in s.ks for j in range(1, f + 1)
-                )
-            if len(seen) != count:
-                raise ConfigurationError(f"sets at level {n} are not disjoint")
-
-    @property
-    def depth(self) -> int:
-        return len(self.levels)
-
-    def max_resolution(self) -> int:
-        return max(
-            (s.level for sets in self.levels for s in sets if not s.is_empty()),
-            default=0,
+    def __init__(self, levels: Sequence[Sequence[DyadicSet]]):
+        self._sets = tuple(tuple(sets) for sets in levels)
+        self._labels = tuple(
+            _label_level(n, sets) for n, sets in enumerate(self._sets, start=1)
         )
 
     @classmethod
     def full_dyadic(cls, depth: int) -> "DisjointFamily":
         """Level n holds the full partition into the 2^n dyadic cells."""
-        levels = tuple(
-            tuple(
-                DyadicSet.from_intervals([DyadicInterval(n, k)])
-                for k in range(1, (1 << n) + 1)
+        if depth > MAX_RESOLUTION:
+            raise ResolutionError(
+                f"depth {depth} exceeds the resolution bound {MAX_RESOLUTION}"
             )
-            for n in range(1, depth + 1)
+        family = cls.__new__(cls)
+        family._sets = None
+        family._labels = tuple(
+            _LabelLevel(n, np.arange(1 << n), 1 << n) for n in range(1, depth + 1)
         )
-        return cls(levels)
+        return family
+
+    @property
+    def levels(self) -> tuple[tuple[DyadicSet, ...], ...]:
+        if self._sets is None:
+            self._sets = tuple(level.sets() for level in self._labels)
+        return self._sets
+
+    @property
+    def depth(self) -> int:
+        return len(self._labels)
+
+    def max_resolution(self) -> int:
+        return max((level.resolution for level in self._labels), default=0)
 
 
 def lemma_statistic(
@@ -119,36 +168,67 @@ def lemma_statistic(
     weights: WeightSequence,
     family: DisjointFamily,
 ) -> np.ndarray:
-    """Partial sums S_n of the weighted quadratic statistic, n = 1..depth."""
+    """Partial sums S_n of the weighted quadratic statistic, n = 1..depth.
+
+    The cells of each level's resolution come from the pairwise pyramid of
+    the sample's increments, and each set's measure is one bincount over the
+    level's labels, so a full dyadic family costs O(N) in the grid size.
+    """
     if len(weights) < family.depth:
         raise ParameterError(
             f"need {family.depth} weights, got {len(weights)}"
         )
     if family.max_resolution() > sample.grid.J:
         raise ResolutionError("family exceeds the sample's dyadic resolution")
+    needed = {level.resolution for level in family._labels}
+    cells = {
+        n: c
+        for n, c in dyadic_pyramid(sample.increments, min(needed, default=sample.grid.J))
+        if n in needed
+    }
     level_sums = np.empty(family.depth)
-    for i, sets in enumerate(family.levels):
-        a = weights.values[i]
-        level_sums[i] = a * a * math.fsum(
-            measure_of(sample, s) ** 2 for s in sets
-        )
-    return np.cumsum(level_sums)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, level in enumerate(family._labels):
+            measures = np.bincount(
+                level.labels + 1, weights=cells[level.resolution], minlength=level.n_sets + 1
+            )[1:]
+            a = weights.values[i]
+            level_sums[i] = a * a * np.sum(measures * measures)
+        partial = np.cumsum(level_sums)
+    if not np.all(np.isfinite(partial)):
+        raise FloatingPointError("the lemma statistic is not finite")
+    return partial
+
+
+def _signed_sums(lam: np.ndarray) -> np.ndarray:
+    """All 2^k sums sum_i eps_i lambda_i over sign patterns of the k coefficients."""
+    sums = np.zeros(1)
+    for x in lam:
+        sums = np.concatenate([sums + x, sums - x])
+    return sums
 
 
 def _count_pz_hits(lam: np.ndarray, threshold: float) -> int:
     """Number of the 2^m sign patterns with (sum lambda_i eps_i)^2 >= threshold.
 
-    Pattern `code` has eps_i = -1 where bit i of `code` is set; patterns are
-    enumerated in blocks of SIGN_BLOCK_ROWS so memory stays bounded.
+    Split-half enumeration: each pattern's sum is hi + lo, with hi one of the
+    2^ceil(m/2) signed sums of the first half of lambda and lo one of the
+    2^floor(m/2) of the second.  The outer sum is formed in blocks of rows
+    of at most PZ_BLOCK_SUMS entries, so memory stays bounded.
     """
-    m = len(lam)
-    shifts = np.arange(m, dtype=np.uint32)
+    half = (len(lam) + 1) // 2
+    hi, lo = _signed_sums(lam[:half]), _signed_sums(lam[half:])
+    rows = max(1, PZ_BLOCK_SUMS // len(lo))
+    # one buffer for every block: a fresh block per iteration left long-running
+    # processes with about 1 MiB more peak RSS
+    buf = np.empty((min(rows, len(hi)), len(lo)))
     hits = 0
-    for start in range(0, 1 << m, SIGN_BLOCK_ROWS):
-        codes = np.arange(start, min(start + SIGN_BLOCK_ROWS, 1 << m), dtype=np.uint32)
-        signs = 1.0 - 2.0 * ((codes[:, None] >> shifts) & 1).astype(float)
-        sums = signs @ lam
-        hits += int(np.count_nonzero(sums * sums >= threshold))
+    for start in range(0, len(hi), rows):
+        block = hi[start : start + rows, None]
+        sums = buf[: len(block)]
+        np.add(block, lo, out=sums)
+        np.multiply(sums, sums, out=sums)
+        hits += int(np.count_nonzero(sums >= threshold))
     return hits
 
 
@@ -175,6 +255,11 @@ def paley_zygmund_check(
     m = len(lam)
     if m < 1:
         raise ParameterError("need at least one coefficient")
+    if not np.all(np.isfinite(lam)):
+        raise ParameterError("coefficients must be finite")
+    # Scaling by a power of two keeps the squares in range and rounds exactly
+    # as the unscaled sums would wherever those neither under- nor overflow.
+    lam = np.ldexp(lam, -np.frexp(np.max(np.abs(lam)))[1])
     threshold = PZ_THRESHOLD_FACTOR * float(np.dot(lam, lam))
     if mode == "exact":
         if m > EXACT_ENUM_LIMIT:
@@ -210,22 +295,23 @@ def randomize_signs(
         raise ConfigurationError("missing sign assignments for some levels")
     B: list[DyadicSet] = []
     C: list[DyadicSet] = []
-    for i, sets in enumerate(family.levels):
-        row = signs[i]
-        if len(row) < len(sets):
+    for i, level in enumerate(family._labels):
+        row = np.asarray(signs[i][: level.n_sets])
+        if len(row) < level.n_sets:
             raise ConfigurationError(f"missing sign at level {i + 1}")
-        b = DyadicSet.empty()
-        c = DyadicSet.empty()
-        for s, eps in zip(sets, row):
-            if eps == 1:
-                b = b.union(s)
-            elif eps == -1:
-                c = c.union(s)
-            else:
-                raise ConfigurationError(f"signs must be +-1, got {eps}")
-        B.append(b)
-        C.append(c)
+        bad = (row != 1) & (row != -1)
+        if np.any(bad):
+            raise ConfigurationError(f"signs must be +-1, got {row[bad][0]}")
+        # label -1 picks the appended 0: cells in no set join neither union
+        signed = np.append(row, 0)[level.labels]
+        B.append(_cell_set(level.resolution, signed == 1))
+        C.append(_cell_set(level.resolution, signed == -1))
     return B, C
+
+
+def _cell_set(resolution: int, mask: np.ndarray) -> DyadicSet:
+    ks = tuple((np.flatnonzero(mask) + 1).tolist())
+    return DyadicSet(resolution, ks) if ks else DyadicSet.empty()
 
 
 def signed_sum_via_sets(

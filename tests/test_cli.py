@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from besovlab import Grid, SampledPath, generate_bm, kamont_series, path_of
+from besovlab import GeneratorSpec, Grid, SampledPath, generate_bm, kamont_series, path_of
 from besovlab.cli import (
     CSV_CHUNK_ROWS,
     EXIT_DATA,
@@ -150,6 +150,14 @@ class TestDyadic:
         assert code == EXIT_DATA
         assert "error" in err
 
+    @pytest.mark.parametrize("command", ["dyadic", "besov"])
+    def test_short_row(self, tmp_path, capsys, command):
+        f = tmp_path / "short.csv"
+        f.write_text("t,value\n0,0\n0.5\n1,1\n")
+        code, out, err = run(capsys, command, "--input", str(f), "--alpha", "0.4")
+        assert code == EXIT_DATA
+        assert out == "" and "line 3" in err
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_non_finite_result(self, tmp_path, capsys, fmt):
@@ -286,6 +294,59 @@ class TestLemmaCmd:
     def test_no_action(self, capsys):
         code, _, err = run(capsys, "lemma")
         assert code == EXIT_USAGE
+
+    def test_probe_uses_weight(self, capsys):
+        # a constant weight 2 doubles every increment, hence every quantile, exactly
+        common = ["lemma", "--probe", "--J", "8", "--sizes", "4,16", "--replicates", "50",
+                  "--seed", "3"]
+        _, bm, _ = run(capsys, *common, "--process", "bm")
+        code, weighted, _ = run(
+            capsys, *common, "--process", "martingale", "--weight", "constant:2"
+        )
+        assert code == EXIT_OK
+        q_bm = [float(line.split(",")[1]) for line in bm.split()[1:]]
+        q_w = [float(line.split(",")[1]) for line in weighted.split()[1:]]
+        assert len(q_bm) == 2 and q_w == [2.0 * q for q in q_bm]
+
+    def test_probe_fbm_requires_hurst(self, capsys):
+        code, _, err = run(capsys, "lemma", "--probe", "--process", "fbm", "--J", "8")
+        assert code == EXIT_USAGE
+        assert "--H" in err
+
+    @pytest.mark.parametrize("flag", ["--pz-exact", "--pz-mc"])
+    @pytest.mark.parametrize("lam", ["nan,1", "inf,1", "1,-inf", "abc"])
+    def test_pz_rejects_bad_coefficients(self, capsys, flag, lam):
+        code, out, err = run(capsys, "lemma", f"{flag}={lam}", "--samples", "100")
+        assert code == EXIT_USAGE
+        assert out == "" and "error" in err
+
+    @pytest.mark.parametrize("lam", ["1e-200,1e-200", "1e200,1e200", "1e-320,1e-320"])
+    def test_pz_exact_extreme_scale(self, capsys, lam):
+        # the threshold of 1e-200 coefficients used to underflow to 0 (probability 1.0)
+        code, out, _ = run(capsys, "lemma", "--pz-exact", lam)
+        assert code == EXIT_OK
+        assert out == "paley-zygmund probability 0.5 bound 0.125 PASS\n"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_statistic_non_finite(self, capsys):
+        code, out, err = run(
+            capsys, "lemma", "--statistic", "--process", "martingale",
+            "--weight", "constant:1e300", "--J", "8", "--N", "6",
+        )
+        assert code == EXIT_NUMERIC
+        assert out == "" and "not finite" in err
+
+    def test_statistic_full_depth_matches_kamont(self, capsys):
+        # N = J = 20: a full family of 2M cells, which set objects could not build
+        code, out, _ = run(
+            capsys, "lemma", "--statistic", "--N", "20", "--J", "20", "--seed", "6",
+        )
+        assert code == EXIT_OK
+        rows = out.split()
+        assert rows[0] == "n,partial_sum" and len(rows) == 21
+        sample = GeneratorSpec("bm", Grid(0.0, 1.0, 20), seed=6).sample()
+        ref = kamont_series(path_of(sample), 20, 0.4, 2.0).partial_sums[-1]
+        assert float(rows[-1].split(",")[1]) == pytest.approx(ref, rel=1e-12)
 
 
 class TestIngest:

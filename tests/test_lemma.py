@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,8 +21,34 @@ from besovlab import (
 )
 from besovlab.errors import ConfigurationError, ParameterError, SizeError
 from besovlab.generators import generate_linear
-from besovlab.lemma import signed_sum_via_sets
-from besovlab.paths import DyadicSet, measure_of
+from besovlab.lemma import _count_pz_hits, signed_sum_via_sets
+from besovlab.paths import DyadicInterval, DyadicSet, StochasticMeasureSample, measure_of
+
+
+def random_disjoint_level(rng, max_level):
+    """Disjoint sets at mixed levels: a random dyadic tree whose leaves join
+    a random set or none; some sets stay empty."""
+    n_sets = int(rng.integers(1, 6))
+    members = [[] for _ in range(n_sets)]
+    stack = [DyadicInterval(0, 1)]
+    while stack:
+        iv = stack.pop()
+        if iv.n < max_level and rng.random() < 0.6:
+            stack += [DyadicInterval(iv.n + 1, k) for k in iv.refine(iv.n + 1)]
+        elif rng.random() < 0.7:
+            members[int(rng.integers(n_sets))].append(iv)
+    return tuple(DyadicSet.from_intervals(ivs) for ivs in members)
+
+
+def random_level(rng, max_level):
+    """Random sets at random levels, overlapping or not."""
+    sets = []
+    for _ in range(int(rng.integers(1, 5))):
+        level = int(rng.integers(0, max_level + 1))
+        size = int(rng.integers(0, min(3, 1 << level) + 1))
+        ks = rng.choice(1 << level, size=size, replace=False) + 1
+        sets.append(DyadicSet(level, tuple(int(k) for k in ks)))
+    return tuple(sets)
 
 
 class TestWeightSequence:
@@ -52,6 +80,42 @@ class TestDisjointFamily:
         quarter = DyadicSet(2, (2,))
         with pytest.raises(ConfigurationError):
             DisjointFamily(((half, quarter),))
+
+    def test_full_dyadic_levels_built_on_demand(self):
+        fam = DisjointFamily.full_dyadic(5)
+        assert fam.levels == tuple(
+            tuple(DyadicSet.from_intervals([DyadicInterval(n, k)]) for k in range(1, 2**n + 1))
+            for n in range(1, 6)
+        )
+
+    def test_full_dyadic_creates_no_sets(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a DyadicSet or DyadicInterval was created")
+
+        monkeypatch.setattr(DyadicSet, "__post_init__", refuse)
+        monkeypatch.setattr(DyadicInterval, "__post_init__", refuse)
+        fam = DisjointFamily.full_dyadic(20)
+        assert fam.depth == 20 and fam.max_resolution() == 20
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_rejects_overlap_iff_sets_intersect(self, seed):
+        rng = np.random.default_rng(seed)
+        levels = [random_level(rng, 5) for _ in range(int(rng.integers(1, 4)))]
+        disjoint = all(
+            a.is_disjoint_from(b)
+            for sets in levels
+            for a, b in itertools.combinations(sets, 2)
+        )
+        if disjoint:
+            fam = DisjointFamily(levels)
+            assert fam.levels == tuple(levels)
+            assert fam.max_resolution() == max(
+                (s.level for sets in levels for s in sets if not s.is_empty()), default=0
+            )
+        else:
+            with pytest.raises(ConfigurationError):
+                DisjointFamily(levels)
 
 
 class TestLemmaStatistic:
@@ -110,6 +174,29 @@ class TestLemmaStatistic:
             series = kamont_series(path_of(sample), 10, alpha, 2.0)
             np.testing.assert_allclose(stat, series.partial_sums, rtol=1e-12)
 
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_mixed_level_families_match_per_set_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        J = 8
+        sample = generate_bm(Grid(0.0, 1.0, J), seed)
+        levels = [random_disjoint_level(rng, J) for _ in range(int(rng.integers(1, 5)))]
+        weights = WeightSequence.geometric(0.4, 2.0, len(levels))
+        got = lemma_statistic(sample, weights, DisjointFamily(levels))
+        expected = np.cumsum([
+            a * a * math.fsum(measure_of(sample, s) ** 2 for s in sets)
+            for a, sets in zip(weights.values, levels)
+        ])
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+
+    def test_non_finite_raises(self):
+        g = Grid(0.0, 1.0, 6)
+        sample = StochasticMeasureSample(g, np.full(g.n_cells, 1e300))
+        with pytest.raises(FloatingPointError):
+            lemma_statistic(
+                sample, WeightSequence.geometric(0.4, 2.0, 6), DisjointFamily.full_dyadic(6)
+            )
+
 
 class TestPaleyZygmund:
     def test_single_coefficient(self):
@@ -134,6 +221,48 @@ class TestPaleyZygmund:
         m = 17
         hits = sum(math.comb(m, k) for k in range(m + 1) if 4 * (m - 2 * k) ** 2 >= m)
         assert paley_zygmund_check([0.7] * m).probability == hits / 2**m
+
+    @given(
+        st.lists(
+            st.one_of(st.integers(-9, 9), st.integers(-64, 64).map(lambda k: k / 16)),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_hits_match_exact_enumeration(self, lam):
+        # small integers and dyadic rationals: every float sum here is exact.
+        # The reference counts in exact integers, on 16 lambda.
+        scaled = np.array([int(Fraction(x) * 16) for x in lam], dtype=np.int64)
+        signs = np.array(list(itertools.product((1, -1), repeat=len(lam))), dtype=np.int64)
+        hits = int(np.count_nonzero(4 * (signs @ scaled) ** 2 >= scaled @ scaled))
+        threshold = 0.25 * float(np.dot(lam, lam))
+        assert _count_pz_hits(np.array(lam, dtype=float), threshold) == hits
+        assert Fraction(paley_zygmund_check(lam).probability) == Fraction(hits, 2 ** len(lam))
+
+    @given(
+        # entries of 0 or at least 1e-3: scaled by 2^-1000 they stay normal floats
+        st.lists(
+            st.floats(-10.0, 10.0).filter(lambda x: x == 0.0 or abs(x) >= 1e-3),
+            min_size=1,
+            max_size=12,
+        ),
+        st.sampled_from([-1000, -300, 300, 1000]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_power_of_two_scale_invariant(self, lam, exponent):
+        scaled = [math.ldexp(x, exponent) for x in lam]
+        for mode in ("exact", "monte-carlo"):
+            assert (
+                paley_zygmund_check(scaled, mode, samples=2000).probability
+                == paley_zygmund_check(lam, mode, samples=2000).probability
+            )
+
+    @pytest.mark.parametrize("mode", ["exact", "monte-carlo"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, mode, bad):
+        with pytest.raises(ParameterError):
+            paley_zygmund_check([1.0, bad], mode=mode)
 
     def test_exact_size_limit(self):
         with pytest.raises(SizeError):
@@ -198,6 +327,32 @@ class TestRandomizeSigns:
             for s, eps in zip(level, signs[i])
         )
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_unions_match_set_algebra(self, seed):
+        rng = np.random.default_rng(seed)
+        sample = generate_bm(Grid(0.0, 1.0, 8), seed)
+        levels = [random_disjoint_level(rng, 8) for _ in range(int(rng.integers(1, 4)))]
+        signs = [[int(e) for e in rng.choice([-1, 1], size=len(sets))] for sets in levels]
+        B, C = randomize_signs(DisjointFamily(levels), signs)
+        for sets, row, b, c in zip(levels, signs, B, C):
+            ref_b, ref_c = DyadicSet.empty(), DyadicSet.empty()
+            for s, eps in zip(sets, row):
+                if eps == 1:
+                    ref_b = ref_b.union(s)
+                else:
+                    ref_c = ref_c.union(s)
+            for got, ref in ((b, ref_b), (c, ref_c)):
+                level = max(got.level, ref.level)
+                assert got.at_level(level) == ref.at_level(level)
+                assert measure_of(sample, got) == measure_of(sample, ref)
+
+    def test_rejects_bad_sign(self):
+        fam = DisjointFamily.full_dyadic(2)
+        with pytest.raises(ConfigurationError):
+            randomize_signs(fam, [[1, -1], [1, 0, 1, -1]])
 
 
 class TestBoundednessProbe:
