@@ -11,10 +11,12 @@ and of the largest (short overlaps), so the first and last DIRECT_SHIFTS
 shifts are summed directly by the same closed form; the first ones are
 the smallest octave of the t-grid and feed the tail fit.
 
-Every other p keeps 5-node Gauss-Legendre quadrature per cell, exact for
-|linear|^p up to quadrature order, one shift at a time: O(N^2), so it is
-refused above GENERAL_P_MAX_J.  The L_p norm itself is one O(N) Gauss pass
-for every p.
+One kernel, `_cell_power_integral`, integrates |linear segment|^p over the
+cells of a sequence: the closed form above from two dot products at p = 2,
+and 5-node Gauss-Legendre quadrature per cell for every other p, evaluated
+node-major (one contiguous row of cells per node) in a scratch buffer.  The
+L_p norm is one call on the path.  Other p take the shift norms one shift at
+a time: O(N^2), so they are refused above GENERAL_P_MAX_J.
 
 The outer singular integral is truncated at the grid spacing and evaluated
 on a logarithmic t-grid; an opt-in power-law extrapolation estimates the
@@ -37,7 +39,7 @@ POINTS_PER_OCTAVE = 64
 # p = 2 shifts summed directly at each end of the shift range, not by FFT;
 # they include the d[0] and d[1] of the tail fit
 DIRECT_SHIFTS = 64
-# p != 2 shift norms cost O(N^2): about 15 s at J = 14 on a 2-core Xeon
+# p != 2 shift norms cost O(N^2): about 4 s at J = 14 (p = 1.5 or 3) on a shared 2-core Xeon
 GENERAL_P_MAX_J = 14
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(5)
 # mapped from [-1, 1] to [0, 1]
@@ -79,15 +81,37 @@ class BesovNormReport:
         }
 
 
-def _cell_power_integral(left: np.ndarray, right: np.ndarray, p: float, dx: float) -> float:
-    """sum over cells of integral |linear segment|^p, Gauss 5-node per cell."""
-    vals = np.multiply.outer(left, 1.0 - _S) + np.multiply.outer(right, _S)
-    np.abs(vals, out=vals)
+def _p2_cell_sum(g: np.ndarray) -> float:
+    """sum_k (g_k^2 + g_k g_{k+1} + g_{k+1}^2) / 3, the integral of the squared
+    piecewise-linear g over its unit cells.
+
+    With A = sum_k g_k^2 and B = sum_k g_k g_{k+1} over g_0..g_L, the sum is
+    (2 A + B - g_0^2 - g_L^2) / 3.
+    """
+    return (2.0 * np.dot(g, g) + np.dot(g[:-1], g[1:]) - g[0] * g[0] - g[-1] * g[-1]) / 3.0
+
+
+def _cell_power_integral(g: np.ndarray, p: float, scratch: Optional[np.ndarray] = None) -> float:
+    """sum_k of the integral over s in [0, 1] of |g_k (1 - s) + g_{k+1} s|^p.
+
+    p = 2 is the closed form `_p2_cell_sum`.  Other p use 5-node Gauss per
+    cell with the nodes as rows of a (5, L) array, so each row is one
+    contiguous pass.  `scratch` (at least 10 L floats) holds that array and
+    one temporary, so that a caller integrating many sequences allocates
+    them once.
+    """
     if p == 2.0:
-        vals *= vals
-    else:
-        vals **= p
-    return float(np.dot(vals.sum(axis=0), _W)) * dx
+        return _p2_cell_sum(g)
+    L = len(g) - 1
+    if scratch is None:
+        scratch = np.empty(10 * L)
+    vals, right = scratch[: 10 * L].reshape(2, 5, L)
+    np.multiply.outer(1.0 - _S, g[:-1], out=vals)
+    np.multiply.outer(_S, g[1:], out=right)
+    vals += right
+    np.abs(vals, out=vals)
+    np.power(vals, p, out=vals)
+    return float(np.dot(vals.sum(axis=1), _W))
 
 
 def _check_p(p: float):
@@ -98,9 +122,7 @@ def _check_p(p: float):
 def lp_norm(path: SampledPath, p: float) -> float:
     """L_p norm of the piecewise-linear interpolant on [a, b]."""
     _check_p(p)
-    v = path.values
-    total = _cell_power_integral(v[:-1], v[1:], p, path.grid.dx)
-    return total ** (1.0 / p)
+    return (_cell_power_integral(path.values, p) * path.grid.dx) ** (1.0 / p)
 
 
 def shift_norms(path: SampledPath, p: float, max_shift: Optional[int] = None) -> np.ndarray:
@@ -124,36 +146,30 @@ def shift_norms(path: SampledPath, p: float, max_shift: Optional[int] = None) ->
             f"J <= {GENERAL_P_MAX_J}, got J={path.grid.J}; p = 2 is the fast path"
         )
     out = np.empty(M)
+    scratch = np.empty(10 * N)
     for m in range(1, M + 1):
-        g = v[: N + 1 - m] - v[m:]
-        out[m - 1] = _cell_power_integral(g[:-1], g[1:], p, dx) ** (1.0 / p)
+        out[m - 1] = (_cell_power_integral(v[: N + 1 - m] - v[m:], p, scratch) * dx) ** (1.0 / p)
     return out
 
 
 def _p2_shift_cell_sums(v: np.ndarray, M: int) -> np.ndarray:
-    """sum_k (g_k^2 + g_k g_{k+1} + g_{k+1}^2) / 3 for g = v[:-m] - v[m:], m = 1..M.
+    """`_p2_cell_sum` of g = v[:-m] - v[m:] for every shift m = 1..M.
 
-    With A = sum_k g_k^2 and B = sum_k g_k g_{k+1} over the overlap of
-    length L = N + 1 - m, the cell sum is (2 A + B - g_0^2 - g_{L-1}^2) / 3.
     The FFT's absolute error is about eps |c|^2, too large relative to the
     norms of the smallest shifts and of the largest (short overlaps), so the
-    first and last DIRECT_SHIFTS shifts take A and B from dot products.  The
-    others expand them through the autocorrelation R(j) = sum_k c_k c_{k+j}
-    of the mean-centred path c and prefix sums of c_k^2 and c_k c_{k+1}.
-    NaN and inf propagate to the result.
+    first and last DIRECT_SHIFTS shifts call `_p2_cell_sum` on g itself.  The
+    others expand its A = sum_k g_k^2 and B = sum_k g_k g_{k+1} through the
+    autocorrelation R(j) = sum_k c_k c_{k+j} of the mean-centred path c and
+    prefix sums of c_k^2 and c_k c_{k+1}.  NaN and inf propagate to the result.
     """
     c = v - v.mean()  # shift norms ignore constants; centring shrinks |c|^2
     N = len(c) - 1
-    m = np.arange(1, M + 1)
-    A = np.empty(M)
-    B = np.empty(M)
+    out = np.empty(M)
     lo = min(M, DIRECT_SHIFTS)
     hi = max(lo, N - DIRECT_SHIFTS)
     for j in chain(range(1, lo + 1), range(hi + 1, M + 1)):
-        g = c[: N + 1 - j] - c[j:]
-        A[j - 1] = np.dot(g, g)
-        B[j - 1] = np.dot(g[:-1], g[1:])
-    r = m[lo : min(M, hi)]
+        out[j - 1] = _p2_cell_sum(c[: N + 1 - j] - c[j:])
+    r = np.arange(lo + 1, min(M, hi) + 1)
     if r.size:
         # the circular autocorrelation over 2N points equals R(j) for j < N;
         # these shifts need j <= N - DIRECT_SHIFTS + 1, so DIRECT_SHIFTS >= 2
@@ -165,8 +181,8 @@ def _p2_shift_cell_sums(v: np.ndarray, M: int) -> np.ndarray:
         sq_suf = np.cumsum(sq[::-1])  # sq_suf[j-1] = sum_{k>N-j} c_k^2
         prod_pre = np.cumsum(prod)
         prod_suf = np.cumsum(prod[::-1])
-        A[r - 1] = 2.0 * np.dot(c, c) - sq_pre[r - 1] - sq_suf[r - 1] - 2.0 * R[r]
-        B[r - 1] = (
+        A = 2.0 * np.dot(c, c) - sq_pre[r - 1] - sq_suf[r - 1] - 2.0 * R[r]
+        B = (
             2.0 * prod_pre[-1]
             - prod_pre[r - 1]
             - prod_suf[r - 1]
@@ -175,9 +191,10 @@ def _p2_shift_cell_sums(v: np.ndarray, M: int) -> np.ndarray:
             + c[0] * c[r - 1]
             + c[N + 1 - r] * c[N]
         )
-    first = c[0] - c[m]
-    last = c[N - m] - c[N]
-    return (2.0 * A + B - first * first - last * last) / 3.0
+        first = c[0] - c[r]
+        last = c[N - r] - c[N]
+        out[r - 1] = (2.0 * A + B - first * first - last * last) / 3.0
+    return out
 
 
 def modulus(path: SampledPath, t: float, p: float) -> float:

@@ -11,7 +11,9 @@ import argparse
 import csv
 import json
 import math
+import re
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -59,30 +61,69 @@ def _write_path_csv(path: SampledPath, out: Path):
             fh.write("".join(f"{t!r},{v!r}\n" for t, v in rows))
 
 
+# loadtxt numbers the non-blank data rows, from 1 in a short-row error and
+# from 0 in a conversion error; compiled on the first malformed file
+_SHORT_ROW = r"invalid column index \d+ at row (\d+) with"
+_BAD_FIELD = r"could not convert string (.*) to float64 at row (\d+), column (\d+)"
+
+
 def read_series_csv(source: Path) -> tuple[np.ndarray, np.ndarray]:
+    """Times and values from the first two columns of a 't,value' CSV file.
+
+    The data rows are parsed in C by `np.loadtxt`, which rounds correctly;
+    blank lines, CRLF, spaces around fields, quoted fields and extra columns
+    are accepted.  The rows are read in one pass over the open file, so a
+    pipe works as input; only the message of a malformed row re-reads it.
+    """
     try:
         with source.open(newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header[:2]] != ["t", "value"]:
+            header = next(csv.reader([fh.readline()]), [])
+            if [h.strip() for h in header[:2]] != ["t", "value"]:
                 raise DataError(f"{source}: expected header 't,value'")
-            t, v = [], []
-            for row in reader:
-                if not row:
-                    continue
-                t.append(float(row[0]))
-                v.append(float(row[1]))
-    except (OSError, ValueError) as exc:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                table = np.loadtxt(
+                    fh, delimiter=",", usecols=(0, 1), comments=None, quotechar='"', ndmin=2
+                )
+    except OSError as exc:
         raise DataError(f"cannot read {source}: {exc}") from exc
-    except IndexError as exc:
-        raise DataError(f"{source}: line {reader.line_num} has fewer than two fields") from exc
-    times = np.asarray(t)
-    values = np.asarray(v)
+    except ValueError as exc:
+        raise _row_error(source, exc) from exc
+    times, values = table.T.copy()
     if len(times) < 2:
         raise DataError(f"{source}: need at least two samples")
     if not np.all(np.diff(times) > 0):
         raise DataError(f"{source}: times must be strictly increasing")
     return times, values
+
+
+def _row_error(source: Path, exc: ValueError) -> DataError:
+    """A DataError naming the file line of loadtxt's failing row, when it gives one."""
+    msg = str(exc)
+    line = None
+    if short := re.search(_SHORT_ROW, msg):
+        line = _file_line(source, int(short[1]) - 1)
+        what = f"line {line} has fewer than two fields"
+    elif bad := re.search(_BAD_FIELD, msg):
+        line = _file_line(source, int(bad[2]))
+        what = f"line {line}, column {bad[3]}: cannot parse {bad[1]} as a number"
+    if line is None:
+        return DataError(f"cannot read {source}: {msg}")
+    return DataError(f"{source}: {what}")
+
+
+def _file_line(source: Path, row: int) -> int | None:
+    """File line, from 1 at the header, of the non-blank data row `row` (from 0)."""
+    try:
+        with source.open(newline="") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                if line_no > 1 and line.strip("\r\n"):
+                    if row == 0:
+                        return line_no
+                    row -= 1
+    except (OSError, ValueError):
+        pass  # the file is gone or changed: the error is reported without a line
+    return None
 
 
 def ingest_series(times: np.ndarray, values: np.ndarray) -> tuple[SampledPath, bool]:
@@ -202,22 +243,24 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _coefficients(text: str) -> list[float]:
+def _number_list(text: str, kind: type, what: str) -> list:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        return [kind(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
-        raise ParameterError(f"bad coefficient list {text!r}") from exc
+        raise ParameterError(f"bad {what} list {text!r}") from exc
 
 
 def _cmd_lemma(args) -> int:
     did_something = False
     if args.pz_exact is not None:
-        res = paley_zygmund_check(_coefficients(args.pz_exact), mode="exact")
+        res = paley_zygmund_check(
+            _number_list(args.pz_exact, float, "coefficient"), mode="exact"
+        )
         status = "PASS" if res.passed else "FAIL"
         print(f"paley-zygmund probability {res.probability!r} bound {res.bound} {status}")
         did_something = True
     if args.pz_mc is not None:
-        lam = _coefficients(args.pz_mc)
+        lam = _number_list(args.pz_mc, float, "coefficient")
         res = paley_zygmund_check(
             lam, mode="monte-carlo", samples=args.samples, seed=args.seed
         )
@@ -228,6 +271,11 @@ def _cmd_lemma(args) -> int:
         )
         did_something = True
     if args.statistic:
+        if args.N > args.J:
+            # checked before full_dyadic allocates its 2^(N+1) labels
+            raise ResolutionError(
+                f"family depth N={args.N} exceeds the sample's dyadic resolution J={args.J}"
+            )
         sample = _generator_from_args(args).sample()
         weights = WeightSequence.geometric(args.alpha, args.p, args.N)
         family = DisjointFamily.full_dyadic(args.N)
@@ -237,7 +285,7 @@ def _cmd_lemma(args) -> int:
             print(f"{n},{float(s)!r}")
         did_something = True
     if args.probe:
-        sizes = [int(tok) for tok in args.sizes.split(",") if tok.strip()]
+        sizes = _number_list(args.sizes, int, "family size")
         rows = boundedness_probe(
             _generator_from_args(args), sizes, args.replicates, args.quantile
         )

@@ -269,6 +269,8 @@ def paley_zygmund_check(
         prob = _count_pz_hits(lam, threshold) / (1 << m)
         return PZResult(prob, PZ_PROBABILITY_BOUND, prob >= PZ_PROBABILITY_BOUND)
     if mode == "monte-carlo":
+        if samples < 1:
+            raise ParameterError(f"need at least one Monte Carlo sample, got {samples}")
         rng = np.random.default_rng(seed)
         signs = rng.integers(0, 2, size=(samples, m)) * 2.0 - 1.0
         hits = (signs @ lam) ** 2 >= threshold
@@ -354,13 +356,15 @@ def boundedness_probe(
         raise ParameterError("need at least one replicate")
     n_cells = generator.grid.n_cells
     for n in family_sizes:
+        if n < 1:
+            raise ParameterError(f"family sizes must be at least 1, got {n}")
         if n > n_cells:
             raise ResolutionError(f"family size {n} exceeds {n_cells} finest cells")
+    draw = generator.sampler()
     sums = {n: np.empty(replicates) for n in family_sizes}
     for r in range(replicates):
         rng = np.random.default_rng([generator.seed, r])
-        sample = generator.sample(seed=[generator.seed, r, 1])
-        inc = sample.increments
+        inc = draw([generator.seed, r, 1])
         for n in family_sizes:
             group = max(1, n_cells // (2 * n))
             total = min(n * group, n_cells)

@@ -21,6 +21,7 @@ from besovlab.besov import (
     DIRECT_SHIFTS,
     GENERAL_P_MAX_J,
     POINTS_PER_OCTAVE,
+    _cell_power_integral,
     modulus_curve,
     shift_norms,
 )
@@ -37,6 +38,48 @@ def ramp(J, a=0.0, b=1.0):
 def const(J, c):
     g = Grid(0.0, 1.0, J)
     return SampledPath(g, np.full(g.n_points, c))
+
+
+_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(5)
+
+
+def _gauss5_cells(g, p):
+    """The (L, 5) Gauss-5 cell integral the node-major kernel replaced."""
+    s, w = 0.5 * (_GAUSS_NODES + 1.0), 0.5 * _GAUSS_WEIGHTS
+    vals = np.multiply.outer(g[:-1], 1.0 - s) + np.multiply.outer(g[1:], s)
+    return float(np.dot((np.abs(vals) ** p).sum(axis=0), w))
+
+
+# magnitudes 1e-6..1e6 and exact zeros, both signs: no under- or overflow of |g|^p
+SEGMENT_VALUES = st.one_of(
+    st.just(0.0),
+    st.floats(1e-6, 1e6).flatmap(lambda x: st.sampled_from([x, -x])),
+)
+
+
+class TestCellKernel:
+    @given(
+        st.lists(SEGMENT_VALUES, min_size=2, max_size=200),
+        st.sampled_from([1.0, 1.5, 3.0, 4.0]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_general_p_matches_gauss5_reference(self, g, p):
+        g = np.array(g)
+        g[0], g[-1] = -abs(g[0]) - 1.0, abs(g[-1]) + 1.0  # at least one sign change
+        got = _cell_power_integral(g, p)
+        assert got == pytest.approx(_gauss5_cells(g, p), rel=1e-12)
+        # a reused scratch buffer, longer than needed and full of NaN, changes nothing
+        assert _cell_power_integral(g, p, np.full(10 * len(g) + 7, np.nan)) == got
+
+    @given(st.lists(SEGMENT_VALUES, min_size=2, max_size=200), st.floats(0.1, 10.0))
+    @settings(max_examples=200, deadline=None)
+    def test_p2_lp_norm_matches_gauss5_reference(self, values, span):
+        v = np.array(values)
+        J = max(1, (len(v) - 1).bit_length())
+        v = np.resize(v, 2**J + 1)  # onto a dyadic grid
+        path = SampledPath(Grid(0.0, span, J), v)
+        want = math.sqrt(_gauss5_cells(v, 2.0) * path.grid.dx)
+        assert lp_norm(path, 2.0) == pytest.approx(want, rel=1e-12)
 
 
 class TestLpNorm:

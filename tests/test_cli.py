@@ -1,20 +1,32 @@
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from besovlab import GeneratorSpec, Grid, SampledPath, generate_bm, kamont_series, path_of
+from besovlab import (
+    DisjointFamily,
+    GeneratorSpec,
+    Grid,
+    SampledPath,
+    generate_bm,
+    kamont_series,
+    path_of,
+)
 from besovlab.cli import (
     CSV_CHUNK_ROWS,
     EXIT_DATA,
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_USAGE,
+    DataError,
     _write_path_csv,
     ingest_series,
     main,
+    read_series_csv,
 )
 
 
@@ -336,6 +348,30 @@ class TestLemmaCmd:
         assert code == EXIT_NUMERIC
         assert out == "" and "not finite" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--probe", "--sizes", "4,x"], "family size list"),
+            (["--probe", "--sizes", "0"], "family sizes"),
+            (["--probe", "--sizes", "-3"], "family sizes"),
+            (["--pz-mc", "1,1", "--samples", "0"], "Monte Carlo sample"),
+        ],
+    )
+    def test_bad_input_is_a_usage_error(self, capsys, argv, message):
+        code, out, err = run(capsys, "lemma", "--J", "8", *argv)
+        assert code == EXIT_USAGE
+        assert out == "" and message in err
+
+    def test_statistic_checks_depth_before_building_family(self, capsys, monkeypatch):
+        # N = 24 would allocate 2^25 labels before the resolution check
+        def unreachable(depth):
+            raise AssertionError("full_dyadic was called")
+
+        monkeypatch.setattr(DisjointFamily, "full_dyadic", unreachable)
+        code, out, err = run(capsys, "lemma", "--statistic", "--N", "24", "--J", "10")
+        assert code == EXIT_DATA
+        assert out == "" and "resolution" in err
+
     def test_statistic_full_depth_matches_kamont(self, capsys):
         # N = J = 20: a full family of 2M cells, which set objects could not build
         code, out, _ = run(
@@ -347,6 +383,71 @@ class TestLemmaCmd:
         sample = GeneratorSpec("bm", Grid(0.0, 1.0, 20), seed=6).sample()
         ref = kamont_series(path_of(sample), 20, 0.4, 2.0).partial_sums[-1]
         assert float(rows[-1].split(",")[1]) == pytest.approx(ref, rel=1e-12)
+
+
+def reference_read(source: Path) -> tuple[np.ndarray, np.ndarray]:
+    """The row reader `read_series_csv` replaced: csv.reader and float() per field."""
+    with source.open(newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        rows = [(float(row[0]), float(row[1])) for row in reader if row]
+    times, values = zip(*rows)
+    return np.array(times), np.array(values)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def csv_texts(draw):
+    """A 't,value' file of finite doubles with blank lines, padding, quotes and extra columns."""
+    times = sorted(draw(st.lists(FINITE, min_size=2, max_size=30, unique=True)))
+    values = draw(st.lists(FINITE, min_size=len(times), max_size=len(times)))
+    fmt = draw(st.sampled_from([repr, "%.17g".__mod__]))
+    pad = st.text(" \t", max_size=2)
+    lines = ["t,value"]
+    for t, v in zip(times, values):
+        lines += [""] * draw(st.integers(0, 2))
+        fields = [fmt(t), fmt(v)]
+        style = draw(st.sampled_from(["plain", "padded", "quoted"]))
+        if style == "padded":
+            fields = [draw(pad) + f + draw(pad) for f in fields]
+        elif style == "quoted":
+            fields = [f'"{f}"' for f in fields]
+        fields += [fmt(x) for x in draw(st.lists(FINITE, max_size=2))]
+        lines.append(",".join(fields))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + eol * draw(st.integers(0, 2))
+
+
+class TestReadSeriesCsv:
+    @given(csv_texts())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_csv_reader_bit_for_bit(self, tmp_path_factory, text):
+        f = tmp_path_factory.mktemp("csv") / "path.csv"
+        f.write_bytes(text.encode())
+        got, want = read_series_csv(f), reference_read(f)
+        for g, w in zip(got, want):
+            assert g.flags.c_contiguous
+            np.testing.assert_array_equal(g.view(np.int64), w.view(np.int64))
+
+    @given(
+        st.lists(st.integers(0, 3), min_size=1, max_size=5),
+        st.sampled_from(["0.5", "0.5,", "0.5,abc", "abc,1", ",1"]),
+        st.sampled_from(["\n", "\r\n"]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_bad_row_names_its_line(self, tmp_path_factory, blanks, bad, eol):
+        # blank lines before and between the good rows: loadtxt's row numbers skip them
+        lines = ["t,value"]
+        for k, n_blank in enumerate(blanks):
+            lines += [""] * n_blank + [f"{k},{k}"]
+        lines += ["", bad, "9,9"]
+        f = tmp_path_factory.mktemp("csv") / "bad.csv"
+        f.write_bytes(eol.join(lines).encode())
+        with pytest.raises(DataError) as info:
+            read_series_csv(f)
+        assert re.search(r"line (\d+)", str(info.value))[1] == str(len(lines) - 1)
 
 
 class TestIngest:

@@ -19,6 +19,7 @@ from besovlab import (
     path_of,
     randomize_signs,
 )
+from besovlab import generators
 from besovlab.errors import ConfigurationError, ParameterError, SizeError
 from besovlab.generators import generate_linear
 from besovlab.lemma import _count_pz_hits, signed_sum_via_sets
@@ -268,6 +269,11 @@ class TestPaleyZygmund:
         with pytest.raises(SizeError):
             paley_zygmund_check([1.0] * 21, mode="exact")
 
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_monte_carlo_needs_a_sample(self, samples):
+        with pytest.raises(ParameterError):
+            paley_zygmund_check([1.0, 1.0], mode="monte-carlo", samples=samples)
+
     def test_monte_carlo_agrees(self):
         lam = [3.0, 1.0, 2.0, 0.5, 1.5]
         exact = paley_zygmund_check(lam).probability
@@ -374,3 +380,33 @@ class TestBoundednessProbe:
         spec = GeneratorSpec("bm", Grid(0.0, 1.0, 8), seed=0)
         with pytest.raises(ParameterError):
             boundedness_probe(spec, [4], replicates=10, quantile=1.5)
+
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_family_size_below_one(self, size):
+        spec = GeneratorSpec("bm", Grid(0.0, 1.0, 8), seed=0)
+        with pytest.raises(ParameterError):
+            boundedness_probe(spec, [4, size], replicates=10, quantile=0.9)
+
+    def test_fbm_embedding_once(self, monkeypatch):
+        # the sampler is built once per probe, not once per replicate
+        calls = []
+        embedding = generators._fgn_embedding
+
+        def counted(N, H):
+            calls.append((N, H))
+            return embedding(N, H)
+
+        monkeypatch.setattr(generators, "_fgn_embedding", counted)
+        spec = GeneratorSpec("fbm", Grid(0.0, 1.0, 8), seed=5, H=0.7)
+        rows = boundedness_probe(spec, [4, 16], replicates=20, quantile=0.9)
+        assert len(calls) == 1
+        # reference: one `spec.sample` per replicate, as the probe used to draw
+        sums = {n: [] for n in (4, 16)}
+        for r in range(20):
+            rng = np.random.default_rng([spec.seed, r])
+            inc = spec.sample(seed=[spec.seed, r, 1]).increments
+            for n in (4, 16):
+                cells = rng.choice(256, size=n * (256 // (2 * n)), replace=False)
+                coeffs = rng.uniform(-1.0, 1.0, size=n)
+                sums[n].append(abs(float(np.dot(coeffs, inc[cells].reshape(n, -1).sum(axis=1)))))
+        assert [r.quantile for r in rows] == [float(np.quantile(sums[n], 0.9)) for n in (4, 16)]
