@@ -72,8 +72,9 @@ def read_series_csv(source: Path) -> tuple[np.ndarray, np.ndarray]:
 
     The data rows are parsed in C by `np.loadtxt`, which rounds correctly;
     blank lines, CRLF, spaces around fields, quoted fields and extra columns
-    are accepted.  The rows are read in one pass over the open file, so a
-    pipe works as input; only the message of a malformed row re-reads it.
+    are accepted; a NaN or infinity is a DataError.  The rows are read in one
+    pass over the open file, so a pipe works as input; only the message of a
+    malformed row or a non-finite value re-reads it.
     """
     try:
         with source.open(newline="") as fh:
@@ -89,6 +90,8 @@ def read_series_csv(source: Path) -> tuple[np.ndarray, np.ndarray]:
         raise DataError(f"cannot read {source}: {exc}") from exc
     except ValueError as exc:
         raise _row_error(source, exc) from exc
+    if not np.all(np.isfinite(table)):
+        raise _non_finite_error(source, table)
     times, values = table.T.copy()
     if len(times) < 2:
         raise DataError(f"{source}: need at least two samples")
@@ -110,6 +113,15 @@ def _row_error(source: Path, exc: ValueError) -> DataError:
     if line is None:
         return DataError(f"cannot read {source}: {msg}")
     return DataError(f"{source}: {what}")
+
+
+def _non_finite_error(source: Path, table: np.ndarray) -> DataError:
+    """A DataError naming the file line and column of the first NaN or infinity."""
+    row, col = np.argwhere(~np.isfinite(table))[0]
+    line = _file_line(source, int(row))
+    where = f"line {line}" if line is not None else f"data row {row + 1}"
+    value = float(table[row, col])
+    return DataError(f"{source}: {where}, column {col + 1}: {value!r} is not finite")
 
 
 def _file_line(source: Path, row: int) -> int | None:

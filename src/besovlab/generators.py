@@ -8,6 +8,13 @@ sequences of ints and are fed to numpy's PCG64 via default_rng.
 spec's draws share (sqrt(dx), the weight at the cell midpoints, the fGn
 circulant embedding) once and returns `draw(seed)`.  `sample()` and the
 `generate_*` functions are single draws through the same samplers.
+
+fGn has one path, the Davies-Harte circulant embedding: O(N log N) per
+draw for every H in (0, 1).  The embedding is nonnegative in exact
+arithmetic (Craigmile 2003); the autocovariance is summed without
+cancellation, so its computed eigenvalues go negative only by FFT roundoff,
+which is clipped, and an eigenvalue below that tolerance raises
+ParameterError.
 """
 
 from __future__ import annotations
@@ -108,89 +115,93 @@ def generate_martingale(grid: Grid, g: WeightFn, seed) -> StochasticMeasureSampl
     return StochasticMeasureSample(grid, _weighted(g, grid, _bm_sampler(grid))(seed))
 
 
+# Lags from _SERIES_FROM_LAG on are summed from the even binomial series of the
+# second difference, whose terms share one sign: the direct formula loses about
+# eps * m^2 relative to gamma(m) by cancellation, and the series' 11 terms reach
+# full precision from lag 4 on (the truncation is O(m^-24) relative).
+_SERIES_FROM_LAG = 4
+_SERIES_TERMS = 11
+# Eigenvalues down to -EMBEDDING_TOLERANCE * eps * log2(2N) * max eig are FFT
+# roundoff around an exact eigenvalue of 0 or more and are clipped to 0.
+EMBEDDING_TOLERANCE = 16.0
+
+
 def _fgn_autocov(H: float, n_lags: int) -> np.ndarray:
-    m = np.arange(n_lags, dtype=float)
-    return 0.5 * (
-        np.abs(m + 1) ** (2 * H) - 2 * np.abs(m) ** (2 * H) + np.abs(m - 1) ** (2 * H)
-    )
+    """Unit-step fGn autocovariance gamma(m), m = 0 .. n_lags - 1.
+
+    gamma(m) = (|m+1|^{2H} - 2|m|^{2H} + |m-1|^{2H}) / 2, summed for
+    m >= _SERIES_FROM_LAG as m^{2H} sum_{j>=1} binom(2H, 2j) m^{-2j}.
+    """
+    a = 2.0 * H
+    head = np.arange(min(n_lags, _SERIES_FROM_LAG), dtype=float)
+    gamma = np.empty(n_lags)
+    gamma[: len(head)] = 0.5 * ((head + 1) ** a - 2 * head**a + np.abs(head - 1) ** a)
+    if n_lags > _SERIES_FROM_LAG:
+        coeffs, binom = [], 1.0
+        for k in range(1, 2 * _SERIES_TERMS + 1):
+            binom *= (a - k + 1) / k  # binom(a, k)
+            if k % 2 == 0:
+                coeffs.append(binom)
+        m = np.arange(_SERIES_FROM_LAG, n_lags, dtype=float)
+        u = 1.0 / (m * m)
+        series = np.zeros_like(m)
+        for c in reversed(coeffs):  # Horner in u = m^-2
+            series += c
+            series *= u
+        gamma[_SERIES_FROM_LAG:] = m**a * series
+    return gamma
 
 
-def _fgn_embedding(N: int, H: float) -> Optional[np.ndarray]:
-    """Square roots of the Davies-Harte circulant eigenvalues; None if the check fails.
+def _fgn_embedding(N: int, H: float) -> np.ndarray:
+    """Square roots of the N + 1 distinct Davies-Harte circulant eigenvalues.
 
+    The embedding of fGn is nonnegative in exact arithmetic (Craigmile 2003),
+    so eigenvalues within the roundoff tolerance below 0 are clipped to 0; a
+    more negative one means an invalid covariance and raises ParameterError.
     They depend only on (N, H), so a sampler computes them once per spec.
     """
     c = _fgn_autocov(H, N + 1)
-    row = np.concatenate([c, c[-2:0:-1]])
-    eig = np.fft.fft(row).real
-    if eig.min() < -1e-10 * eig.max():
-        return None
+    eig = np.fft.rfft(np.concatenate([c, c[-2:0:-1]])).real
+    top = eig.max()
+    floor = -EMBEDDING_TOLERANCE * np.finfo(float).eps * math.log2(2 * N) * top
+    if not eig.min() >= floor:
+        raise ParameterError(
+            f"fGn circulant embedding (N={N}, H={H}) has eigenvalue ratio "
+            f"{eig.min() / top:.3g}, below the roundoff tolerance {floor / top:.3g}"
+        )
     return np.sqrt(np.clip(eig, 0.0, None))
 
 
 def _fgn_circulant(root: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Davies-Harte synthesis of unit-step fGn from the embedding's root."""
-    N = len(root) // 2
-    Z = np.zeros(2 * N, dtype=complex)
-    Z[0] = rng.standard_normal()
-    Z[N] = rng.standard_normal()
-    # Z[1:N] = (V[:, 0] + 1j V[:, 1]) / sqrt(2) and Z[N+1:] its reversed conjugate,
-    # written through a (real, imag) view without complex temporaries.  NumPy
-    # divides a complex array by a real scalar as a product with its reciprocal.
-    parts = Z.view(float).reshape(2 * N, 2)
+    """Davies-Harte synthesis of unit-step fGn from the embedding's root.
+
+    Z is the half spectrum of a Hermitian vector: Z[0] and Z[N] real
+    standard normals, Z[1:N] = (V[:, 0] + 1j V[:, 1]) / sqrt(2), drawn in
+    that order and written through a (real, imag) view.
+    """
+    N = len(root) - 1
+    Z = np.empty(N + 1, dtype=complex)
+    parts = Z.view(float).reshape(N + 1, 2)
+    parts[0] = rng.standard_normal(), 0.0
+    parts[N] = rng.standard_normal(), 0.0
     parts[1:N] = rng.standard_normal((N - 1, 2)) * (1.0 / math.sqrt(2.0))
-    parts[N + 1:, 0] = parts[N - 1:0:-1, 0]
-    parts[N + 1:, 1] = -parts[N - 1:0:-1, 1]
-    return np.sqrt(2 * N) * np.fft.ifft(root * Z).real[:N]
+    return math.sqrt(2 * N) * np.fft.irfft(root * Z, 2 * N)[:N]
 
 
-def _fgn_hosking(N: int, H: float, rng: np.random.Generator) -> np.ndarray:
-    """Durbin-Levinson sequential synthesis; exact covariance, O(N^2)."""
-    gamma = _fgn_autocov(H, N)
-    z = rng.standard_normal(N)
-    out = np.empty(N)
-    out[0] = math.sqrt(gamma[0]) * z[0]
-    phi = np.empty(N)  # phi[:n] = prediction coefficients after step n
-    v = gamma[0]
-    for n in range(1, N):
-        if n == 1:
-            kappa = gamma[1] / gamma[0]
-            phi[0] = kappa
-        else:
-            kappa = (gamma[n] - np.dot(phi[: n - 1], gamma[n - 1 : 0 : -1])) / v
-            phi[: n - 1] -= kappa * phi[n - 2 :: -1].copy()
-            phi[n - 1] = kappa
-        v *= 1.0 - kappa * kappa
-        mean = np.dot(phi[:n], out[n - 1 :: -1])
-        out[n] = mean + math.sqrt(v) * z[n]
-    return out
-
-
-def _fgn_sampler(grid: Grid, H: float, method: str = "auto") -> Sampler:
+def _fgn_sampler(grid: Grid, H: float) -> Sampler:
     if not (0.0 < H < 1.0):
         raise ParameterError(f"Hurst index must be in (0, 1), got {H}")
-    if method not in ("auto", "circulant", "hosking"):
-        raise ParameterError(f"unknown fgn method {method!r}")
     N, scale = grid.n_cells, grid.dx**H
-    root = None if method == "hosking" else _fgn_embedding(N, H)
-    if root is None and method == "circulant":
-        raise ParameterError("circulant embedding failed (negative eigenvalues)")
-
-    def draw(seed) -> np.ndarray:
-        rng = np.random.default_rng(seed)
-        out = _fgn_hosking(N, H, rng) if root is None else _fgn_circulant(root, rng)
-        return out * scale
-
-    return draw
+    root = _fgn_embedding(N, H)
+    return lambda seed: _fgn_circulant(root, np.random.default_rng(seed)) * scale
 
 
-def generate_fgn(grid: Grid, H: float, seed, method: str = "auto") -> np.ndarray:
+def generate_fgn(grid: Grid, H: float, seed) -> np.ndarray:
     """Fractional Gaussian noise over the finest cells, scaled by dx^H.
 
-    Circulant (FFT) embedding by default, falling back to the sequential
-    recursion when the embedding eigenvalues go negative.
+    Circulant (FFT) embedding: O(N log N) per draw for every H in (0, 1).
     """
-    return _fgn_sampler(grid, H, method)(seed)
+    return _fgn_sampler(grid, H)(seed)
 
 
 def generate_weighted_fbm_measure(

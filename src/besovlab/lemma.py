@@ -272,9 +272,14 @@ def paley_zygmund_check(
         if samples < 1:
             raise ParameterError(f"need at least one Monte Carlo sample, got {samples}")
         rng = np.random.default_rng(seed)
-        signs = rng.integers(0, 2, size=(samples, m)) * 2.0 - 1.0
-        hits = (signs @ lam) ** 2 >= threshold
-        prob = float(np.mean(hits))
+        # row blocks of PZ_BLOCK_SUMS signs draw the same bits as one
+        # (samples, m) draw, in memory independent of `samples`
+        rows = max(1, PZ_BLOCK_SUMS // m)
+        hits = 0
+        for start in range(0, samples, rows):
+            signs = rng.integers(0, 2, size=(min(rows, samples - start), m)) * 2.0 - 1.0
+            hits += int(np.count_nonzero((signs @ lam) ** 2 >= threshold))
+        prob = hits / samples
         stderr = math.sqrt(max(prob * (1.0 - prob), 1.0 / samples) / samples)
         passed = prob >= PZ_PROBABILITY_BOUND - 3.0 * stderr
         return PZResult(prob, PZ_PROBABILITY_BOUND, passed, stderr)
@@ -354,6 +359,8 @@ def boundedness_probe(
         raise ParameterError(f"quantile must be in (0, 1), got {quantile}")
     if replicates < 1:
         raise ParameterError("need at least one replicate")
+    if len(family_sizes) == 0:
+        raise ParameterError("need at least one family size")
     n_cells = generator.grid.n_cells
     for n in family_sizes:
         if n < 1:

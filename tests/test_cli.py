@@ -16,6 +16,7 @@ from besovlab import (
     kamont_series,
     path_of,
 )
+from besovlab import generators
 from besovlab.cli import (
     CSV_CHUNK_ROWS,
     EXIT_DATA,
@@ -87,6 +88,21 @@ class TestGenerate:
     def test_usage_error(self, capsys):
         code, _, _ = run(capsys, "generate", "--process", "nope", "--out", "x")
         assert code == EXIT_USAGE
+
+    def test_invalid_fgn_covariance_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        def invalid(H, n_lags):  # |gamma(1)| > gamma(0): no covariance
+            gamma = np.zeros(n_lags)
+            gamma[:2] = 1.0, 1.5
+            return gamma
+
+        monkeypatch.setattr(generators, "_fgn_autocov", invalid)
+        out = tmp_path / "fbm.csv"
+        code, _, err = run(
+            capsys, "generate", "--process", "fbm", "--H", "0.7", "--J", "8",
+            "--out", str(out),
+        )
+        assert code == EXIT_USAGE
+        assert "roundoff tolerance" in err and not out.exists()
 
 
 def write_overflowing_csv(tmp_path, J=8):
@@ -169,6 +185,15 @@ class TestDyadic:
         code, out, err = run(capsys, command, "--input", str(f), "--alpha", "0.4")
         assert code == EXIT_DATA
         assert out == "" and "line 3" in err
+
+    @pytest.mark.parametrize("command", ["dyadic", "besov"])
+    @pytest.mark.parametrize("row", ["0.5,nan", "0.5,-inf", "inf,0.5"])
+    def test_non_finite_input_is_a_data_error(self, tmp_path, capsys, command, row):
+        f = tmp_path / "nan.csv"
+        f.write_text(f"t,value\n0,0\n\n{row}\n1,1\n")
+        code, out, err = run(capsys, command, "--input", str(f), "--alpha", "0.4")
+        assert code == EXIT_DATA
+        assert out == "" and "line 4" in err and "not finite" in err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -355,6 +380,7 @@ class TestLemmaCmd:
             (["--probe", "--sizes", "0"], "family sizes"),
             (["--probe", "--sizes", "-3"], "family sizes"),
             (["--pz-mc", "1,1", "--samples", "0"], "Monte Carlo sample"),
+            (["--probe", "--sizes", ","], "family size"),
         ],
     )
     def test_bad_input_is_a_usage_error(self, capsys, argv, message):

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -18,7 +19,38 @@ from besovlab import (
 )
 from besovlab.errors import ConfigurationError, ParameterError
 from besovlab import generators
-from besovlab.generators import _fgn_autocov, _fgn_hosking
+from besovlab.generators import _fgn_autocov, _fgn_circulant, _fgn_embedding
+
+
+def _fgn_hosking(N: int, H: float, rng: np.random.Generator) -> np.ndarray:
+    """Durbin-Levinson sequential synthesis: exact covariance, O(N^2); the oracle."""
+    gamma = _fgn_autocov(H, N)
+    z = rng.standard_normal(N)
+    out = np.empty(N)
+    out[0] = math.sqrt(gamma[0]) * z[0]
+    phi = np.empty(N)  # phi[:n] = prediction coefficients after step n
+    v = gamma[0]
+    for n in range(1, N):
+        if n == 1:
+            kappa = gamma[1] / gamma[0]
+            phi[0] = kappa
+        else:
+            kappa = (gamma[n] - np.dot(phi[: n - 1], gamma[n - 1 : 0 : -1])) / v
+            phi[: n - 1] -= kappa * phi[n - 2 :: -1].copy()
+            phi[n - 1] = kappa
+        v *= 1.0 - kappa * kappa
+        mean = np.dot(phi[:n], out[n - 1 :: -1])
+        out[n] = mean + math.sqrt(v) * z[n]
+    return out
+
+
+def decimal_autocov(H: float, m: int) -> float:
+    """gamma(m) as the second difference of |k|^{2H}, in 50-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a = 2 * Decimal(H)  # H and 2H are exact in binary
+        power = lambda k: Decimal(k) ** a if k else Decimal(0)
+        return float((power(m + 1) - 2 * power(m) + power(abs(m - 1))) / 2)
 
 
 class TestWeightFn:
@@ -113,7 +145,7 @@ class TestFgn:
                 generate_fgn(g, H, 0)
 
     def test_hosking_matches_target_covariance(self):
-        # sequential fallback, exercised directly
+        # the test oracle, exercised directly
         rng = np.random.default_rng(0)
         draws = np.stack([_fgn_hosking(64, 0.75, rng) for _ in range(400)])
         gamma = _fgn_autocov(0.75, 3)
@@ -121,6 +153,45 @@ class TestFgn:
         emp1 = (draws[:, :-1] * draws[:, 1:]).mean()
         assert emp0 == pytest.approx(gamma[0], rel=0.05)
         assert emp1 == pytest.approx(gamma[1], rel=0.10)
+
+    @pytest.mark.parametrize("H", [0.1, 0.3, 0.5, 0.75, 0.9, 0.999])
+    def test_autocov_matches_decimal_second_difference(self, H):
+        # lags on both sides of the series threshold (4) and of 64, where the
+        # direct formula loses about eps * m^2 by cancellation
+        lags = [0, 1, 2, 3, 4, 5, 10, 63, 64, 65, 1000, 2**20]
+        got = _fgn_autocov(H, lags[-1] + 1)[lags]
+        for m, value in zip(lags, got):
+            ref = decimal_autocov(H, m)
+            assert abs(value - ref) <= 1e-13 * abs(ref), (m, value, ref)
+
+    def test_autocov_h_half_is_white(self):
+        gamma = _fgn_autocov(0.5, 200)
+        assert gamma[0] == 1.0 and np.all(gamma[1:] == 0.0)
+
+    @pytest.mark.parametrize("J, H", [(18, 0.999), (20, 0.96), (22, 0.9)])
+    def test_embedding_nonnegative_at_large_grids(self, J, H):
+        # with the direct second difference for gamma these eigenvalues go
+        # negative by more than 1e-10 of the largest, from cancellation alone
+        root = _fgn_embedding(1 << J, H)
+        assert len(root) == (1 << J) + 1
+        assert np.all(root >= 0.0) and np.all(np.isfinite(root))
+
+    def test_wfbm_draw_at_j22_is_finite(self):
+        spec = GeneratorSpec(
+            "wfbm", Grid(0.0, 1.0, 22), H=0.9, weight=WeightFn("sine", (1.0, 2.0, 0.3))
+        )
+        assert np.all(np.isfinite(spec.sampler()(5)))
+
+    def test_invalid_covariance_raises(self, monkeypatch):
+        # |gamma(1)| > gamma(0) is no covariance: eigenvalue 1 + 3 cos(theta) < 0
+        def invalid(H, n_lags):
+            gamma = np.zeros(n_lags)
+            gamma[:2] = 1.0, 1.5
+            return gamma
+
+        monkeypatch.setattr(generators, "_fgn_autocov", invalid)
+        with pytest.raises(ParameterError, match="roundoff tolerance"):
+            generate_fgn(Grid(0.0, 1.0, 8), 0.7, 0)
 
     def test_self_similarity_variance_scaling(self):
         # level-n increment variance of fBm scales as 2^{-2Hn}
@@ -189,18 +260,17 @@ class TestGeneratorSpec:
         np.testing.assert_allclose(path.values, Grid(0.0, 1.0, 6).points(), atol=1e-15)
 
 
-def circulant_fgn_reference(N, H, rng):
-    """Davies-Harte draw in one piece, eigenvalues included, with complex arithmetic."""
-    c = _fgn_autocov(H, N + 1)
-    row = np.concatenate([c, c[-2:0:-1]])
-    eig = np.clip(np.fft.fft(row).real, 0.0, None)
+def circulant_fgn_reference(root, rng):
+    """Davies-Harte draw from the full 2N-point spectrum by one complex ifft."""
+    N = len(root) - 1
     Z = np.zeros(2 * N, dtype=complex)
     Z[0] = rng.standard_normal()
     Z[N] = rng.standard_normal()
     V = rng.standard_normal((N - 1, 2))
     Z[1:N] = (V[:, 0] + 1j * V[:, 1]) / math.sqrt(2.0)
     Z[N + 1:] = np.conj(Z[1:N][::-1])
-    return np.sqrt(2 * N) * np.fft.ifft(np.sqrt(eig) * Z).real[:N]
+    full = np.concatenate([root, root[-2:0:-1]])
+    return np.sqrt(2 * N) * np.fft.ifft(full * Z).real[:N]
 
 
 def spec_of(kind, J, H):
@@ -216,25 +286,37 @@ class TestSampler:
         st.integers(1, 12),
         st.floats(0.55, 0.95),
         st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=2),
-        st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_draws_equal_sample(self, kind, J, H, seed, force_hosking):
-        spec = spec_of(kind, min(J, 8) if force_hosking else J, H)
-        with pytest.MonkeyPatch.context() as mp:
-            if force_hosking:
-                mp.setattr(generators, "_fgn_embedding", lambda N, H: None)
-            draw = spec.sampler()
-            got = draw(seed)
-            assert np.array_equal(got, spec.sample(seed).increments)
-            assert np.array_equal(draw(seed), got)  # a sampler holds no draw state
-            if kind == "fbm" and force_hosking:
-                direct = _fgn_hosking(spec.grid.n_cells, H, np.random.default_rng(seed))
-                assert np.array_equal(got, direct * spec.grid.dx**H)
+    def test_draws_equal_sample(self, kind, J, H, seed):
+        spec = spec_of(kind, J, H)
+        draw = spec.sampler()
+        got = draw(seed)
+        assert np.array_equal(got, spec.sample(seed).increments)
+        assert np.array_equal(draw(seed), got)  # a sampler holds no draw state
 
     @pytest.mark.parametrize("H", [0.2, 0.5, 0.75, 0.95])
     def test_circulant_matches_one_piece_reference(self, H):
+        # the half-spectrum irfft against the mirrored complex ifft, same eigenvalues
         g = Grid(0.0, 1.0, 11)
+        root = _fgn_embedding(g.n_cells, H)
         for seed in ([1, 0], [1, 1], 77):
-            expected = circulant_fgn_reference(g.n_cells, H, np.random.default_rng(seed))
-            assert np.array_equal(generate_fgn(g, H, seed), expected * g.dx**H)
+            expected = circulant_fgn_reference(root, np.random.default_rng(seed))
+            got = generate_fgn(g, H, seed) / g.dx**H
+            assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("H", [0.3, 0.75, 0.95])
+    def test_circulant_covariance_matches_autocov_and_hosking(self, H):
+        N, reps = 64, 1000
+        root = _fgn_embedding(N, H)
+        rng = np.random.default_rng(11)
+        circ = np.stack([_fgn_circulant(root, rng) for _ in range(reps)])
+        hosk = np.stack([_fgn_hosking(N, H, rng) for _ in range(reps)])
+        gamma = _fgn_autocov(H, 4)
+        for lag in range(4):
+            # per-draw lag products: draws are independent, a draw's cells are not
+            c = (circ[:, : N - lag] * circ[:, lag:]).mean(axis=1)
+            h = (hosk[:, : N - lag] * hosk[:, lag:]).mean(axis=1)
+            se_c, se_h = c.std() / math.sqrt(reps), h.std() / math.sqrt(reps)
+            assert abs(c.mean() - gamma[lag]) <= 4.0 * se_c
+            assert abs(c.mean() - h.mean()) <= 4.0 * math.hypot(se_c, se_h)

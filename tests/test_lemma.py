@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +23,12 @@ from besovlab import (
 from besovlab import generators
 from besovlab.errors import ConfigurationError, ParameterError, SizeError
 from besovlab.generators import generate_linear
-from besovlab.lemma import _count_pz_hits, signed_sum_via_sets
+from besovlab.lemma import (
+    PZ_BLOCK_SUMS,
+    PZ_THRESHOLD_FACTOR,
+    _count_pz_hits,
+    signed_sum_via_sets,
+)
 from besovlab.paths import DyadicInterval, DyadicSet, StochasticMeasureSample, measure_of
 
 
@@ -281,6 +287,29 @@ class TestPaleyZygmund:
         assert mc.probability == pytest.approx(exact, abs=4 * mc.stderr)
         assert mc.passed
 
+    @pytest.mark.parametrize("m, samples", [(5, 50_000), (20, 10_000)])
+    def test_monte_carlo_blocks_match_one_draw(self, m, samples):
+        assert samples > 3 * (PZ_BLOCK_SUMS // m)  # several blocks and a partial one
+        lam = np.random.default_rng(m).standard_normal(m)
+        got = paley_zygmund_check(lam, mode="monte-carlo", samples=samples, seed=4)
+        # reference: every sign in one (samples, m) draw, as the check used to do
+        scaled = np.ldexp(lam, -np.frexp(np.max(np.abs(lam)))[1])
+        threshold = PZ_THRESHOLD_FACTOR * float(np.dot(scaled, scaled))
+        signs = np.random.default_rng(4).integers(0, 2, size=(samples, m)) * 2.0 - 1.0
+        prob = float(np.mean((signs @ scaled) ** 2 >= threshold))
+        stderr = math.sqrt(max(prob * (1.0 - prob), 1.0 / samples) / samples)
+        assert got.probability == prob and got.stderr == stderr
+
+    def test_monte_carlo_memory_bounded(self):
+        # one (10^6, 20) draw held 160 MB of int64 signs and as much again in floats
+        tracemalloc.start()
+        try:
+            paley_zygmund_check(np.ones(20), mode="monte-carlo", samples=10**6, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
     @given(
         st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=12).filter(
             lambda xs: any(x != 0.0 for x in xs)
@@ -386,6 +415,11 @@ class TestBoundednessProbe:
         spec = GeneratorSpec("bm", Grid(0.0, 1.0, 8), seed=0)
         with pytest.raises(ParameterError):
             boundedness_probe(spec, [4, size], replicates=10, quantile=0.9)
+
+    def test_empty_family_sizes(self):
+        spec = GeneratorSpec("bm", Grid(0.0, 1.0, 8), seed=0)
+        with pytest.raises(ParameterError, match="family size"):
+            boundedness_probe(spec, [], replicates=10, quantile=0.9)
 
     def test_fbm_embedding_once(self, monkeypatch):
         # the sampler is built once per probe, not once per replicate
