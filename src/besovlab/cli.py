@@ -193,7 +193,11 @@ def _require_finite(payload: dict):
             raise FloatingPointError(f"non-finite value in report field {key!r}")
 
 
-def _emit(args, payload: dict, csv_text: str | None):
+def _emit(args, payload: dict, csv_text: str | None = None):
+    """Write the JSON report to --out, with any CSV table beside it, or print one.
+
+    Only `dyadic` has a CSV table, and only it has a --format option.
+    """
     _require_finite(payload)
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if args.out:
@@ -202,13 +206,18 @@ def _emit(args, payload: dict, csv_text: str | None):
         if csv_text is not None:
             out.with_suffix(".csv").write_text(csv_text)
         print(str(out))
-    elif args.format == "csv" and csv_text is not None:
+    elif csv_text is not None and args.format == "csv":
         sys.stdout.write(csv_text)
     else:
         sys.stdout.write(text)
 
 
 def _cmd_dyadic(args) -> int:
+    if args.out and Path(args.out).suffix == ".csv":
+        # the CSV table goes to out.with_suffix(".csv"): here the report itself
+        raise ConfigurationError(
+            f"--out {args.out} names the CSV table's own file; use another suffix"
+        )
     path, resampled = _load_path(args)
     N = args.N if args.N is not None else min(path.grid.J, 12)
     report = kamont_series(path, N, args.alpha, args.p)
@@ -227,7 +236,7 @@ def _cmd_besov(args) -> int:
     report = besov_norm(path, params, extrapolate=args.extrapolate)
     payload = report.to_dict()
     payload["resampled"] = resampled
-    _emit(args, payload, None)
+    _emit(args, payload)
     return EXIT_OK
 
 
@@ -349,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     be.add_argument("--q", type=float, default=2.0)
     be.add_argument("--extrapolate", action="store_true")
     be.add_argument("--out", default=None)
-    be.add_argument("--format", choices=["json", "csv"], default="json")
     be.set_defaults(func=_cmd_besov)
 
     sw = sub.add_parser("sweep", help="run an alpha sweep from a JSON config")

@@ -235,6 +235,11 @@ class GeneratorSpec:
             raise ConfigurationError(f"unknown generator kind {self.kind!r}")
         if self.kind in ("fbm", "wfbm") and self.H is None:
             raise ConfigurationError(f"{self.kind} generator needs a Hurst index")
+        # a field the draw ignores would still be recorded in the sidecar
+        if self.kind not in ("fbm", "wfbm") and self.H is not None:
+            raise ConfigurationError(f"{self.kind} generator takes no Hurst index")
+        if self.kind not in ("martingale", "wfbm") and self.weight is not None:
+            raise ConfigurationError(f"{self.kind} generator takes no weight")
         if self.kind == "wfbm" and self.H is not None and not self.H > 0.5:
             raise ParameterError(f"wfbm requires H > 1/2, got {self.H}")
         if self.kind == "fbm" and self.H is not None and not (0.0 < self.H < 1.0):

@@ -14,7 +14,9 @@ holds the cell, or -1 for a cell in no set.  The measures of all sets of a
 level are then one `np.bincount` over the cell measures, which come from the
 same pairwise pyramid as `criterion.level_sums`; a full dyadic family needs
 no per-cell objects, and its statistic at p = 2 is the Kamont partial sum.
-`randomize_signs` maps each level's signs onto its labels.
+The family keeps no `DyadicSet`s: its sets are rebuilt from the labels
+whenever `levels` is read.  `randomize_signs` maps each level's signs onto
+its labels and returns each union as one index-array `DyadicSet`.
 
 The exact Paley-Zygmund check enumerates the two halves of lambda
 separately, 2^ceil(m/2) and 2^floor(m/2) signed sums, and counts the hits
@@ -93,7 +95,7 @@ class _LabelLevel:
         order = np.argsort(self.labels, kind="stable")
         bounds = np.searchsorted(self.labels[order], np.arange(self.n_sets + 1))
         return tuple(
-            DyadicSet(self.resolution, tuple((order[lo:hi] + 1).tolist()))
+            DyadicSet(self.resolution, order[lo:hi] + 1)
             for lo, hi in zip(bounds[:-1], bounds[1:])
         )
 
@@ -108,12 +110,8 @@ def _label_level(n: int, sets: tuple[DyadicSet, ...]) -> _LabelLevel:
         )
     labels = np.full(1 << resolution, -1, dtype=np.intp)
     if members:
-        blocks = [
-            ((np.asarray(s.ks) - 1)[:, None] << (resolution - s.level))
-            + np.arange(1 << (resolution - s.level))
-            for _, s in members
-        ]
-        cells = np.concatenate([b.ravel() for b in blocks])
+        blocks = [s.at_level(resolution).ks - 1 for _, s in members]
+        cells = np.concatenate(blocks)
         if np.bincount(cells, minlength=len(labels)).max() > 1:
             raise ConfigurationError(f"sets at level {n} are not disjoint")
         labels[cells] = np.repeat([i for i, _ in members], [b.size for b in blocks])
@@ -123,16 +121,16 @@ def _label_level(n: int, sets: tuple[DyadicSet, ...]) -> _LabelLevel:
 class DisjointFamily:
     """Per-level families of pairwise-disjoint dyadic sets; index i is level i+1.
 
-    Each level is stored as one label array over the cells at its common
-    dyadic resolution (the finest level among its sets), so the measures of
-    all sets of a level are one `np.bincount`.  `levels` gives the same
-    family as tuples of `DyadicSet`, built only when asked for.
+    Only the label arrays are stored: each level is one label array over the
+    cells at its common dyadic resolution (the finest level among its sets),
+    so the measures of all sets of a level are one `np.bincount`.  `levels`
+    rebuilds the family from the labels on every access, each set at its
+    level's resolution, so it equals the given sets as sets of cells.
     """
 
     def __init__(self, levels: Sequence[Sequence[DyadicSet]]):
-        self._sets = tuple(tuple(sets) for sets in levels)
         self._labels = tuple(
-            _label_level(n, sets) for n, sets in enumerate(self._sets, start=1)
+            _label_level(n, tuple(sets)) for n, sets in enumerate(levels, start=1)
         )
 
     @classmethod
@@ -142,8 +140,7 @@ class DisjointFamily:
             raise ResolutionError(
                 f"depth {depth} exceeds the resolution bound {MAX_RESOLUTION}"
             )
-        family = cls.__new__(cls)
-        family._sets = None
+        family = cls(())
         family._labels = tuple(
             _LabelLevel(n, np.arange(1 << n), 1 << n) for n in range(1, depth + 1)
         )
@@ -151,9 +148,7 @@ class DisjointFamily:
 
     @property
     def levels(self) -> tuple[tuple[DyadicSet, ...], ...]:
-        if self._sets is None:
-            self._sets = tuple(level.sets() for level in self._labels)
-        return self._sets
+        return tuple(level.sets() for level in self._labels)
 
     @property
     def depth(self) -> int:
@@ -311,14 +306,9 @@ def randomize_signs(
             raise ConfigurationError(f"signs must be +-1, got {row[bad][0]}")
         # label -1 picks the appended 0: cells in no set join neither union
         signed = np.append(row, 0)[level.labels]
-        B.append(_cell_set(level.resolution, signed == 1))
-        C.append(_cell_set(level.resolution, signed == -1))
+        B.append(DyadicSet(level.resolution, np.flatnonzero(signed == 1) + 1))
+        C.append(DyadicSet(level.resolution, np.flatnonzero(signed == -1) + 1))
     return B, C
-
-
-def _cell_set(resolution: int, mask: np.ndarray) -> DyadicSet:
-    ks = tuple((np.flatnonzero(mask) + 1).tolist())
-    return DyadicSet(resolution, ks) if ks else DyadicSet.empty()
 
 
 def signed_sum_via_sets(

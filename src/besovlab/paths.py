@@ -9,8 +9,7 @@ holds by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,50 +85,31 @@ class SampledPath:
             raise ParameterError("path values must be finite")
 
 
-@dataclass(frozen=True, order=True)
-class DyadicInterval:
-    """Half-open dyadic cell (a + (k-1) 2^{-n}(b-a), a + k 2^{-n}(b-a)]."""
-
-    n: int
-    k: int
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ParameterError(f"level must be >= 0, got {self.n}")
-        if not (1 <= self.k <= (1 << self.n)):
-            raise ParameterError(f"index {self.k} out of range at level {self.n}")
-
-    def refine(self, level: int) -> range:
-        """Indices of the level-`level` cells covering this interval."""
-        if level < self.n:
-            raise ParameterError("cannot refine to a coarser level")
-        f = 1 << (level - self.n)
-        return range((self.k - 1) * f + 1, self.k * f + 1)
-
-    def endpoints(self, grid: Grid) -> tuple[float, float]:
-        w = (grid.b - grid.a) / (1 << self.n)
-        return (grid.a + (self.k - 1) * w, grid.a + self.k * w)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DyadicSet:
     """Finite union of dyadic cells, kept in normal form.
 
-    Normal form: all cells expressed at a single common level, pairwise
-    disjoint, indices sorted.
+    Normal form: all cells at the one common level `level`, given by their
+    1-based indices `ks`, a sorted, distinct, read-only int64 array; cell k
+    is (a + (k-1) 2^{-level}(b-a), a + k 2^{-level}(b-a)].  A single cell is
+    `DyadicSet(n, (k,))`.  Two sets are equal when they cover the same cells.
     """
 
     level: int
-    ks: tuple[int, ...]
+    ks: np.ndarray
 
     def __post_init__(self):
         if self.level < 0:
             raise ParameterError("level must be >= 0")
-        ks = tuple(sorted(self.ks))
-        if any(k2 == k1 for k1, k2 in zip(ks, ks[1:])):
+        ks = np.asarray(self.ks)
+        if ks.size and ks.dtype.kind not in "iu":
+            raise ParameterError("cell indices must be integers")
+        ks = np.sort(ks.astype(np.int64, copy=False))
+        if np.any(ks[1:] == ks[:-1]):
             raise ParameterError("duplicate cell index in normal form")
-        if ks and not (1 <= ks[0] and ks[-1] <= (1 << self.level)):
+        if ks.size and not (1 <= ks[0] and ks[-1] <= (1 << self.level)):
             raise ParameterError("cell index out of range")
+        ks.flags.writeable = False
         object.__setattr__(self, "ks", ks)
 
     @classmethod
@@ -137,46 +117,38 @@ class DyadicSet:
         return cls(0, ())
 
     @classmethod
-    def from_intervals(cls, intervals: Iterable[DyadicInterval]) -> "DyadicSet":
-        intervals = list(intervals)
-        if not intervals:
-            return cls.empty()
-        level = max(iv.n for iv in intervals)
-        ks: set[int] = set()
-        for iv in intervals:
-            ks.update(iv.refine(level))
-        return cls(level, tuple(sorted(ks)))
-
-    @classmethod
     def full(cls) -> "DyadicSet":
         """The whole interval (a, b]."""
         return cls(0, (1,))
 
     def is_empty(self) -> bool:
-        return not self.ks
+        return self.ks.size == 0
 
     def at_level(self, level: int) -> "DyadicSet":
         if level < self.level:
             raise ParameterError("cannot coarsen a dyadic set")
-        f = 1 << (level - self.level)
-        ks = tuple(
-            (k - 1) * f + j for k in self.ks for j in range(1, f + 1)
-        )
-        return DyadicSet(level, ks)
+        if level == self.level:
+            return self
+        d = level - self.level
+        ks = ((self.ks - 1)[:, None] << d) + np.arange(1, (1 << d) + 1)
+        return DyadicSet(level, ks.ravel())
 
     def union(self, other: "DyadicSet") -> "DyadicSet":
         level = max(self.level, other.level)
-        a, b = self.at_level(level), other.at_level(level)
-        return DyadicSet(level, tuple(sorted(set(a.ks) | set(b.ks))))
+        ks = np.union1d(self.at_level(level).ks, other.at_level(level).ks)
+        return DyadicSet(level, ks)
 
     def is_disjoint_from(self, other: "DyadicSet") -> bool:
         level = max(self.level, other.level)
-        a, b = self.at_level(level), other.at_level(level)
-        return not (set(a.ks) & set(b.ks))
+        return not np.isin(self.at_level(level).ks, other.at_level(level).ks).any()
 
-    def measure_length(self, grid: Grid) -> float:
-        """Lebesgue length of the union."""
-        return len(self.ks) * (grid.b - grid.a) / (1 << self.level)
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DyadicSet):
+            return NotImplemented
+        level = max(self.level, other.level)
+        return np.array_equal(self.at_level(level).ks, other.at_level(level).ks)
+
+    __hash__ = None
 
 
 @dataclass(frozen=True)
@@ -212,11 +184,6 @@ class BesovParams:
         if self.p < 1.0 or self.q < 1.0:
             raise ParameterError(f"p, q must be >= 1, got p={self.p}, q={self.q}")
 
-    @property
-    def in_guaranteed_regime(self) -> bool:
-        """p >= 2 and alpha < 1/p: membership is guaranteed for measure paths."""
-        return self.p >= 2.0 and self.alpha < 1.0 / self.p
-
 
 def measure_of(sample: StochasticMeasureSample, A: DyadicSet) -> float:
     """Value of the measure on a dyadic set, by additivity over finest cells."""
@@ -227,10 +194,9 @@ def measure_of(sample: StochasticMeasureSample, A: DyadicSet) -> float:
             f"set at level {A.level} exceeds sample resolution J={sample.grid.J}"
         )
     f = 1 << (sample.grid.J - A.level)
-    idx = np.asarray(A.ks, dtype=np.int64) - 1
     # fixed summation order: cells in sorted position, finest index ascending
     blocks = sample.increments.reshape(-1, f)
-    return float(np.sum(blocks[idx, :]))
+    return float(np.sum(blocks[A.ks - 1, :]))
 
 
 def path_of(sample: StochasticMeasureSample) -> SampledPath:

@@ -89,6 +89,23 @@ class TestGenerate:
         code, _, _ = run(capsys, "generate", "--process", "nope", "--out", "x")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "process, flags, message",
+        [
+            ("bm", ["--weight", "sine:1,3,0"], "no weight"),
+            ("martingale", ["--H", "0.3"], "no Hurst index"),
+        ],
+    )
+    def test_unused_field_refused(self, tmp_path, capsys, process, flags, message):
+        # the sidecar would record a field the draw ignores
+        out = tmp_path / "x.csv"
+        code, _, err = run(
+            capsys, "generate", "--process", process, *flags, "--J", "8",
+            "--seed", "1", "--out", str(out),
+        )
+        assert code == EXIT_USAGE
+        assert message in err and not out.exists()
+
     def test_invalid_fgn_covariance_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
         def invalid(H, n_lags):  # |gamma(1)| > gamma(0): no covariance
             gamma = np.zeros(n_lags)
@@ -155,6 +172,27 @@ class TestDyadic:
         )
         assert code == EXIT_OK
         assert out.splitlines()[0] == "n,term,partial_sum"
+
+    def test_out_writes_report_and_table(self, tmp_path, capsys):
+        f = self.write_ramp(tmp_path)
+        code, out, _ = run(
+            capsys, "dyadic", "--input", str(f), "--alpha", "0.3",
+            "--out", str(tmp_path / "r.json"),
+        )
+        assert code == EXIT_OK and out == f"{tmp_path / 'r.json'}\n"
+        assert json.loads((tmp_path / "r.json").read_text())["verdict"] == "converges"
+        assert (tmp_path / "r.csv").read_text().splitlines()[0] == "n,term,partial_sum"
+
+    def test_out_that_is_its_own_table_refused(self, tmp_path, capsys):
+        # the CSV table would overwrite the JSON report at r.csv
+        f = self.write_ramp(tmp_path)
+        code, out, err = run(
+            capsys, "dyadic", "--input", str(f), "--alpha", "0.3",
+            "--out", str(tmp_path / "r.csv"),
+        )
+        assert code == EXIT_USAGE
+        assert out == "" and "another suffix" in err
+        assert not (tmp_path / "r.csv").exists()
 
     def test_round_trip_bit_exact(self, tmp_path, capsys):
         out = tmp_path / "bm.csv"
@@ -258,6 +296,17 @@ class TestBesovCmd:
         assert code == EXIT_NUMERIC
         assert out == "" and not out_file.exists()
         assert "non-finite" in err
+
+    def test_format_option_removed(self, tmp_path, capsys):
+        # `besov` has only a JSON report; --format csv printed JSON anyway
+        g = Grid(0.0, 1.0, 8)
+        f = tmp_path / "c.csv"
+        f.write_text("t,value\n" + "".join(f"{float(t)!r},1.5\n" for t in g.points()))
+        code, out, err = run(
+            capsys, "besov", "--input", str(f), "--alpha", "0.3", "--format", "csv"
+        )
+        assert code == EXIT_USAGE
+        assert out == "" and "--format" in err
 
     def test_general_p_grid_limit(self, tmp_path, capsys):
         g = Grid(0.0, 1.0, 15)

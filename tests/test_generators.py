@@ -255,6 +255,16 @@ class TestGeneratorSpec:
         with pytest.raises(ConfigurationError):
             GeneratorSpec("fbm", Grid(0.0, 1.0, 8))
 
+    @pytest.mark.parametrize("kind", ["bm", "martingale", "linear"])
+    def test_hurst_only_for_fractional_kinds(self, kind):
+        with pytest.raises(ConfigurationError, match="no Hurst index"):
+            GeneratorSpec(kind, Grid(0.0, 1.0, 8), H=0.3)
+
+    @pytest.mark.parametrize("kind, H", [("bm", None), ("fbm", 0.7), ("linear", None)])
+    def test_weight_only_for_weighted_kinds(self, kind, H):
+        with pytest.raises(ConfigurationError, match="no weight"):
+            GeneratorSpec(kind, Grid(0.0, 1.0, 8), H=H, weight=WeightFn("sine", (1, 3, 0)))
+
     def test_linear_stub(self):
         path = path_of(GeneratorSpec("linear", Grid(0.0, 1.0, 6)).sample())
         np.testing.assert_allclose(path.values, Grid(0.0, 1.0, 6).points(), atol=1e-15)

@@ -29,22 +29,23 @@ from besovlab.lemma import (
     _count_pz_hits,
     signed_sum_via_sets,
 )
-from besovlab.paths import DyadicInterval, DyadicSet, StochasticMeasureSample, measure_of
+from besovlab.paths import DyadicSet, StochasticMeasureSample, measure_of
 
 
 def random_disjoint_level(rng, max_level):
     """Disjoint sets at mixed levels: a random dyadic tree whose leaves join
     a random set or none; some sets stay empty."""
     n_sets = int(rng.integers(1, 6))
-    members = [[] for _ in range(n_sets)]
-    stack = [DyadicInterval(0, 1)]
+    members = [DyadicSet.empty() for _ in range(n_sets)]
+    stack = [(0, 1)]
     while stack:
-        iv = stack.pop()
-        if iv.n < max_level and rng.random() < 0.6:
-            stack += [DyadicInterval(iv.n + 1, k) for k in iv.refine(iv.n + 1)]
+        n, k = stack.pop()
+        if n < max_level and rng.random() < 0.6:
+            stack += [(n + 1, 2 * k - 1), (n + 1, 2 * k)]
         elif rng.random() < 0.7:
-            members[int(rng.integers(n_sets))].append(iv)
-    return tuple(DyadicSet.from_intervals(ivs) for ivs in members)
+            i = int(rng.integers(n_sets))
+            members[i] = members[i].union(DyadicSet(n, (k,)))
+    return tuple(members)
 
 
 def random_level(rng, max_level):
@@ -91,16 +92,15 @@ class TestDisjointFamily:
     def test_full_dyadic_levels_built_on_demand(self):
         fam = DisjointFamily.full_dyadic(5)
         assert fam.levels == tuple(
-            tuple(DyadicSet.from_intervals([DyadicInterval(n, k)]) for k in range(1, 2**n + 1))
+            tuple(DyadicSet(n, (k,)) for k in range(1, 2**n + 1))
             for n in range(1, 6)
         )
 
     def test_full_dyadic_creates_no_sets(self, monkeypatch):
         def refuse(self):
-            raise AssertionError("a DyadicSet or DyadicInterval was created")
+            raise AssertionError("a DyadicSet was created")
 
         monkeypatch.setattr(DyadicSet, "__post_init__", refuse)
-        monkeypatch.setattr(DyadicInterval, "__post_init__", refuse)
         fam = DisjointFamily.full_dyadic(20)
         assert fam.depth == 20 and fam.max_resolution() == 20
 
@@ -326,7 +326,7 @@ class TestRandomizeSigns:
         signs = [[1] * len(level) for level in fam.levels]
         B, C = randomize_signs(fam, signs)
         for n, b in enumerate(B, start=1):
-            assert b.ks == tuple(range(1, (1 << b.level) + 1)) or len(b.ks) == 2**n
+            assert b.ks.tolist() == list(range(1, (1 << b.level) + 1)) or len(b.ks) == 2**n
         assert all(c.is_empty() for c in C)
 
     def test_all_minus(self):

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from besovlab import (
     BesovParams,
-    DyadicInterval,
     DyadicSet,
     Grid,
     SampledPath,
@@ -45,25 +44,86 @@ class TestGrid:
 
 class TestDyadicSets:
     def test_interval_refine(self):
-        left_half = DyadicInterval(1, 1)
-        assert list(left_half.refine(3)) == [1, 2, 3, 4]
+        left_half = DyadicSet(1, (1,))
+        assert left_half.at_level(3).ks.tolist() == [1, 2, 3, 4]
 
     def test_normal_form_sorted_disjoint(self):
-        s = DyadicSet.from_intervals([DyadicInterval(2, 3), DyadicInterval(1, 1)])
+        s = DyadicSet(2, (3,)).union(DyadicSet(1, (1,)))
         assert s.level == 2
-        assert s.ks == (1, 2, 3)
+        assert s.ks.tolist() == [1, 2, 3]
 
     def test_union_dedupes_overlap(self):
-        a = DyadicSet.from_intervals([DyadicInterval(1, 1)])
-        b = DyadicSet.from_intervals([DyadicInterval(2, 2)])
+        a = DyadicSet(1, (1,))
+        b = DyadicSet(2, (2,))
         assert not a.is_disjoint_from(b)
-        assert a.union(b).ks == (1, 2)
+        assert a.union(b).ks.tolist() == [1, 2]
 
     def test_full_partition_disjoint(self):
-        cells = [DyadicSet.from_intervals([DyadicInterval(3, k)]) for k in range(1, 9)]
+        cells = [DyadicSet(3, (k,)) for k in range(1, 9)]
         for i in range(8):
             for j in range(i + 1, 8):
                 assert cells[i].is_disjoint_from(cells[j])
+
+
+REF_LEVEL = 8
+
+
+def ref_cells(level, ks, at=REF_LEVEL):
+    """Reference: the level-`at` cell indices covered by cells ks at `level`, as a Python set."""
+    f = 2 ** (at - level)
+    return {(k - 1) * f + j for k in ks for j in range(1, f + 1)}
+
+
+@st.composite
+def raw_sets(draw):
+    """(level, cell indices) up to REF_LEVEL, the indices distinct and unsorted."""
+    level = draw(st.integers(0, REF_LEVEL))
+    ks = draw(st.lists(st.integers(1, 2**level), unique=True, max_size=40))
+    return level, ks
+
+
+class TestDyadicSetAgainstReference:
+    @given(raw_sets(), st.integers(0, REF_LEVEL))
+    @settings(max_examples=200, deadline=None)
+    def test_at_level(self, raw, target):
+        level, ks = raw
+        A = DyadicSet(level, ks)
+        assert A.ks.dtype == np.int64 and not A.ks.flags.writeable
+        assert A.ks.tolist() == sorted(ks)
+        if target < level:
+            with pytest.raises(ParameterError):
+                A.at_level(target)
+        else:
+            fine = A.at_level(target)
+            assert fine.level == target
+            assert fine.ks.tolist() == sorted(ref_cells(level, ks, target))
+
+    @given(raw_sets(), raw_sets())
+    @settings(max_examples=300, deadline=None)
+    def test_union_disjoint_eq(self, raw_a, raw_b):
+        A, B = DyadicSet(*raw_a), DyadicSet(*raw_b)
+        ref_a, ref_b = ref_cells(*raw_a), ref_cells(*raw_b)
+        union = A.union(B)
+        assert union.level == max(raw_a[0], raw_b[0])
+        assert ref_cells(union.level, union.ks.tolist()) == ref_a | ref_b
+        assert A.is_disjoint_from(B) == (not ref_a & ref_b)
+        assert (A == B) == (ref_a == ref_b)
+        assert A == DyadicSet(REF_LEVEL, sorted(ref_a))
+
+    @given(raw_sets(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_measure_of(self, raw, seed):
+        # integer increments: every sum is exact, whatever its order
+        inc = np.random.default_rng(seed).integers(-1000, 1000, 2**REF_LEVEL).astype(float)
+        s = small_sample(inc)
+        assert measure_of(s, DyadicSet(*raw)) == sum(inc[c - 1] for c in ref_cells(*raw))
+
+    @pytest.mark.parametrize(
+        "level, ks", [(-1, ()), (2, (1, 1)), (2, (0,)), (2, (5,)), (2, (1.5,))]
+    )
+    def test_rejects_malformed(self, level, ks):
+        with pytest.raises(ParameterError):
+            DyadicSet(level, ks)
 
 
 class TestMeasureOf:
@@ -78,12 +138,12 @@ class TestMeasureOf:
     def test_left_half(self):
         # brute force: children increments 1 + 2
         s = small_sample([1.0, 2.0, 3.0, 4.0])
-        left = DyadicSet.from_intervals([DyadicInterval(1, 1)])
+        left = DyadicSet(1, (1,))
         assert measure_of(s, left) == 3.0
 
     def test_resolution_error(self):
         s = small_sample([1.0, 2.0, 3.0, 4.0])
-        deep = DyadicSet.from_intervals([DyadicInterval(5, 1)])
+        deep = DyadicSet(5, (1,))
         with pytest.raises(ResolutionError):
             measure_of(s, deep)
 
