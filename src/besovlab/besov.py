@@ -11,12 +11,18 @@ and of the largest (short overlaps), so the first and last DIRECT_SHIFTS
 shifts are summed directly by the same closed form; the first ones are
 the smallest octave of the t-grid and feed the tail fit.
 
-One kernel, `_cell_power_integral`, integrates |linear segment|^p over the
-cells of a sequence: the closed form above from two dot products at p = 2,
-and 5-node Gauss-Legendre quadrature per cell for every other p, evaluated
-node-major (one contiguous row of cells per node) in a scratch buffer.  The
-L_p norm is one call on the path.  Other p take the shift norms one shift at
-a time: O(N^2), so they are refused above GENERAL_P_MAX_J.
+Every other p uses 5-node Gauss-Legendre quadrature per cell.  A cell's
+node values, each scaled by W_i^(1/p) for its weight W_i, sit side by side
+in one flat table (`_node_values`), so the quadrature of |g|^p over any run
+of cells is one kernel, `_power_sum`: the sum of |entries|^p of a
+contiguous slice.  Integer p up to 64 take that power without pow, by
+repeated squaring and one dot.  The L_p norm sums the kernel over blocks
+of the path's own table (`_cell_power_integral`, which also holds the p = 2 closed
+form above).  The shift norms build the table of the mean-centred path
+once, and for shift m the node values of its difference are one
+subtraction of two windows of it: O(max_shift N) in all, refused above
+max_shift N = 4^GENERAL_P_MAX_J.  Tables are built in blocks of at most
+_BLOCK_CELLS cells, so memory stays bounded at any J.
 
 The outer singular integral is truncated at the grid spacing and evaluated
 on a logarithmic t-grid; an opt-in power-law extrapolation estimates the
@@ -39,8 +45,14 @@ POINTS_PER_OCTAVE = 64
 # p = 2 shifts summed directly at each end of the shift range, not by FFT;
 # they include the d[0] and d[1] of the tail fit
 DIRECT_SHIFTS = 64
-# p != 2 shift norms cost O(N^2): about 4 s at J = 14 (p = 1.5 or 3) on a shared 2-core Xeon
+# p != 2 shift norms cost O(max_shift N): refused above max_shift N = 4^GENERAL_P_MAX_J,
+# every shift at J = 14 (besov_norm about 1.7 s at p = 3, 3.4 s at p = 1.5 on a shared
+# 2-core Xeon)
 GENERAL_P_MAX_J = 14
+# cells per block of Gauss-node values: a full table at J <= GENERAL_P_MAX_J is one block
+_BLOCK_CELLS = 2**GENERAL_P_MAX_J
+# integer p above this take np.power: from about 64 on, repeated squaring is no faster
+_SQUARING_MAX_P = 64
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(5)
 # mapped from [-1, 1] to [0, 1]
 _S = 0.5 * (_GAUSS_NODES + 1.0)
@@ -94,24 +106,86 @@ def _p2_cell_sum(g: np.ndarray) -> float:
 def _cell_power_integral(g: np.ndarray, p: float, scratch: Optional[np.ndarray] = None) -> float:
     """sum_k of the integral over s in [0, 1] of |g_k (1 - s) + g_{k+1} s|^p.
 
-    p = 2 is the closed form `_p2_cell_sum`.  Other p use 5-node Gauss per
-    cell with the nodes as rows of a (5, L) array, so each row is one
-    contiguous pass.  `scratch` (at least 10 L floats) holds that array and
-    one temporary, so that a caller integrating many sequences allocates
-    them once.
+    p = 2 is the closed form `_p2_cell_sum`.  Other p sum `_power_sum` over
+    the weighted Gauss-node values (`_node_values`) of blocks of at most
+    _BLOCK_CELLS cells, so memory stays bounded at any length.  `scratch`
+    (at least 10 min(L, _BLOCK_CELLS) floats) holds a block's node values
+    and one temporary.
     """
     if p == 2.0:
         return _p2_cell_sum(g)
     L = len(g) - 1
+    B = min(L, _BLOCK_CELLS)
     if scratch is None:
-        scratch = np.empty(10 * L)
-    vals, right = scratch[: 10 * L].reshape(2, 5, L)
-    np.multiply.outer(1.0 - _S, g[:-1], out=vals)
-    np.multiply.outer(_S, g[1:], out=right)
-    vals += right
-    np.abs(vals, out=vals)
-    np.power(vals, p, out=vals)
-    return float(np.dot(vals.sum(axis=1), _W))
+        scratch = np.empty(10 * B)
+    nodes, tmp = scratch[: 10 * B].reshape(2, 5 * B)
+    total = 0.0
+    for k0 in range(0, L, _BLOCK_CELLS):
+        w = min(_BLOCK_CELLS, L - k0)
+        x = _node_values(g[k0 : k0 + w + 1], p, nodes, tmp)
+        total += _power_sum(x, p, tmp)
+    return total
+
+
+def _node_values(g: np.ndarray, p: float, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Gauss-node values of the piecewise-linear g over its L cells, weighted for |.|^p.
+
+    Cell-major: entry 5 k + i of the result, a view of `out` (5 L floats),
+    is W_i^(1/p) (g_k (1 - s_i) + g_{k+1} s_i), so the sum of |entries|^p is
+    the 5-node Gauss-Legendre integral of |g|^p and any run of cells is one
+    contiguous slice.  `tmp` (5 L floats) is overwritten.
+    """
+    L = len(g) - 1
+    cells, right = out[: 5 * L].reshape(L, 5), tmp[: 5 * L].reshape(L, 5)
+    scale = _W ** (1.0 / p)
+    np.multiply.outer(g[:-1], scale * (1.0 - _S), out=cells)
+    np.multiply.outer(g[1:], scale * _S, out=right)
+    cells += right
+    return out[: 5 * L]
+
+
+def _power_sum(x: np.ndarray, p: float, tmp: np.ndarray) -> float:
+    """Sum of |x|^p over a 1-d array; x and tmp (at least as long) are overwritten.
+
+    Integer p up to _SQUARING_MAX_P take no pow: even p is dot(y, y) with
+    y = x^(p/2), odd p is dot(|x|, x^(p-1)), and the powers are taken by
+    repeated squaring.  Other p use np.power.  NaN and inf propagate.  The
+    dot is einsum's, not BLAS's: OpenBLAS threads a dot of more than 10^4
+    entries, and waking its threads once per shift costs more than the
+    product itself.
+    """
+    n = int(p)
+    if n != p or n > _SQUARING_MAX_P:
+        np.abs(x, out=x)
+        return float(np.power(x, p, out=x).sum())
+    if n == 1:
+        return float(np.abs(x, out=x).sum())
+    if n % 2 == 0:
+        y = _int_power(x, n // 2)
+        return float(np.einsum("i,i->", y, y))
+    sq = np.multiply(x, x, out=tmp[: len(x)])
+    np.abs(x, out=x)
+    return float(np.einsum("i,i->", x, _int_power(sq, (n - 1) // 2)))
+
+
+def _int_power(x: np.ndarray, n: int) -> np.ndarray:
+    """x^n for an integer n >= 1 by repeated squaring of x in place.
+
+    Returns x itself when n is a power of two, else a new array.
+    """
+    result = None
+    while n > 1:
+        if n & 1:
+            if result is None:
+                result = x.copy()
+            else:
+                result *= x
+        np.multiply(x, x, out=x)
+        n >>= 1
+    if result is None:
+        return x
+    result *= x
+    return result
 
 
 def _check_p(p: float):
@@ -131,7 +205,8 @@ def shift_norms(path: SampledPath, p: float, max_shift: Optional[int] = None) ->
     Entry m-1 corresponds to shift m, m = 1..max_shift.  Only nonnegative
     shifts are needed: for h < 0 substituting x -> x - h maps the overlap
     integral onto the h > 0 case.  p = 2 costs O(N log N); other p cost
-    O(N^2) and are refused above J = GENERAL_P_MAX_J.
+    O(max_shift N) and are refused above max_shift N = 4^GENERAL_P_MAX_J,
+    a full table at J = GENERAL_P_MAX_J.
     """
     _check_p(p)
     v = path.values
@@ -140,15 +215,39 @@ def shift_norms(path: SampledPath, p: float, max_shift: Optional[int] = None) ->
     M = N if max_shift is None else min(max_shift, N)
     if p == 2.0:
         return np.sqrt(np.maximum(_p2_shift_cell_sums(v, M) * dx, 0.0))
-    if path.grid.J > GENERAL_P_MAX_J:
+    if M * N > 4**GENERAL_P_MAX_J:
         raise SizeError(
-            f"shift norms for p != 2 cost O(N^2) and are limited to "
-            f"J <= {GENERAL_P_MAX_J}, got J={path.grid.J}; p = 2 is the fast path"
+            f"shift norms for p != 2 cost O(max_shift * N) and are limited to "
+            f"max_shift * N <= 2^{2 * GENERAL_P_MAX_J} (every shift at J = {GENERAL_P_MAX_J}), "
+            f"got {M} shifts at J={path.grid.J}; p = 2 is the fast path"
         )
-    out = np.empty(M)
-    scratch = np.empty(10 * N)
-    for m in range(1, M + 1):
-        out[m - 1] = (_cell_power_integral(v[: N + 1 - m] - v[m:], p, scratch) * dx) ** (1.0 / p)
+    return (_general_p_shift_sums(v, p, M) * dx) ** (1.0 / p)
+
+
+def _general_p_shift_sums(v: np.ndarray, p: float, M: int) -> np.ndarray:
+    """`_cell_power_integral` of g = v[:-m] - v[m:] for every shift m = 1..M.
+
+    The node table holds the weighted Gauss-node values (`_node_values`) of
+    the mean-centred path c, so the node values of g = c[:-m] - c[m:] are
+    the difference of two contiguous windows of it.  The table covers
+    blocks of at most _BLOCK_CELLS cells plus the M cells the shifts reach
+    past a block: at J <= GENERAL_P_MAX_J a full table is one block, and
+    memory stays bounded at any J.  NaN and inf propagate to the result.
+    """
+    N = len(v) - 1
+    mu = v.mean()  # shift norms ignore constants; centring shrinks |c|
+    out = np.zeros(M)
+    width = min(N, _BLOCK_CELLS + M)
+    table, diff, tmp = np.empty((3, 5 * width))
+    for k0 in range(0, N - 1, _BLOCK_CELLS):
+        w = min(k0 + _BLOCK_CELLS + M, N) - k0
+        T = _node_values(v[k0 : k0 + w + 1] - mu, p, table, tmp)
+        for m in range(1, M + 1):
+            L = min(_BLOCK_CELLS, N - m - k0)  # cells k0..k0+L-1 overlap at shift m
+            if L <= 0:
+                break
+            x = np.subtract(T[: 5 * L], T[5 * m : 5 * (m + L)], out=diff[: 5 * L])
+            out[m - 1] += _power_sum(x, p, tmp)
     return out
 
 

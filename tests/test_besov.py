@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,11 +18,13 @@ from besovlab import (
     modulus,
     path_of,
 )
+from besovlab import besov as besov_module
 from besovlab.besov import (
     DIRECT_SHIFTS,
     GENERAL_P_MAX_J,
     POINTS_PER_OCTAVE,
     _cell_power_integral,
+    _power_sum,
     modulus_curve,
     shift_norms,
 )
@@ -81,6 +84,20 @@ class TestCellKernel:
         want = math.sqrt(_gauss5_cells(v, 2.0) * path.grid.dx)
         assert lp_norm(path, 2.0) == pytest.approx(want, rel=1e-12)
 
+
+
+class TestPowerSum:
+    @given(
+        st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=300),
+        st.one_of(st.integers(1, 70).map(float), st.floats(1.0, 9.0)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_pow(self, x, p):
+        # integer p up to _SQUARING_MAX_P by repeated squaring, every other p by np.power
+        x = np.array(x)
+        want = float(np.sum(np.abs(x) ** p))
+        got = _power_sum(x.copy(), p, np.empty(len(x)))
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 class TestLpNorm:
     def test_constant(self):
@@ -207,14 +224,17 @@ def _closed_form_cells(g, dx):
     return float(np.sum(left * left + left * right + right * right)) / 3.0 * dx
 
 
-def _reference_p2(v, alpha, q, extrapolate):
+def _cells(g, p, dx):
+    """Integral of |piecewise-linear g|^p: the closed form at p = 2, else Gauss-5 per cell."""
+    return _closed_form_cells(g, dx) if p == 2.0 else _gauss5_cells(g, p) * dx
+
+
+def _reference(v, p, alpha, q, extrapolate):
     """Shift norms, modulus curve and besov report fields, one shift at a time."""
     N = len(v) - 1
     J = N.bit_length() - 1
     dx = 1.0 / N
-    d = np.array(
-        [math.sqrt(_closed_form_cells(v[: N + 1 - m] - v[m:], dx)) for m in range(1, N + 1)]
-    )
+    d = np.array([_cells(v[: N + 1 - m] - v[m:], p, dx) ** (1.0 / p) for m in range(1, N + 1)])
     t = 2.0 ** (-J + np.arange(J * POINTS_PER_OCTAVE + 1) / POINTS_PER_OCTAVE)
     w = np.maximum.accumulate(d)[np.minimum((t / dx * (1.0 + 1e-12)).astype(int), N) - 1]
     f = w**q * t ** (-alpha * q)
@@ -228,7 +248,7 @@ def _reference_p2(v, alpha, q, extrapolate):
         else:
             tail = (d[0] / dx**beta) ** q * dx ** ((beta - alpha) * q) / ((beta - alpha) * q)
             extrapolated = (integral + tail) ** (1.0 / q)
-    lp = math.sqrt(_closed_form_cells(v, dx))
+    lp = _cells(v, p, dx) ** (1.0 / p)
     report = {
         "lp_norm": lp,
         "seminorm_truncated": seminorm,
@@ -240,15 +260,35 @@ def _reference_p2(v, alpha, q, extrapolate):
     return d, w, report
 
 
+def _assert_report_matches(got, ref, rel):
+    for field, want in ref.items():
+        if want is None or isinstance(want, bool):
+            assert got[field] == want, field
+        else:
+            assert got[field] == pytest.approx(want, rel=rel), field
+
+
 def _test_path(kind, J, seed, H):
     g = Grid(0.0, 1.0, J)
     x = g.points()
-    if kind == "bm":
-        return path_of(generate_bm(g, seed))
+    if kind in ("bm", "offset"):
+        path = path_of(generate_bm(g, seed))
+        return path if kind == "bm" else SampledPath(g, path.values + 1e3)
     if kind == "fbm":
         return SampledPath(g, np.concatenate([[0.0], np.cumsum(generate_fgn(g, H, seed))]))
+    if kind in ("ramp_noise", "zigzag"):
+        noise = np.random.default_rng(seed).random(g.n_points)
+        if kind == "ramp_noise":
+            return SampledPath(g, x + 1e-3 * (noise - 0.5))
+        return SampledPath(g, np.where(np.arange(g.n_points) % 2 == 0, 1.0, -1.0) * (1.0 + noise))
     values = {"ramp": x, "x2": x * x, "sin": np.sin(2.0 * np.pi * x)}[kind]
     return SampledPath(g, values)
+
+
+def _zigzag_1e154(J=8):
+    """+-1.2e154 alternating: odd-shift differences of 2.4e154 overflow when cubed."""
+    g = Grid(0.0, 1.0, J)
+    return SampledPath(g, np.where(np.arange(g.n_points) % 2 == 0, 1.2e154, -1.2e154))
 
 
 class TestP2ShiftNorms:
@@ -264,15 +304,11 @@ class TestP2ShiftNorms:
     @settings(max_examples=10, deadline=None)
     def test_matches_per_shift_closed_form(self, kind, J, seed, H, alpha, q, extrapolate):
         path = _test_path(kind, J, seed, H)
-        d, w, ref = _reference_p2(path.values, alpha, q, extrapolate)
+        d, w, ref = _reference(path.values, 2.0, alpha, q, extrapolate)
         np.testing.assert_allclose(modulus_curve(path, 2.0).w_values, w, rtol=1e-10)
         np.testing.assert_allclose(shift_norms(path, 2.0)[:2], d[:2], rtol=1e-10)
         got = besov_norm(path, BesovParams(alpha, 2.0, q), extrapolate=extrapolate).to_dict()
-        for field, want in ref.items():
-            if want is None or isinstance(want, bool):
-                assert got[field] == want, field
-            else:
-                assert got[field] == pytest.approx(want, rel=1e-10), field
+        _assert_report_matches(got, ref, 1e-10)
 
     def test_constant_offset_invariant(self):
         path = path_of(generate_bm(Grid(0.0, 1.0, 12), 17))
@@ -295,14 +331,63 @@ class TestP2ShiftNorms:
 
     def test_overflow_propagates(self):
         # squared shift differences overflow: the result is NaN/inf, never a number
-        g = Grid(0.0, 1.0, 8)
-        v = np.where(np.arange(g.n_points) % 2 == 0, 1.2e154, -1.2e154)
-        path = SampledPath(g, v)
+        path = _zigzag_1e154()
         with np.errstate(over="ignore", invalid="ignore"):
             d = shift_norms(path, 2.0)
             rep = besov_norm(path, BesovParams(0.4, 2.0, 2.0))
         assert not np.isfinite(d[DIRECT_SHIFTS:-DIRECT_SHIFTS]).any()
         assert not math.isfinite(rep.seminorm_truncated)
+
+
+class TestGeneralPShiftNorms:
+    @pytest.mark.parametrize("kind", ["bm", "fbm", "ramp_noise", "offset", "zigzag"])
+    @given(
+        st.integers(6, 10),
+        st.sampled_from([1.0, 1.5, 3.0, 4.0, 5.0]),
+        st.integers(0, 2**32 - 1),
+        st.floats(0.1, 0.95),
+        st.floats(0.05, 0.95),
+        st.floats(1.0, 4.0),
+        st.booleans(),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_matches_per_shift_gauss5(self, kind, J, p, seed, H, alpha, q, extrapolate):
+        path = _test_path(kind, J, seed, H)
+        d, w, ref = _reference(path.values, p, alpha, q, extrapolate)
+        np.testing.assert_allclose(shift_norms(path, p), d, rtol=1e-10)
+        np.testing.assert_allclose(modulus_curve(path, p).w_values, w, rtol=1e-10)
+        got = besov_norm(path, BesovParams(alpha, p, q), extrapolate=extrapolate).to_dict()
+        _assert_report_matches(got, ref, 1e-10)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 4.0, 5.0])
+    @pytest.mark.parametrize("J", [6, 8, 10])
+    def test_ramp_closed_form(self, J, p):
+        # g = -m dx on every overlap cell: no sign change, so Gauss-5 is exact
+        h = np.arange(1, 2**J + 1) * 2.0**-J
+        np.testing.assert_allclose(shift_norms(ramp(J), p), h * (1.0 - h) ** (1.0 / p), rtol=1e-13)
+
+    @pytest.mark.parametrize("p", [3.0, 1.5])
+    def test_overflow_propagates(self, p):
+        path = _zigzag_1e154()
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = shift_norms(path, p)
+            rep = besov_norm(path, BesovParams(0.4, p, 2.0))
+        assert not math.isfinite(rep.seminorm_truncated)
+        assert not math.isfinite(rep.norm_total)
+        assert (d[1::2] == 0.0).all()  # even shifts: identical values
+        if p == 3.0:  # |2.4e154|^3 overflows; |2.4e154|^1.5 does not, w^q at q = 2 does
+            assert not np.isfinite(d[0::2]).any()
+        else:
+            assert np.isfinite(d).all()
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_small_blocks_match_per_shift_gauss5(self, monkeypatch, p):
+        # blocks of 32 cells, shifts up to N = 256 cells long: every block seam is crossed
+        monkeypatch.setattr(besov_module, "_BLOCK_CELLS", 32)
+        path = _test_path("bm", 8, 5, 0.5)
+        d, _, ref = _reference(path.values, p, 0.3, 2.0, False)
+        np.testing.assert_allclose(shift_norms(path, p), d, rtol=1e-10)
+        assert lp_norm(path, p) == pytest.approx(ref["lp_norm"], rel=1e-12)
 
 
 class TestGeneralPLimit:
@@ -315,3 +400,49 @@ class TestGeneralPLimit:
         with pytest.raises(SizeError):
             besov_norm(path, BesovParams(0.2, 3.0, 2.0))
         assert shift_norms(path, 2.0, max_shift=4)[0] > 0.0
+
+    def test_refused_by_work_not_grid(self):
+        # a few shifts are O(N) work at any J; the limit is max_shift * N <= 4^GENERAL_P_MAX_J
+        J = GENERAL_P_MAX_J + 2
+        path = ramp(J)
+        h = np.arange(1, 65) * path.grid.dx
+        np.testing.assert_allclose(
+            shift_norms(path, 3.0, max_shift=64), h * (1.0 - h) ** (1.0 / 3.0), rtol=1e-13
+        )
+        with pytest.raises(SizeError, match="p = 2"):
+            shift_norms(path, 3.0, max_shift=2 ** (GENERAL_P_MAX_J - 2) + 1)
+
+    def test_work_limit_boundary(self, monkeypatch):
+        # with the limit lowered to 4^4 cells: 4 shifts of 2^6 cells run, 5 are refused
+        monkeypatch.setattr(besov_module, "GENERAL_P_MAX_J", 4)
+        path = ramp(6)
+        assert len(shift_norms(path, 3.0, max_shift=4)) == 4
+        with pytest.raises(SizeError):
+            shift_norms(path, 3.0, max_shift=5)
+
+    def test_few_shifts_at_large_grid_in_bounded_memory(self):
+        J = 22
+        path = ramp(J)
+        dx = path.grid.dx
+        tracemalloc.start()
+        try:
+            got = modulus(path, 4 * dx, 3.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == pytest.approx(4 * dx * (1.0 - 4 * dx) ** (1.0 / 3.0), rel=1e-13)
+        assert peak < 64 * 2**20
+
+
+class TestGeneralPLpNorm:
+    def test_large_grid_in_bounded_memory(self, monkeypatch):
+        path = path_of(generate_bm(Grid(0.0, 1.0, 22), 11))
+        tracemalloc.start()
+        try:
+            got = lp_norm(path, 3.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        monkeypatch.setattr(besov_module, "_BLOCK_CELLS", path.grid.n_cells)
+        assert got == pytest.approx(lp_norm(path, 3.0), rel=1e-13)  # one block

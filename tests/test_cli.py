@@ -297,6 +297,19 @@ class TestBesovCmd:
         assert out == "" and not out_file.exists()
         assert "non-finite" in err
 
+    def test_non_finite_result_general_p(self, tmp_path, capsys):
+        # +-1.2e154 alternating: the cubed odd-shift differences overflow
+        g = Grid(0.0, 1.0, 8)
+        values = np.where(np.arange(g.n_points) % 2 == 0, 1.2e154, -1.2e154)
+        f = tmp_path / "zigzag.csv"
+        f.write_text(
+            "t,value\n"
+            + "".join(f"{t!r},{v!r}\n" for t, v in zip(g.points().tolist(), values.tolist()))
+        )
+        code, out, err = run(capsys, "besov", "--input", str(f), "--alpha", "0.4", "--p", "3")
+        assert code == EXIT_NUMERIC
+        assert out == "" and "non-finite" in err
+
     def test_format_option_removed(self, tmp_path, capsys):
         # `besov` has only a JSON report; --format csv printed JSON anyway
         g = Grid(0.0, 1.0, 8)
