@@ -133,14 +133,16 @@ def _node_values(g: np.ndarray, p: float, out: np.ndarray, tmp: np.ndarray) -> n
     Cell-major: entry 5 k + i of the result, a view of `out` (5 L floats),
     is W_i^(1/p) (g_k (1 - s_i) + g_{k+1} s_i), so the sum of |entries|^p is
     the 5-node Gauss-Legendre integral of |g|^p and any run of cells is one
-    contiguous slice.  `tmp` (5 L floats) is overwritten.
+    contiguous slice.  Built one node column at a time from contiguous
+    products (an outer product into (L, 5) runs length-5 inner loops, about
+    twice as slow, with the same roundings).  `tmp` (2 L floats) is overwritten.
     """
     L = len(g) - 1
-    cells, right = out[: 5 * L].reshape(L, 5), tmp[: 5 * L].reshape(L, 5)
+    cells, left, right = out[: 5 * L].reshape(L, 5), tmp[:L], tmp[L : 2 * L]
     scale = _W ** (1.0 / p)
-    np.multiply.outer(g[:-1], scale * (1.0 - _S), out=cells)
-    np.multiply.outer(g[1:], scale * _S, out=right)
-    cells += right
+    for i, (wl, wr) in enumerate(zip(scale * (1.0 - _S), scale * _S)):
+        np.multiply(g[:-1], wl, out=left)
+        np.add(left, np.multiply(g[1:], wr, out=right), out=cells[:, i])
     return out[: 5 * L]
 
 

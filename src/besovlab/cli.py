@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import re
@@ -247,14 +248,7 @@ def _cmd_sweep(args) -> int:
         raise DataError(f"cannot read config: {exc}") from exc
     config = ExperimentConfig.from_json(text)
     if args.workers is not None:
-        config = ExperimentConfig(
-            generator=config.generator,
-            p=config.p,
-            alpha_grid=config.alpha_grid,
-            n_levels=config.n_levels,
-            replicates=config.replicates,
-            workers=args.workers,
-        )
+        config = dataclasses.replace(config, workers=args.workers)
     report = run_alpha_sweep(config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -2,10 +2,14 @@
 
 The level term at (alpha, p) is
 
-    T_n = 2^{n (alpha p - 1)} * sum_k |level-n dyadic increment|^p
+    T_n = 2^{n (alpha p - 1)} R_n,    R_n = sum_k |level-n dyadic increment|^p,
 
-and the verdict comes from an ordinary least-squares fit of log2 T_n
-against n over the tail half of the computed levels.
+and the verdict comes from the slope of log2 T_n against n over the tail
+half of the computed levels.  One least-squares fit of log2 R_n, whose
+levels above _ZERO_FLOOR do not depend on alpha, gives the exponent s; the
+slope at alpha is then exactly s + alpha p - 1, so a path's critical
+exponent is (1 - s)/p.  A tail with no positive R_n has slope -inf; one
+with a single positive level reads 0.0, inconclusive at every alpha.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from .paths import SampledPath
 
 SLOPE_THRESHOLD = 0.05  # |slope| below this is Inconclusive
 MIN_LEVELS = 6
-_ZERO_FLOOR = 1e-250  # terms below this count as exactly zero for the fit
+_ZERO_FLOOR = 1e-250  # raw level sums at or below this count as zero in the fit
 
 
 class Verdict(str, Enum):
@@ -111,21 +115,21 @@ def level_term(path: SampledPath, n: int, alpha: float, p: float) -> float:
     return 2.0 ** (n * (alpha * p - 1.0)) * raw_level_sum(path, n, p)
 
 
-def fit_tail_slope(terms) -> float | np.ndarray:
-    """Weighted LS slope of log2 T_n vs n over the last ceil(N/2) levels.
+def fit_tail_slope(values) -> float | np.ndarray:
+    """Weighted LS slope of log2 values_n vs n over the last ceil(N/2) levels.
 
-    Weights are 2^n: the level-n term averages 2^n increment powers, so the
+    Weights are 2^n: a level-n sum averages 2^n increment powers, so the
     noise variance of its log decays like 2^{-n} and inverse-variance
     weighting sharpens the verdict near the critical exponent.  For exactly
-    geometric terms the fitted slope is exact regardless of weights.
+    geometric values the fitted slope is exact regardless of weights.
 
-    Levels with a zero (or NaN) term are dropped; if none are positive the
+    Levels with a zero (or NaN) value are dropped; if none are positive the
     series is identically zero on the tail and the slope is -inf, and a
-    single positive level gives 0.0.  `terms` is one series (returns a
+    single positive level gives 0.0.  `values` is one series (returns a
     float) or an (R, N) array of R series (returns R slopes).
     """
-    terms = np.asarray(terms, dtype=float)
-    rows = np.atleast_2d(terms)
+    values = np.asarray(values, dtype=float)
+    rows = np.atleast_2d(values)
     N = rows.shape[-1]
     start = N - math.ceil(N / 2)
     tail = rows[:, start:]
@@ -135,7 +139,7 @@ def fit_tail_slope(terms) -> float | np.ndarray:
     w = np.where(pos, 2.0 ** (ns - ns[-1]), 0.0)  # relative to the last level: no overflow
     y = np.log2(tail, out=np.zeros_like(tail), where=pos)
     # rows with fewer than two positive levels divide by zero and are replaced
-    # below; an infinite term makes the slope NaN, which reads as inconclusive
+    # below; an infinite value makes the slope NaN, which reads as inconclusive
     with np.errstate(divide="ignore", invalid="ignore"):
         w /= w.sum(axis=1, keepdims=True)
         xb = np.sum(w * ns, axis=1)
@@ -144,22 +148,31 @@ def fit_tail_slope(terms) -> float | np.ndarray:
         sxx = np.sum(w * dx * dx, axis=1)
         sxy = np.sum(w * dx * (y - yb[:, None]), axis=1)
         slopes = np.where(n_pos > 1, sxy / sxx, np.where(n_pos == 1, 0.0, -math.inf))
-    return float(slopes[0]) if terms.ndim == 1 else slopes
+    return float(slopes[0]) if values.ndim == 1 else slopes
 
 
-def verdict_from_slope(slope: float) -> Verdict:
-    if slope < -SLOPE_THRESHOLD:
-        return Verdict.CONVERGES
-    if slope > SLOPE_THRESHOLD:
-        return Verdict.DIVERGES
-    return Verdict.INCONCLUSIVE
+def tail_exponent(raw_rows) -> tuple[np.ndarray, np.ndarray]:
+    """(s, one_level) per row of (R, N) raw level sums: s is `fit_tail_slope`
+    of the row, and one_level marks a tail with one positive level."""
+    rows = np.asarray(raw_rows, dtype=float)
+    tail = rows[:, rows.shape[1] // 2 :]  # the last ceil(N/2) levels, as fitted
+    return fit_tail_slope(rows), np.count_nonzero(tail > _ZERO_FLOOR, axis=1) == 1
 
 
-def level_terms(raw_sums, alpha: float, p: float) -> np.ndarray:
-    """T_n = 2^{n (alpha p - 1)} raw_n for n = 1..N along the last axis."""
-    raw = np.asarray(raw_sums, dtype=float)
-    ns = np.arange(1, raw.shape[-1] + 1)
-    return 2.0 ** (ns * (alpha * p - 1.0)) * raw
+def slope_at(s, one_level, alpha: float, p: float):
+    """Tail slope of the T_n at alpha from `tail_exponent`: the prefactor adds
+    alpha p - 1 to every log2 R_n, hence to s; a one-level tail stays 0.0."""
+    return np.where(one_level, 0.0, s + (alpha * p - 1.0))
+
+
+_VERDICTS = (Verdict.CONVERGES, Verdict.INCONCLUSIVE, Verdict.DIVERGES)  # by verdict_code
+
+
+def verdict_code(slopes):
+    """0 (converges) below -SLOPE_THRESHOLD, 2 (diverges) above SLOPE_THRESHOLD,
+    1 (inconclusive) otherwise and for NaN, elementwise."""
+    slopes = np.asarray(slopes)
+    return 1 - (slopes < -SLOPE_THRESHOLD) + (slopes > SLOPE_THRESHOLD)
 
 
 def series_from_raw(raw_sums, alpha: float, p: float) -> LevelSeriesReport:
@@ -168,8 +181,8 @@ def series_from_raw(raw_sums, alpha: float, p: float) -> LevelSeriesReport:
     N = len(raw_sums)
     if N < MIN_LEVELS:
         raise ParameterError(f"need at least {MIN_LEVELS} levels, got {N}")
-    terms = level_terms(raw_sums, alpha, p)
-    slope = fit_tail_slope(terms)
+    terms = 2.0 ** (np.arange(1, N + 1) * (alpha * p - 1.0)) * np.asarray(raw_sums, dtype=float)
+    slope = float(slope_at(*tail_exponent([raw_sums]), alpha, p)[0])
     return LevelSeriesReport(
         alpha=alpha,
         p=p,
@@ -177,7 +190,7 @@ def series_from_raw(raw_sums, alpha: float, p: float) -> LevelSeriesReport:
         terms=tuple(float(t) for t in terms),
         partial_sums=tuple(float(s) for s in np.cumsum(terms)),
         fitted_log2_slope=slope,
-        verdict=verdict_from_slope(slope),
+        verdict=_VERDICTS[verdict_code(slope)],
     )
 
 
@@ -185,8 +198,6 @@ def kamont_series(path: SampledPath, N: int, alpha: float, p: float) -> LevelSer
     """Level terms, partial sums, and verdict for levels 1..N."""
     if N > path.grid.J:
         raise ParameterError(f"N={N} exceeds grid resolution J={path.grid.J}")
-    if N < MIN_LEVELS:
-        raise ParameterError(f"tail fit needs N >= {MIN_LEVELS}, got {N}")
     return series_from_raw(level_sums(np.diff(path.values), N, p), alpha, p)
 
 

@@ -298,3 +298,5 @@ class GeneratorSpec:
             )
         except KeyError as exc:
             raise ConfigurationError(f"generator spec missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"bad generator spec value: {exc}") from exc

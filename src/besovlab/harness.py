@@ -6,9 +6,12 @@ run as contiguous blocks, one per worker process (`workers=1` runs a single
 block in-process).  Each worker receives the config once, builds the
 generator's sampler once (for fBm this is the circulant embedding) and
 returns only the raw level sums of its block, one row of n_levels per
-replicate; no path is kept.  Aggregation is a deterministic, vectorised
-fold over the (replicates, n_levels) array in replicate-index order after
-all blocks finish, so `workers` changes the wall time and never the report.
+replicate; no path is kept.  After all blocks finish, one tail fit per
+replicate gives its raw exponent s (`criterion.tail_exponent`), and each
+alpha's verdict counts and median slope s + alpha p - 1 are one pass over
+the replicates, so `workers` changes the wall time and never the report.
+The median slope is affine in alpha, so the critical alpha is its zero
+(1 - median s)/p, reported when it lies in (first alpha, last alpha].
 """
 
 from __future__ import annotations
@@ -19,13 +22,13 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import asdict, astuple, dataclass
+from typing import Optional
 
 import numpy as np
 
 from . import __version__
-from .criterion import SLOPE_THRESHOLD, fit_tail_slope, level_sums, level_terms
+from .criterion import MIN_LEVELS, level_sums, slope_at, tail_exponent, verdict_code
 from .errors import ConfigurationError, ParameterError
 from .generators import GeneratorSpec
 
@@ -52,9 +55,9 @@ class ExperimentConfig:
             raise ConfigurationError(f"p must be finite and >= 1, got {self.p}")
         if self.replicates < 1:
             raise ConfigurationError("need at least one replicate")
-        if self.n_levels > self.generator.grid.J:
+        if not MIN_LEVELS <= self.n_levels <= self.generator.grid.J:
             raise ConfigurationError(
-                f"n_levels={self.n_levels} exceeds grid J={self.generator.grid.J}"
+                f"n_levels={self.n_levels} is outside {MIN_LEVELS}..J={self.generator.grid.J}"
             )
         if self.workers < 1:
             raise ConfigurationError("workers must be >= 1")
@@ -72,6 +75,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        if not isinstance(d, dict):
+            raise ConfigurationError(f"config must be a JSON object, got {type(d).__name__}")
         version = d.get("schema_version", SCHEMA_VERSION)
         if version != SCHEMA_VERSION:
             raise ConfigurationError(f"unsupported config schema version {version}")
@@ -86,6 +91,8 @@ class ExperimentConfig:
             )
         except KeyError as exc:
             raise ConfigurationError(f"config missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"bad config value: {exc}") from exc
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -96,7 +103,7 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class AlphaRow:
+class AlphaRow:  # fields in the order of the report's CSV columns
     alpha: float
     median_slope: float
     frac_converges: float
@@ -115,14 +122,7 @@ class ExperimentReport:
         return {
             "config": self.config.to_dict(),
             "rows": [
-                {
-                    "alpha": r.alpha,
-                    "median_slope": _json_float(r.median_slope),
-                    "frac_converges": r.frac_converges,
-                    "frac_diverges": r.frac_diverges,
-                    "frac_inconclusive": r.frac_inconclusive,
-                }
-                for r in self.rows
+                {**asdict(r), "median_slope": _json_float(r.median_slope)} for r in self.rows
             ],
             "critical_alpha": self.critical_alpha,
             "meta": {"wall_time": self.wall_time, "version": __version__},
@@ -135,16 +135,7 @@ class ExperimentReport:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["alpha", "median_slope", "frac_conv", "frac_div", "frac_inc"])
-        for r in self.rows:
-            writer.writerow(
-                [
-                    repr(r.alpha),
-                    repr(r.median_slope),
-                    repr(r.frac_converges),
-                    repr(r.frac_diverges),
-                    repr(r.frac_inconclusive),
-                ]
-            )
+        writer.writerows([repr(x) for x in astuple(r)] for r in self.rows)
         return buf.getvalue()
 
 
@@ -195,38 +186,32 @@ def _raw_level_sums(config: ExperimentConfig) -> np.ndarray:
 def run_alpha_sweep(config: ExperimentConfig) -> ExperimentReport:
     """Per-alpha verdict fractions and median slopes over all replicates."""
     t0 = time.perf_counter()
-    raw = _raw_level_sums(config)
-    R = config.replicates
+    rows, critical = _fold(_raw_level_sums(config), config.alpha_grid, config.p)
+    return ExperimentReport(config, rows, critical, time.perf_counter() - t0)
+
+
+def _fold(raw: np.ndarray, alpha_grid: tuple[float, ...], p: float):
+    """(rows, critical alpha) from (replicates, n_levels) raw level sums.
+
+    One tail fit per replicate gives its exponent s; each row shifts it to
+    its alpha in O(replicates) work, and no per-alpha fit is made.
+    """
+    s, one_level = tail_exponent(raw)
+    R = len(raw)
     rows = []
-    for alpha in config.alpha_grid:
-        slopes = fit_tail_slope(level_terms(raw, alpha, config.p))
-        converges = int(np.count_nonzero(slopes < -SLOPE_THRESHOLD))
-        diverges = int(np.count_nonzero(slopes > SLOPE_THRESHOLD))
+    for alpha in alpha_grid:
+        slopes = slope_at(s, one_level, alpha, p)
+        converges, inconclusive, diverges = np.bincount(verdict_code(slopes), minlength=3).tolist()
         rows.append(
             AlphaRow(
                 alpha=alpha,
                 median_slope=float(np.median(slopes)),
                 frac_converges=converges / R,
                 frac_diverges=diverges / R,
-                frac_inconclusive=(R - converges - diverges) / R,
+                frac_inconclusive=inconclusive / R,
             )
         )
-
-    critical = _critical_alpha(rows)
-    return ExperimentReport(
-        config=config,
-        rows=tuple(rows),
-        critical_alpha=critical,
-        wall_time=time.perf_counter() - t0,
-    )
-
-
-def _critical_alpha(rows: Sequence[AlphaRow]) -> Optional[float]:
-    """Zero crossing of the median slope, linearly interpolated."""
-    for r1, r2 in zip(rows, rows[1:]):
-        s1, s2 = r1.median_slope, r2.median_slope
-        if not (math.isfinite(s1) and math.isfinite(s2)):
-            continue
-        if s1 < 0.0 <= s2:
-            return r1.alpha + (r2.alpha - r1.alpha) * (-s1) / (s2 - s1)
-    return None
+    # the median slope crosses 0 where alpha = (1 - median s)/p; single-level rows have no s
+    fitted = s[~one_level]
+    critical = (1.0 - float(np.median(fitted))) / p if fitted.size else math.nan
+    return tuple(rows), critical if alpha_grid[0] < critical <= alpha_grid[-1] else None

@@ -335,7 +335,6 @@ def boundedness_probe(
     family_sizes: Sequence[int],
     replicates: int,
     quantile: float,
-    seed=0,
 ) -> list[ProbeRow]:
     """Empirical quantile of |sum_k c_k mu(A_k)| over random disjoint families.
 
@@ -343,7 +342,9 @@ def boundedness_probe(
     a family of n disjoint groups of finest-level cells is sampled (covering
     about half the interval, so family sizes are comparable) together with
     coefficients |c_k| <= 1.  Uniform boundedness across sizes is the
-    property under test.
+    property under test.  All randomness derives from `generator.seed`:
+    replicate r draws its sample from [seed, r, 1] and its families and
+    coefficients from [seed, r].
     """
     if not (0.0 < quantile < 1.0):
         raise ParameterError(f"quantile must be in (0, 1), got {quantile}")

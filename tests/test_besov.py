@@ -24,6 +24,7 @@ from besovlab.besov import (
     GENERAL_P_MAX_J,
     POINTS_PER_OCTAVE,
     _cell_power_integral,
+    _node_values,
     _power_sum,
     modulus_curve,
     shift_norms,
@@ -84,6 +85,35 @@ class TestCellKernel:
         want = math.sqrt(_gauss5_cells(v, 2.0) * path.grid.dx)
         assert lp_norm(path, 2.0) == pytest.approx(want, rel=1e-12)
 
+
+def _outer_node_values(g, p):
+    """The (L, 5) outer-product build of the weighted node table the column-wise one replaced."""
+    s, w = 0.5 * (_GAUSS_NODES + 1.0), 0.5 * _GAUSS_WEIGHTS
+    scale = w ** (1.0 / p)
+    cells = np.multiply.outer(g[:-1], scale * (1.0 - s))
+    cells += np.multiply.outer(g[1:], scale * s)
+    return cells.ravel()
+
+
+class TestNodeValues:
+    @given(
+        st.lists(SEGMENT_VALUES, min_size=2, max_size=300),
+        st.sampled_from([1.0, 1.5, 3.0, 4.0]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_bit_identical_to_outer_product(self, g, p):
+        g = np.array(g)
+        L = len(g) - 1
+        # buffers longer than needed and full of NaN: only the first 5 L entries are the table
+        out, tmp = np.full(5 * L + 3, np.nan), np.full(5 * L + 3, np.nan)
+        got = _node_values(g, p, out, tmp)
+        assert got.tobytes() == _outer_node_values(g, p).tobytes()
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 4.0])
+    def test_full_block_bit_identical(self, p):
+        g = path_of(generate_bm(Grid(0.0, 1.0, GENERAL_P_MAX_J), 11)).values
+        got = _node_values(g, p, np.empty(5 * (len(g) - 1)), np.empty(5 * (len(g) - 1)))
+        assert got.tobytes() == _outer_node_values(g, p).tobytes()
 
 
 class TestPowerSum:

@@ -359,6 +359,49 @@ class TestSweepCmd:
         code, _, _ = run(capsys, "sweep", "--config", str(cfg), "--out-dir", str(tmp_path))
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"alpha_grid": [0.3, "x"]},
+            {"alpha_grid": 0.3},
+            {"generator": {"kind": "bm", "a": 0.0, "b": 1.0, "J": "eight"}},
+            {"generator": [1, 2]},
+            {"p": None},
+            {"n_levels": -1},
+            {"n_levels": 1},
+            {"n_levels": 2},
+            None,  # the whole config is [1, 2]
+        ],
+        ids=["alpha-not-number", "alpha-grid-scalar", "J-not-integer", "generator-list",
+             "p-null", "n-levels-negative", "n-levels-1", "n-levels-2", "top-level-list"],
+    )
+    def test_malformed_config_is_usage_error(self, tmp_path, capsys, change):
+        config = {
+            "generator": {"kind": "bm", "a": 0.0, "b": 1.0, "J": 8, "seed": 3},
+            "p": 2.0, "alpha_grid": [0.3, 0.5], "n_levels": 8, "replicates": 2,
+        }
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps([1, 2] if change is None else {**config, **change}))
+        code, out, err = run(capsys, "sweep", "--config", str(cfg), "--out-dir", str(tmp_path))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_workers_flag_overrides_config(self, tmp_path, capsys):
+        config = {
+            "generator": {"kind": "bm", "a": 0.0, "b": 1.0, "J": 8, "seed": 3},
+            "p": 2.0, "alpha_grid": [0.3, 0.5], "n_levels": 8, "replicates": 3, "workers": 1,
+        }
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        code, _, _ = run(capsys, "sweep", "--config", str(cfg), "--out-dir", str(tmp_path),
+                         "--workers", "2")
+        assert code == EXIT_OK
+        assert json.loads((tmp_path / "report.json").read_text())["config"]["workers"] == 2
+        code, _, err = run(capsys, "sweep", "--config", str(cfg), "--out-dir", str(tmp_path),
+                           "--workers", "0")
+        assert code == EXIT_USAGE and "workers" in err
+
 
 class TestLemmaCmd:
     def test_pz_exact_single(self, capsys):

@@ -155,6 +155,25 @@ class TestSeriesFromRaw:
         b = kamont_series(path, 12, 0.45, 2.0)
         assert a == b
 
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.7, 0.95])
+    def test_single_and_no_positive_tail_level(self, alpha):
+        g = Grid(0.0, 1.0, 8)
+        # +-1 increments: every coarser level sums to zero, one positive tail level
+        zigzag = SampledPath(g, np.resize([0.0, 1.0], g.n_points))
+        report = kamont_series(zigzag, 8, alpha, 2.0)
+        assert (report.fitted_log2_slope, report.verdict) == (0.0, Verdict.INCONCLUSIVE)
+        flat = kamont_series(SampledPath(g, np.full(g.n_points, 3.0)), 8, alpha, 2.0)
+        assert (flat.fitted_log2_slope, flat.verdict) == (-math.inf, Verdict.CONVERGES)
+
+    @given(st.integers(0, 2**32 - 1), st.floats(0.05, 0.95), st.floats(1.0, 4.0))
+    @settings(max_examples=30, deadline=None)
+    def test_slope_is_raw_exponent_shifted(self, seed, alpha, p):
+        raw = level_sums(np.diff(bm_path(12, seed).values), 12, p)
+        slope = series_from_raw(raw, alpha, p).fitted_log2_slope
+        assert slope == pytest.approx(fit_tail_slope(raw) + alpha * p - 1.0, abs=1e-12)
+        terms = 2.0 ** (np.arange(1, 13) * (alpha * p - 1.0)) * raw
+        assert slope == pytest.approx(fit_tail_slope(terms), abs=1e-12)
+
 
 def scalar_tail_slope(terms) -> float:
     """Reference: the one-series weighted tail fit, one level at a time."""

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -10,9 +11,20 @@ from besovlab import (
     WeightFn,
     run_alpha_sweep,
 )
-from besovlab.criterion import raw_level_sum, series_from_raw
+from besovlab import kamont_series
+from besovlab.criterion import (
+    MIN_LEVELS,
+    Verdict,
+    fit_tail_slope,
+    level_sums,
+    raw_level_sum,
+    series_from_raw,
+    slope_at,
+    tail_exponent,
+    verdict_code,
+)
 from besovlab.errors import ConfigurationError, ParameterError
-from besovlab.harness import _raw_level_sums
+from besovlab.harness import _fold, _raw_level_sums
 from besovlab.paths import path_of
 
 
@@ -51,6 +63,17 @@ class TestConfig:
     def test_bad_p_rejected_up_front(self, p):
         with pytest.raises(ConfigurationError):
             bm_config(p=p)
+
+    @pytest.mark.parametrize("n_levels", [-1, 0, 1, 2, MIN_LEVELS - 1])
+    def test_too_few_levels_refused(self, n_levels):
+        # the tail fit needs MIN_LEVELS levels, as in kamont_series; fewer gave a
+        # single tail level (inconclusive at every alpha) or a negative array size
+        with pytest.raises(ConfigurationError, match="n_levels"):
+            bm_config(n_levels=n_levels)
+        d = bm_config().to_dict()
+        d["n_levels"] = n_levels
+        with pytest.raises(ConfigurationError):
+            ExperimentConfig.from_dict(d)
 
     def test_schema_version_checked(self):
         d = bm_config().to_dict()
@@ -92,13 +115,25 @@ class TestAlphaSweep:
         assert report.critical_alpha == pytest.approx(0.5, abs=0.06)
 
     def test_slope_alpha_shift_identity(self):
-        # slope(alpha2) - slope(alpha1) = p (alpha2 - alpha1), per replicate
-        cfg = bm_config(replicates=5, alpha_grid=(0.3, 0.45))
-        path = path_of(cfg.generator.sample(seed=[cfg.generator.seed, 0]))
-        raw = [raw_level_sum(path, n, cfg.p) for n in range(1, cfg.n_levels + 1)]
-        s1 = series_from_raw(raw, 0.3, cfg.p).fitted_log2_slope
-        s2 = series_from_raw(raw, 0.45, cfg.p).fitted_log2_slope
-        assert s2 - s1 == pytest.approx(cfg.p * 0.15, abs=1e-9)
+        # slope(alpha2) - slope(alpha1) = p (alpha2 - alpha1), per replicate; near the
+        # zero floor too, since the floor masks the raw sums, which ignore alpha
+        for generator in (bm_config().generator, NEAR_FLOOR):
+            cfg = bm_config(generator=generator, replicates=5, alpha_grid=(0.3, 0.45))
+            fitted = 0
+            for i in range(cfg.replicates):
+                path = path_of(cfg.generator.sample(seed=[cfg.generator.seed, i]))
+                raw = [raw_level_sum(path, n, cfg.p) for n in range(1, cfg.n_levels + 1)]
+                s1 = series_from_raw(raw, 0.3, cfg.p).fitted_log2_slope
+                s2 = series_from_raw(raw, 0.45, cfg.p).fitted_log2_slope
+                s, one_level = tail_exponent([raw])
+                if one_level[0]:  # a single positive tail level reads 0.0 at every alpha
+                    assert s1 == s2 == 0.0
+                elif s[0] == -math.inf:  # none: -inf at every alpha
+                    assert s1 == s2 == -math.inf
+                else:
+                    assert s2 - s1 == pytest.approx(cfg.p * 0.15, abs=1e-9)
+                    fitted += 1
+            assert fitted >= 2
 
     def test_median_slope_nondecreasing_in_alpha(self):
         report = run_alpha_sweep(bm_config())
@@ -118,6 +153,11 @@ class TestAlphaSweep:
         assert lines[0] == "alpha,median_slope,frac_conv,frac_div,frac_inc"
         assert len(lines) == 1 + len(report.rows)
 
+
+# raw level sums within a factor of a few of criterion._ZERO_FLOOR = 1e-250
+NEAR_FLOOR = GeneratorSpec(
+    "martingale", Grid(0.0, 1.0, 10), seed=5, weight=WeightFn.from_descriptor("constant:1e-125")
+)
 
 SPLIT_SPECS = {
     "bm": GeneratorSpec("bm", Grid(0.0, 1.0, 10), seed=101),
@@ -164,3 +204,122 @@ class TestWorkerBlocks:
         )
         with np.errstate(over="ignore"), pytest.raises(ParameterError, match="non-finite"):
             run_alpha_sweep(cfg)
+
+
+def refit_fold(raw, alpha_grid, p):
+    """The fold the closed form replaced: one tail fit of the terms T_n per alpha,
+    and the linearly interpolated zero crossing of the median slope."""
+    R, N = raw.shape
+    rows = []
+    for alpha in alpha_grid:
+        slopes = fit_tail_slope(2.0 ** (np.arange(1, N + 1) * (alpha * p - 1.0)) * raw)
+        converges = int(np.count_nonzero(slopes < -0.05))
+        diverges = int(np.count_nonzero(slopes > 0.05))
+        rows.append((alpha, float(np.median(slopes)), converges / R, diverges / R,
+                     (R - converges - diverges) / R))
+    for (a1, s1, *_), (a2, s2, *_) in zip(rows, rows[1:]):
+        if math.isfinite(s1) and math.isfinite(s2) and s1 < 0.0 <= s2:
+            return rows, a1 + (a2 - a1) * (-s1) / (s2 - s1)
+    return rows, None
+
+
+def assert_matches_refit(rows, critical, want_rows, want_critical):
+    for row, want in zip(rows, want_rows, strict=True):
+        assert row.alpha == want[0]
+        assert (row.frac_converges, row.frac_diverges, row.frac_inconclusive) == want[2:]
+        assert row.median_slope == pytest.approx(want[1], rel=0.0, abs=1e-12)
+    if want_critical is None:
+        assert critical is None
+    else:
+        assert critical == pytest.approx(want_critical, rel=0.0, abs=1e-12)
+
+
+def zigzag_raw(J=8):
+    """Raw level sums of +-1 increments: only the finest level is nonzero."""
+    return level_sums(np.resize([1.0, -1.0], 2**J), J, 2.0)
+
+
+class TestClosedFormFold:
+    @pytest.mark.parametrize("kind", sorted(SPLIT_SPECS))
+    def test_matches_per_alpha_refit(self, kind):
+        cfg = bm_config(
+            generator=SPLIT_SPECS[kind], replicates=60, alpha_grid=(0.3, 0.4, 0.5, 0.6, 0.7, 0.8)
+        )
+        report = run_alpha_sweep(cfg)
+        assert_matches_refit(report.rows, report.critical_alpha,
+                              *refit_fold(_raw_level_sums(cfg), cfg.alpha_grid, cfg.p))
+        if kind != "fbm":  # H = 0.7 may cross at the last grid point or beyond
+            assert report.critical_alpha is not None
+
+    def test_verdicts_match_kamont_series(self):
+        cfg = bm_config(generator=SPLIT_SPECS["fbm"], replicates=12)
+        report = run_alpha_sweep(cfg)
+        s, one_level = tail_exponent(_raw_level_sums(cfg))
+        for row in report.rows:
+            per_path = [
+                kamont_series(
+                    path_of(cfg.generator.sample(seed=[cfg.generator.seed, i])),
+                    cfg.n_levels, row.alpha, cfg.p,
+                ).verdict
+                for i in range(cfg.replicates)
+            ]
+            sweep = [(Verdict.CONVERGES, Verdict.INCONCLUSIVE, Verdict.DIVERGES)[c]
+                     for c in verdict_code(slope_at(s, one_level, row.alpha, cfg.p))]
+            assert sweep == per_path
+            R = cfg.replicates
+            assert row.frac_converges == per_path.count(Verdict.CONVERGES) / R
+            assert row.frac_diverges == per_path.count(Verdict.DIVERGES) / R
+            assert row.frac_inconclusive == per_path.count(Verdict.INCONCLUSIVE) / R
+
+    def test_one_fit_per_sweep(self, monkeypatch):
+        from besovlab import criterion
+        calls = []
+        fit = criterion.fit_tail_slope
+        monkeypatch.setattr(
+            criterion, "fit_tail_slope", lambda rows: calls.append(np.shape(rows)) or fit(rows)
+        )
+        cfg = bm_config(replicates=7, alpha_grid=tuple(0.05 * k for k in range(1, 20)))
+        run_alpha_sweep(cfg)
+        assert calls == [(7, cfg.n_levels)]
+
+    def test_all_zero_row_converges(self):
+        raw = np.zeros((3, 8))
+        rows, critical = _fold(raw, (0.3, 0.6, 0.9), 2.0)
+        for row in rows:
+            assert (row.frac_converges, row.median_slope) == (1.0, -math.inf)
+        assert critical is None
+        assert_matches_refit(rows, critical, *refit_fold(raw, (0.3, 0.6, 0.9), 2.0))
+
+    def test_one_positive_level_is_inconclusive_and_left_out_of_critical(self):
+        single = zigzag_raw()
+        assert np.count_nonzero(single) == 1 and single[-1] > 0.0
+        cfg = bm_config(replicates=9)
+        bm = _raw_level_sums(cfg)
+        raw = np.vstack([bm, single, single])
+        rows, critical = _fold(raw, cfg.alpha_grid, cfg.p)
+        alone, _ = _fold(single[None, :], cfg.alpha_grid, cfg.p)
+        for row in alone:
+            assert (row.frac_inconclusive, row.median_slope) == (1.0, 0.0)
+        # verdicts and median slopes as the per-alpha refit gives them
+        want_rows, _ = refit_fold(raw, cfg.alpha_grid, cfg.p)
+        assert_matches_refit(rows, None, want_rows, None)
+        # the zero crossing comes from the fitted rows alone
+        s, _ = tail_exponent(bm)
+        assert critical == pytest.approx((1.0 - np.median(s)) / cfg.p, rel=0.0, abs=1e-15)
+        assert critical == _fold(bm, cfg.alpha_grid, cfg.p)[1]
+
+    def test_near_floor_sums_mask_the_raw_sums(self):
+        cfg = bm_config(generator=NEAR_FLOOR, replicates=20)
+        raw = _raw_level_sums(cfg)
+        assert raw.max() < 1e-248 and raw.min() < 1e-250 < raw.max()
+        rows, critical = _fold(raw, cfg.alpha_grid, cfg.p)
+        # the per-alpha refit on sums lifted off the floor by an exact power of two,
+        # with the levels under the floor kept at zero, masks exactly the same levels
+        lifted = np.where(raw > 1e-250, raw * 2.0**600, 0.0)
+        assert_matches_refit(rows, None, refit_fold(lifted, cfg.alpha_grid, cfg.p)[0], None)
+        # whereas a mask on the terms drops every level at low alpha, where all of
+        # T_n = 2^{n (alpha p - 1)} R_n fall under the floor
+        want_rows, _ = refit_fold(raw, cfg.alpha_grid, cfg.p)
+        assert want_rows[0][2] == 1.0 and rows[0].frac_converges < 1.0
+        s, one_level = tail_exponent(raw)
+        assert critical == pytest.approx((1.0 - np.median(s[~one_level])) / cfg.p, abs=1e-15)

@@ -421,6 +421,16 @@ class TestBoundednessProbe:
         with pytest.raises(ParameterError, match="family size"):
             boundedness_probe(spec, [], replicates=10, quantile=0.9)
 
+    def test_randomness_from_generator_seed(self):
+        # the generator's seed is the probe's only source of randomness; it takes no seed of its own
+        def quantiles(seed):
+            spec = GeneratorSpec("bm", Grid(0.0, 1.0, 8), seed=seed)
+            return [r.quantile for r in boundedness_probe(spec, [4, 16], 20, 0.9)]
+
+        assert quantiles(7) == quantiles(7) != quantiles(8)
+        with pytest.raises(TypeError):
+            boundedness_probe(GeneratorSpec("bm", Grid(0.0, 1.0, 8)), [4], 20, 0.9, seed=1)
+
     def test_fbm_embedding_once(self, monkeypatch):
         # the sampler is built once per probe, not once per replicate
         calls = []
