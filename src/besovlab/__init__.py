@@ -13,14 +13,7 @@ from .paths import (
     path_of,
     sample_from_path,
 )
-from .generators import (
-    GeneratorSpec,
-    WeightFn,
-    generate_bm,
-    generate_fgn,
-    generate_martingale,
-    generate_weighted_fbm_measure,
-)
+from .generators import GeneratorSpec, WeightFn
 from .besov import BesovNormReport, ModulusCurve, besov_norm, lp_norm, modulus
 from .criterion import (
     LevelSeriesReport,

@@ -161,12 +161,7 @@ def ingest_series(times: np.ndarray, values: np.ndarray) -> tuple[SampledPath, b
 def _generator_from_args(args) -> GeneratorSpec:
     grid = Grid(args.a, args.b, args.J)
     weight = WeightFn.from_descriptor(args.weight) if args.weight else None
-    H = args.H
-    if args.process in ("fbm", "wfbm") and H is None:
-        raise ConfigurationError(f"--process {args.process} requires --H")
-    return GeneratorSpec(
-        kind=args.process, grid=grid, seed=args.seed, H=H, weight=weight
-    )
+    return GeneratorSpec(args.process, grid, seed=args.seed, H=args.H, weight=weight)
 
 
 def _cmd_generate(args) -> int:
@@ -322,17 +317,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_grid_flags(p):
+    def add_generator_flags(p, **process):
+        """The flags `_generator_from_args` reads; `process` is required= or default=."""
+        p.add_argument("--process", choices=GeneratorSpec.KINDS, **process)
         p.add_argument("--a", type=float, default=0.0)
         p.add_argument("--b", type=float, default=1.0)
         p.add_argument("--J", type=int, default=12)
         p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--H", type=float, default=None)
+        p.add_argument("--weight", type=str, default=None)
 
     gen = sub.add_parser("generate", help="generate a path as CSV plus sidecar JSON")
-    gen.add_argument("--process", required=True, choices=GeneratorSpec.KINDS)
-    add_grid_flags(gen)
-    gen.add_argument("--H", type=float, default=None)
-    gen.add_argument("--weight", type=str, default=None)
+    add_generator_flags(gen, required=True)
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=_cmd_generate)
 
@@ -366,10 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     lm.add_argument("--samples", type=int, default=100_000)
     lm.add_argument("--statistic", action="store_true")
     lm.add_argument("--probe", action="store_true")
-    lm.add_argument("--process", choices=GeneratorSpec.KINDS, default="bm")
-    add_grid_flags(lm)
-    lm.add_argument("--H", type=float, default=None)
-    lm.add_argument("--weight", type=str, default=None)
+    add_generator_flags(lm, default=GeneratorSpec.KINDS[0])
     lm.add_argument("--alpha", type=float, default=0.4)
     lm.add_argument("--p", type=float, default=2.0)
     lm.add_argument("--N", type=int, default=10)

@@ -103,8 +103,6 @@ def level_sums(increments, n_levels: int, p: float) -> np.ndarray:
 
 def raw_level_sum(path: SampledPath, n: int, p: float) -> float:
     """sum_k |level-n increment|^p, before the 2^{n(alpha p - 1)} prefactor."""
-    if n > path.grid.J:
-        raise ResolutionError(f"level {n} exceeds grid resolution J={path.grid.J}")
     return float(level_sums(np.diff(path.values), n, p)[n - 1])
 
 
@@ -196,8 +194,6 @@ def series_from_raw(raw_sums, alpha: float, p: float) -> LevelSeriesReport:
 
 def kamont_series(path: SampledPath, N: int, alpha: float, p: float) -> LevelSeriesReport:
     """Level terms, partial sums, and verdict for levels 1..N."""
-    if N > path.grid.J:
-        raise ParameterError(f"N={N} exceeds grid resolution J={path.grid.J}")
     return series_from_raw(level_sums(np.diff(path.values), N, p), alpha, p)
 
 

@@ -1,7 +1,9 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the check of config numbers.
 
 Exit-code mapping for the CLI lives in cli.py, not here.
 """
+
+import numbers
 
 
 class BesovLabError(Exception):
@@ -22,3 +24,21 @@ class ResolutionError(BesovLabError):
 
 class SizeError(BesovLabError):
     """Exact enumeration requested beyond the hard size cutoff."""
+
+
+def config_number(value, field: str, integral: bool = False):
+    """A number read from a config or sidecar: a float, or an int if `integral`.
+
+    Booleans, non-numbers and, for an integral field, values with a fraction
+    raise ConfigurationError: int() and float() would truncate 10.9 to 10 and
+    read true as 1.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigurationError(f"{field} must be a number, got {value!r}")
+    if not integral:
+        return float(value)
+    if isinstance(value, numbers.Integral):
+        return int(value)
+    if not float(value).is_integer():
+        raise ConfigurationError(f"{field} must be an integer, got {value!r}")
+    return int(value)

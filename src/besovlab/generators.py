@@ -4,10 +4,12 @@ All generators are pure functions of (grid, parameters, seed): equal seeds
 give bit-identical output regardless of scheduling.  Seeds may be ints or
 sequences of ints and are fed to numpy's PCG64 via default_rng.
 
-`GeneratorSpec.sampler()` is the one generation path: it computes what a
-spec's draws share (sqrt(dx), the weight at the cell midpoints, the fGn
-circulant embedding) once and returns `draw(seed)`.  `sample()` and the
-`generate_*` functions are single draws through the same samplers.
+Each generator kind is one row of the table `_KINDS`: the Hurst range it
+takes (or none), whether it takes a weight, and its sampler factory.
+`GeneratorSpec` checks its fields against the row and `sampler()` is the
+one generation path: it computes what a spec's draws share (sqrt(dx), the
+weight at the cell midpoints, the fGn circulant embedding) once and returns
+`draw(seed)`.  `sample()` is a single draw through the same sampler.
 
 fGn has one path, the Davies-Harte circulant embedding: O(N log N) per
 draw for every H in (0, 1).  The embedding is nonnegative in exact
@@ -21,55 +23,55 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, ParameterError
+from .errors import ConfigurationError, ParameterError, config_number
 from .paths import Grid, StochasticMeasureSample
 
-WEIGHT_KINDS = ("constant", "affine", "sine", "indicator")
+
+class _WeightKind(NamedTuple):
+    arity: int
+    fn: Callable[[tuple, np.ndarray], np.ndarray]  # (params, x) -> weight at x
+    requires: Optional[tuple[str, Callable[[tuple], bool]]] = None  # (text, test on params)
+
+
+# params: constant (c,), affine (c0, c1), sine (amp, freq, phase), indicator (lo, hi)
+_WEIGHTS = {
+    "constant": _WeightKind(1, lambda p, x: np.full_like(x, p[0])),
+    "affine": _WeightKind(2, lambda p, x: p[0] + p[1] * x),
+    "sine": _WeightKind(3, lambda p, x: p[0] * np.sin(2.0 * np.pi * p[1] * x + p[2])),
+    "indicator": _WeightKind(
+        2,
+        lambda p, x: np.where((x >= p[0]) & (x <= p[1]), 1.0, 0.0),
+        ("lo <= hi", lambda p: p[0] <= p[1]),
+    ),
+}
+WEIGHT_KINDS = tuple(_WEIGHTS)
 
 
 @dataclass(frozen=True)
 class WeightFn:
-    """Serializable bounded weight function on [a, b].
-
-    kinds:
-      constant:  (c,)                 -> c
-      affine:    (c0, c1)             -> c0 + c1 x
-      sine:      (amp, freq, phase)   -> amp sin(2 pi freq x + phase)
-      indicator: (lo, hi)             -> 1 on [lo, hi], 0 elsewhere
-    """
+    """Serializable bounded weight function on [a, b]; its kinds are the rows of `_WEIGHTS`."""
 
     kind: str
     params: tuple[float, ...]
 
-    _ARITY = {"constant": 1, "affine": 2, "sine": 3, "indicator": 2}
-
     def __post_init__(self):
         if self.kind not in WEIGHT_KINDS:
             raise ConfigurationError(f"unknown weight kind {self.kind!r}")
+        row = _WEIGHTS[self.kind]
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
-        if len(self.params) != self._ARITY[self.kind]:
-            raise ConfigurationError(
-                f"{self.kind} weight takes {self._ARITY[self.kind]} parameters"
-            )
+        if len(self.params) != row.arity:
+            raise ConfigurationError(f"{self.kind} weight takes {row.arity} parameters")
         if not all(math.isfinite(p) for p in self.params):
             raise ConfigurationError("weight parameters must be finite")
-        if self.kind == "indicator" and self.params[0] > self.params[1]:
-            raise ConfigurationError("indicator needs lo <= hi")
+        if row.requires and not row.requires[1](self.params):
+            raise ConfigurationError(f"{self.kind} needs {row.requires[0]}")
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        p = self.params
-        if self.kind == "constant":
-            return np.full_like(x, p[0])
-        if self.kind == "affine":
-            return p[0] + p[1] * x
-        if self.kind == "sine":
-            return p[0] * np.sin(2.0 * np.pi * p[1] * x + p[2])
-        return np.where((x >= p[0]) & (x <= p[1]), 1.0, 0.0)
+        return _WEIGHTS[self.kind].fn(self.params, np.asarray(x, dtype=float))
 
     @classmethod
     def one(cls) -> "WeightFn":
@@ -80,6 +82,8 @@ class WeightFn:
 
     @classmethod
     def from_descriptor(cls, text: str) -> "WeightFn":
+        if not isinstance(text, str):  # a sidecar or config field of another JSON type
+            raise ConfigurationError(f"weight descriptor must be a string, got {text!r}")
         kind, _, rest = text.partition(":")
         try:
             params = tuple(float(tok) for tok in rest.split(",")) if rest else ()
@@ -91,7 +95,8 @@ class WeightFn:
 Sampler = Callable[[object], np.ndarray]  # seed -> finest-level increments
 
 
-def _bm_sampler(grid: Grid) -> Sampler:
+# Sampler factories take (grid, H); those of kinds without a Hurst index ignore H.
+def _bm_sampler(grid: Grid, H: None) -> Sampler:
     n, scale = grid.n_cells, math.sqrt(grid.dx)
     return lambda seed: np.random.default_rng(seed).standard_normal(n) * scale
 
@@ -99,20 +104,6 @@ def _bm_sampler(grid: Grid) -> Sampler:
 def _weighted(g: WeightFn, grid: Grid, draw: Sampler) -> Sampler:
     weights = g(grid.midpoints())
     return lambda seed: weights * draw(seed)
-
-
-def generate_bm(grid: Grid, seed) -> StochasticMeasureSample:
-    """Brownian measure: independent N(0, dx) increments over finest cells."""
-    return StochasticMeasureSample(grid, _bm_sampler(grid)(seed))
-
-
-def generate_martingale(grid: Grid, g: WeightFn, seed) -> StochasticMeasureSample:
-    """Ito-integral martingale measure with deterministic integrand g.
-
-    Midpoint discretization: increment over cell k is g(midpoint_k) dW_k.
-    With g == 1 the output is bit-identical to generate_bm at equal seeds.
-    """
-    return StochasticMeasureSample(grid, _weighted(g, grid, _bm_sampler(grid))(seed))
 
 
 # Lags from _SERIES_FROM_LAG on are summed from the even binomial series of the
@@ -189,61 +180,59 @@ def _fgn_circulant(root: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def _fgn_sampler(grid: Grid, H: float) -> Sampler:
-    if not (0.0 < H < 1.0):
-        raise ParameterError(f"Hurst index must be in (0, 1), got {H}")
     N, scale = grid.n_cells, grid.dx**H
     root = _fgn_embedding(N, H)
     return lambda seed: _fgn_circulant(root, np.random.default_rng(seed)) * scale
 
 
-def generate_fgn(grid: Grid, H: float, seed) -> np.ndarray:
-    """Fractional Gaussian noise over the finest cells, scaled by dx^H.
-
-    Circulant (FFT) embedding: O(N log N) per draw for every H in (0, 1).
-    """
-    return _fgn_sampler(grid, H)(seed)
+def _ramp_sampler(grid: Grid, H: None) -> Sampler:
+    n, dx = grid.n_cells, grid.dx
+    return lambda seed: np.full(n, dx)
 
 
-def generate_weighted_fbm_measure(
-    grid: Grid, f: WeightFn, H: float, seed
-) -> StochasticMeasureSample:
-    """Weighted fBm measure, H > 1/2: increment k is f(midpoint_k) dW^H_k."""
-    if not H > 0.5:
-        raise ParameterError(f"weighted fBm measure requires H > 1/2, got {H}")
-    return StochasticMeasureSample(grid, _weighted(f, grid, _fgn_sampler(grid, H))(seed))
+class _Kind(NamedTuple):
+    hurst: Optional[tuple[float, float]]  # the open range of H, or None: the kind takes no H
+    weighted: bool  # takes a weight: increment k is weight(midpoint_k) times the base draw
+    factory: Callable[[Grid, Optional[float]], Sampler]  # (grid, H) -> base sampler
 
 
-def generate_linear(grid: Grid, slope: float = 1.0) -> StochasticMeasureSample:
-    """Deterministic ramp measure (test stub): equal increments slope*dx."""
-    return StochasticMeasureSample(grid, np.full(grid.n_cells, slope * grid.dx))
+# The first row is the CLI's default process.
+_KINDS = {
+    "bm": _Kind(None, False, _bm_sampler),  # i.i.d. N(0, dx)
+    "martingale": _Kind(None, True, _bm_sampler),  # g(midpoint_k) dW_k: an Ito integral
+    "fbm": _Kind((0.0, 1.0), False, _fgn_sampler),  # fGn, variance dx^{2H}
+    "wfbm": _Kind((0.5, 1.0), True, _fgn_sampler),  # f(midpoint_k) dW^H_k
+    "linear": _Kind(None, False, _ramp_sampler),  # the constant dx: a ramp (test stub)
+}
 
 
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Serializable recipe for one measure-sample generator."""
 
-    kind: str  # bm | martingale | fbm | wfbm | linear
+    kind: str  # a key of _KINDS
     grid: Grid
     seed: int = 0
     H: Optional[float] = None
     weight: Optional[WeightFn] = None
 
-    KINDS = ("bm", "martingale", "fbm", "wfbm", "linear")
+    KINDS = tuple(_KINDS)
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ConfigurationError(f"unknown generator kind {self.kind!r}")
-        if self.kind in ("fbm", "wfbm") and self.H is None:
-            raise ConfigurationError(f"{self.kind} generator needs a Hurst index")
+        row = _KINDS[self.kind]
         # a field the draw ignores would still be recorded in the sidecar
-        if self.kind not in ("fbm", "wfbm") and self.H is not None:
-            raise ConfigurationError(f"{self.kind} generator takes no Hurst index")
-        if self.kind not in ("martingale", "wfbm") and self.weight is not None:
+        if row.hurst is None:
+            if self.H is not None:
+                raise ConfigurationError(f"{self.kind} generator takes no Hurst index")
+        elif self.H is None:
+            raise ConfigurationError(f"{self.kind} generator needs a Hurst index")
+        elif not row.hurst[0] < self.H < row.hurst[1]:
+            lo, hi = row.hurst
+            raise ParameterError(f"{self.kind} requires H in ({lo:g}, {hi:g}), got {self.H}")
+        if not row.weighted and self.weight is not None:
             raise ConfigurationError(f"{self.kind} generator takes no weight")
-        if self.kind == "wfbm" and self.H is not None and not self.H > 0.5:
-            raise ParameterError(f"wfbm requires H > 1/2, got {self.H}")
-        if self.kind == "fbm" and self.H is not None and not (0.0 < self.H < 1.0):
-            raise ParameterError(f"fbm requires H in (0, 1), got {self.H}")
 
     def sampler(self) -> Sampler:
         """`draw(seed)` -> finest-level increments, equal to `sample(seed).increments`.
@@ -251,17 +240,11 @@ class GeneratorSpec:
         The per-spec constants (sqrt(dx), the weight at the midpoints, the
         fGn circulant embedding) are computed here once, not per draw.
         """
-        grid, weight = self.grid, self.weight or WeightFn.one()
-        if self.kind == "bm":
-            return _bm_sampler(grid)
-        if self.kind == "martingale":
-            return _weighted(weight, grid, _bm_sampler(grid))
-        if self.kind == "fbm":
-            return _fgn_sampler(grid, self.H)
-        if self.kind == "wfbm":
-            return _weighted(weight, grid, _fgn_sampler(grid, self.H))
-        n, dx = grid.n_cells, grid.dx
-        return lambda seed: np.full(n, dx)
+        row = _KINDS[self.kind]
+        draw = row.factory(self.grid, self.H)
+        if row.weighted:
+            return _weighted(self.weight or WeightFn.one(), self.grid, draw)
+        return draw
 
     def sample(self, seed=None) -> StochasticMeasureSample:
         """Draw one realization; seed overrides the spec's own seed."""
@@ -285,15 +268,19 @@ class GeneratorSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "GeneratorSpec":
         try:
-            grid = Grid(float(d["a"]), float(d["b"]), int(d["J"]))
+            grid = Grid(
+                config_number(d["a"], "a"),
+                config_number(d["b"], "b"),
+                config_number(d["J"], "J", integral=True),
+            )
             weight = (
                 WeightFn.from_descriptor(d["weight"]) if "weight" in d else None
             )
             return cls(
                 kind=d["kind"],
                 grid=grid,
-                seed=int(d.get("seed", 0)),
-                H=float(d["H"]) if "H" in d else None,
+                seed=config_number(d.get("seed", 0), "seed", integral=True),
+                H=config_number(d["H"], "H") if "H" in d else None,
                 weight=weight,
             )
         except KeyError as exc:

@@ -20,6 +20,7 @@ import csv
 import io
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .criterion import MIN_LEVELS, level_sums, slope_at, tail_exponent, verdict_code
-from .errors import ConfigurationError, ParameterError
+from .errors import ConfigurationError, ParameterError, config_number
 from .generators import GeneratorSpec
 
 SCHEMA_VERSION = 1
@@ -78,16 +79,16 @@ class ExperimentConfig:
         if not isinstance(d, dict):
             raise ConfigurationError(f"config must be a JSON object, got {type(d).__name__}")
         version = d.get("schema_version", SCHEMA_VERSION)
-        if version != SCHEMA_VERSION:
+        if config_number(version, "schema_version", integral=True) != SCHEMA_VERSION:
             raise ConfigurationError(f"unsupported config schema version {version}")
         try:
             return cls(
                 generator=GeneratorSpec.from_dict(d["generator"]),
-                p=float(d["p"]),
-                alpha_grid=tuple(d["alpha_grid"]),
-                n_levels=int(d["n_levels"]),
-                replicates=int(d["replicates"]),
-                workers=int(d.get("workers", 1)),
+                p=config_number(d["p"], "p"),
+                alpha_grid=tuple(config_number(a, "alpha_grid") for a in d["alpha_grid"]),
+                n_levels=config_number(d["n_levels"], "n_levels", integral=True),
+                replicates=config_number(d["replicates"], "replicates", integral=True),
+                workers=config_number(d.get("workers", 1), "workers", integral=True),
             )
         except KeyError as exc:
             raise ConfigurationError(f"config missing field {exc}") from exc
@@ -164,8 +165,12 @@ def _replicate_block(args) -> np.ndarray:
 
 
 def _raw_level_sums(config: ExperimentConfig) -> np.ndarray:
-    """(replicates, n_levels) raw level sums, one contiguous block per worker."""
-    n_blocks = min(config.workers, config.replicates)
+    """(replicates, n_levels) raw level sums, one contiguous block per worker.
+
+    The block count is also capped at the CPU count, so a large `workers`
+    starts no more processes than can run at once; no report depends on it.
+    """
+    n_blocks = min(config.workers, config.replicates, os.cpu_count() or 1)
     bounds = [config.replicates * k // n_blocks for k in range(n_blocks + 1)]
     payloads = [(config.to_dict(), lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     if n_blocks == 1:

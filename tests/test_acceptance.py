@@ -22,7 +22,6 @@ from besovlab import (
     WeightSequence,
     besov_norm,
     boundedness_probe,
-    generate_bm,
     kamont_series,
     lemma_statistic,
     level_term,
@@ -64,7 +63,7 @@ def test_02_bm_level_term_mean():
     t0 = time.perf_counter()
     g = Grid(0.0, 1.0, 14)
     vals = [
-        level_term(path_of(generate_bm(g, [MASTER_SEED, r])), 8, 0.4, 2.0)
+        level_term(path_of(GeneratorSpec("bm", g).sample([MASTER_SEED, r])), 8, 0.4, 2.0)
         for r in range(200)
     ]
     mean = float(np.mean(vals))
@@ -130,7 +129,7 @@ def test_07_lemma_statistic_stabilization():
     family = DisjointFamily.full_dyadic(12)
     stable = 0
     for r in range(100):
-        stat = lemma_statistic(generate_bm(g, [MASTER_SEED, r]), weights, family)
+        stat = lemma_statistic(GeneratorSpec("bm", g).sample([MASTER_SEED, r]), weights, family)
         rel_change = (stat[11] - stat[9]) / stat[11]
         stable += rel_change < 0.05
     report(7, "lemma statistic stabilization", stable >= 95, t0)
@@ -155,7 +154,7 @@ def test_09_cross_module_identity():
     family = DisjointFamily.full_dyadic(10)
     ok = True
     for r in range(20):
-        sample = generate_bm(g, [MASTER_SEED, r])
+        sample = GeneratorSpec("bm", g).sample([MASTER_SEED, r])
         stat = lemma_statistic(sample, weights, family)
         series = kamont_series(path_of(sample), 10, alpha, 2.0)
         ok &= np.allclose(stat, series.partial_sums, rtol=1e-12, atol=0.0)

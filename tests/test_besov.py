@@ -8,12 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from besovlab import (
+    GeneratorSpec,
     BesovParams,
     Grid,
     SampledPath,
     besov_norm,
-    generate_bm,
-    generate_fgn,
     lp_norm,
     modulus,
     path_of,
@@ -111,7 +110,7 @@ class TestNodeValues:
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 4.0])
     def test_full_block_bit_identical(self, p):
-        g = path_of(generate_bm(Grid(0.0, 1.0, GENERAL_P_MAX_J), 11)).values
+        g = path_of(GeneratorSpec("bm", Grid(0.0, 1.0, GENERAL_P_MAX_J)).sample(11)).values
         got = _node_values(g, p, np.empty(5 * (len(g) - 1)), np.empty(5 * (len(g) - 1)))
         assert got.tobytes() == _outer_node_values(g, p).tobytes()
 
@@ -159,7 +158,7 @@ class TestModulus:
         assert got == pytest.approx(0.25 * 0.75**0.5, rel=1e-6)
 
     def test_monotone_in_t(self):
-        path = path_of(generate_bm(Grid(0.0, 1.0, 10), 3))
+        path = path_of(GeneratorSpec("bm", Grid(0.0, 1.0, 10)).sample(3))
         assert modulus(path, 0.5, 2.0) >= modulus(path, 0.25, 2.0)
 
     def test_below_resolution(self):
@@ -167,7 +166,7 @@ class TestModulus:
             modulus(ramp(6), 2.0**-10, 2.0)
 
     def test_curve_nondecreasing(self):
-        path = path_of(generate_bm(Grid(0.0, 1.0, 10), 9))
+        path = path_of(GeneratorSpec("bm", Grid(0.0, 1.0, 10)).sample(9))
         curve = modulus_curve(path, 2.0)
         assert np.all(np.diff(curve.w_values) >= 0.0)
         assert np.all(curve.w_values >= 0.0)
@@ -242,7 +241,7 @@ class TestBesovNorm:
 
     def test_extrapolation_divergence_flag(self):
         # rough path: fitted small-scale exponent ~1/2 < alpha = 0.8
-        path = path_of(generate_bm(Grid(0.0, 1.0, 12), 5))
+        path = path_of(GeneratorSpec("bm", Grid(0.0, 1.0, 12)).sample(5))
         rep = besov_norm(path, BesovParams(0.8, 2.0, 2.0), extrapolate=True)
         assert rep.tail_diverges
         assert rep.extrapolated_seminorm is None
@@ -302,10 +301,11 @@ def _test_path(kind, J, seed, H):
     g = Grid(0.0, 1.0, J)
     x = g.points()
     if kind in ("bm", "offset"):
-        path = path_of(generate_bm(g, seed))
+        path = path_of(GeneratorSpec("bm", g).sample(seed))
         return path if kind == "bm" else SampledPath(g, path.values + 1e3)
     if kind == "fbm":
-        return SampledPath(g, np.concatenate([[0.0], np.cumsum(generate_fgn(g, H, seed))]))
+        fgn = GeneratorSpec("fbm", g, H=H).sampler()(seed)
+        return SampledPath(g, np.concatenate([[0.0], np.cumsum(fgn)]))
     if kind in ("ramp_noise", "zigzag"):
         noise = np.random.default_rng(seed).random(g.n_points)
         if kind == "ramp_noise":
@@ -341,7 +341,7 @@ class TestP2ShiftNorms:
         _assert_report_matches(got, ref, 1e-10)
 
     def test_constant_offset_invariant(self):
-        path = path_of(generate_bm(Grid(0.0, 1.0, 12), 17))
+        path = path_of(GeneratorSpec("bm", Grid(0.0, 1.0, 12)).sample(17))
         shifted = SampledPath(path.grid, path.values + 1e3)
         np.testing.assert_allclose(
             shift_norms(shifted, 2.0), shift_norms(path, 2.0), rtol=1e-10
@@ -349,7 +349,7 @@ class TestP2ShiftNorms:
 
     def test_large_grid(self):
         # J = 18 is far out of reach of an O(N^2) shift loop
-        path = path_of(generate_bm(Grid(0.0, 1.0, 18), 4))
+        path = path_of(GeneratorSpec("bm", Grid(0.0, 1.0, 18)).sample(4))
         d = shift_norms(path, 2.0)
         v, N, dx = path.values, path.grid.n_cells, path.grid.dx
         for m in (1, 2, DIRECT_SHIFTS + 1, 1000, N // 2, N - 1):
@@ -466,7 +466,7 @@ class TestGeneralPLimit:
 
 class TestGeneralPLpNorm:
     def test_large_grid_in_bounded_memory(self, monkeypatch):
-        path = path_of(generate_bm(Grid(0.0, 1.0, 22), 11))
+        path = path_of(GeneratorSpec("bm", Grid(0.0, 1.0, 22)).sample(11))
         tracemalloc.start()
         try:
             got = lp_norm(path, 3.0)

@@ -12,7 +12,6 @@ from besovlab import (
     GeneratorSpec,
     Grid,
     SampledPath,
-    generate_bm,
     kamont_series,
     path_of,
 )
@@ -64,7 +63,7 @@ class TestGenerate:
         # reference: one csv.writer row per grid point, repr of each float
         J = CSV_CHUNK_ROWS.bit_length()  # more than one chunk of rows
         grid = Grid(-1.5, 2.25, J)
-        values = path_of(generate_bm(grid, 9)).values.copy()
+        values = path_of(GeneratorSpec("bm", grid).sample(9)).values.copy()
         values[1:6] = [1e-300, -0.0, 1e16, 1.0 / 3.0, -2.5e-7]
         path = SampledPath(grid, values)
         ref = tmp_path / "ref.csv"
@@ -84,6 +83,18 @@ class TestGenerate:
         )
         assert code == EXIT_USAGE
         assert "error" in err
+
+    @pytest.mark.parametrize(
+        "process, flags, message",
+        [("fbm", [], "needs a Hurst index"), ("wfbm", ["--H", "1.5"], "H in (0.5, 1)")],
+    )
+    def test_hurst_checked_by_the_spec(self, tmp_path, capsys, process, flags, message):
+        out = tmp_path / "x.csv"
+        code, _, err = run(
+            capsys, "generate", "--process", process, *flags, "--J", "8", "--out", str(out)
+        )
+        assert code == EXIT_USAGE
+        assert message in err and not out.exists()
 
     def test_usage_error(self, capsys):
         code, _, _ = run(capsys, "generate", "--process", "nope", "--out", "x")
@@ -206,10 +217,17 @@ class TestDyadic:
         assert code == EXIT_OK
         payload = json.loads(text)
         direct = kamont_series(
-            path_of(generate_bm(Grid(0.0, 1.0, 10), 5)), 10, 0.4, 2.0
+            path_of(GeneratorSpec("bm", Grid(0.0, 1.0, 10)).sample(5)), 10, 0.4, 2.0
         )
         assert tuple(payload["terms"]) == direct.terms
         assert payload["fitted_log2_slope"] == direct.fitted_log2_slope
+
+    def test_n_beyond_resolution_is_a_data_error(self, tmp_path, capsys):
+        # as `level_sums` and `lemma --statistic`: a resolution error exits 3
+        f = self.write_ramp(tmp_path, J=8)
+        code, out, err = run(capsys, "dyadic", "--input", str(f), "--alpha", "0.4", "--N", "10")
+        assert (code, out) == (EXIT_DATA, "")
+        assert "exceeds grid resolution J=8" in err
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "dyadic", "--input", "/no/such.csv", "--alpha", "0.4")
@@ -371,9 +389,18 @@ class TestSweepCmd:
             {"n_levels": 1},
             {"n_levels": 2},
             None,  # the whole config is [1, 2]
+            {"generator": {"kind": "bm", "a": 0.0, "b": 1.0, "J": 8.9}},
+            {"generator": {"kind": "bm", "a": 0.0, "b": 1.0, "J": 8, "seed": True}},
+            {"p": True},
+            {"n_levels": 7.5},
+            {"replicates": 2.5},
+            {"workers": True},
+            {"generator": {"kind": "martingale", "a": 0.0, "b": 1.0, "J": 8, "weight": 5}},
         ],
         ids=["alpha-not-number", "alpha-grid-scalar", "J-not-integer", "generator-list",
-             "p-null", "n-levels-negative", "n-levels-1", "n-levels-2", "top-level-list"],
+             "p-null", "n-levels-negative", "n-levels-1", "n-levels-2", "top-level-list",
+             "J-fraction", "seed-bool", "p-bool", "n-levels-fraction", "replicates-fraction",
+             "workers-bool", "weight-not-string"],
     )
     def test_malformed_config_is_usage_error(self, tmp_path, capsys, change):
         config = {
@@ -453,7 +480,7 @@ class TestLemmaCmd:
     def test_probe_fbm_requires_hurst(self, capsys):
         code, _, err = run(capsys, "lemma", "--probe", "--process", "fbm", "--J", "8")
         assert code == EXIT_USAGE
-        assert "--H" in err
+        assert "fbm generator needs a Hurst index" in err
 
     @pytest.mark.parametrize("flag", ["--pz-exact", "--pz-mc"])
     @pytest.mark.parametrize("lam", ["nan,1", "inf,1", "1,-inf", "abc"])

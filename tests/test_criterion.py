@@ -9,7 +9,6 @@ from besovlab import (
     GeneratorSpec,
     SampledPath,
     Verdict,
-    generate_bm,
     increments_of,
     kamont_series,
     level_term,
@@ -26,7 +25,7 @@ def ramp(J):
 
 
 def bm_path(J, seed):
-    return path_of(generate_bm(Grid(0.0, 1.0, J), seed))
+    return path_of(GeneratorSpec("bm", Grid(0.0, 1.0, J)).sample(seed))
 
 
 class TestLevelTerm:
@@ -99,7 +98,7 @@ class TestKamontSeries:
         assert div >= 29
 
     def test_n_bounds(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ResolutionError):
             kamont_series(ramp(8), 9, 0.4, 2.0)
         with pytest.raises(ParameterError):
             kamont_series(ramp(8), 5, 0.4, 2.0)

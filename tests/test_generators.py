@@ -1,3 +1,5 @@
+import argparse
+import json
 import math
 from decimal import Decimal, localcontext
 
@@ -10,16 +12,13 @@ from besovlab import (
     Grid,
     GeneratorSpec,
     WeightFn,
-    generate_bm,
-    generate_fgn,
-    generate_martingale,
-    generate_weighted_fbm_measure,
     increments_of,
     path_of,
 )
+from besovlab.cli import build_parser
 from besovlab.errors import ConfigurationError, ParameterError
 from besovlab import generators
-from besovlab.generators import _fgn_autocov, _fgn_circulant, _fgn_embedding
+from besovlab.generators import _KINDS, _fgn_autocov, _fgn_circulant, _fgn_embedding
 
 
 def _fgn_hosking(N: int, H: float, rng: np.random.Generator) -> np.ndarray:
@@ -76,45 +75,44 @@ class TestWeightFn:
 
 class TestBrownian:
     def test_path_starts_at_zero(self):
-        path = path_of(generate_bm(Grid(0.0, 1.0, 8), 5))
+        path = path_of(GeneratorSpec("bm", Grid(0.0, 1.0, 8)).sample(5))
         assert path.values[0] == 0.0
 
     def test_increment_variance(self):
         g = Grid(0.0, 1.0, 14)
-        inc = generate_bm(g, 11).increments
+        inc = GeneratorSpec("bm", g).sample(11).increments
         assert np.var(inc) == pytest.approx(g.dx, rel=0.05)
 
     def test_seed_determinism(self):
         g = Grid(0.0, 1.0, 10)
-        a = generate_bm(g, 123).increments
-        b = generate_bm(g, 123).increments
+        a = GeneratorSpec("bm", g).sample(123).increments
+        b = GeneratorSpec("bm", g).sample(123).increments
         assert np.array_equal(a, b)
-        assert not np.array_equal(a, generate_bm(g, 124).increments)
+        assert not np.array_equal(a, GeneratorSpec("bm", g).sample(124).increments)
 
     def test_kurtosis_gaussian(self):
         g = Grid(0.0, 1.0, 16)
-        inc = generate_bm(g, 3).increments
+        inc = GeneratorSpec("bm", g).sample(3).increments
         assert stats.kurtosis(inc, fisher=False) == pytest.approx(3.0, abs=0.2)
 
 
 class TestMartingale:
     def test_unit_weight_matches_bm(self):
         g = Grid(0.0, 1.0, 10)
-        m = generate_martingale(g, WeightFn.one(), 77)
-        assert np.array_equal(m.increments, generate_bm(g, 77).increments)
+        m = GeneratorSpec("martingale", g, weight=WeightFn.one()).sample(77)
+        assert np.array_equal(m.increments, GeneratorSpec("bm", g).sample(77).increments)
 
     def test_zero_weight(self):
         g = Grid(0.0, 1.0, 8)
-        m = generate_martingale(g, WeightFn("constant", (0.0,)), 1)
+        m = GeneratorSpec("martingale", g, weight=WeightFn("constant", (0.0,))).sample(1)
         assert np.all(m.increments == 0.0)
 
     def test_ito_isometry_midpoint(self):
         # g(s) = s: variance of increment k is about midpoint_k^2 dx
         g = Grid(0.0, 1.0, 6)
         weight = WeightFn("affine", (0.0, 1.0))
-        draws = np.stack(
-            [generate_martingale(g, weight, [9, r]).increments for r in range(500)]
-        )
+        draw = GeneratorSpec("martingale", g, weight=weight).sampler()
+        draws = np.stack([draw([9, r]) for r in range(500)])
         target = g.midpoints() ** 2 * g.dx
         observed = draws.var(axis=0)
         # aggregate over cells: per-cell MC error at 500 replicates is ~6%
@@ -124,25 +122,26 @@ class TestMartingale:
 class TestFgn:
     def test_h_half_uncorrelated(self):
         g = Grid(0.0, 1.0, 14)
-        x = generate_fgn(g, 0.5, 21)
+        x = GeneratorSpec("fbm", g, H=0.5).sampler()(21)
         r1 = np.corrcoef(x[:-1], x[1:])[0, 1]
         assert abs(r1) < 3.0 / np.sqrt(len(x))
 
     def test_h075_lag1_autocorr(self):
         g = Grid(0.0, 1.0, 14)
-        x = generate_fgn(g, 0.75, 22)
+        x = GeneratorSpec("fbm", g, H=0.75).sampler()(22)
         r1 = np.corrcoef(x[:-1], x[1:])[0, 1]
         assert r1 == pytest.approx(2.0**1.5 / 2.0 - 1.0, abs=0.05)
 
     def test_seed_determinism(self):
         g = Grid(0.0, 1.0, 12)
-        assert np.array_equal(generate_fgn(g, 0.7, 5), generate_fgn(g, 0.7, 5))
+        spec = GeneratorSpec("fbm", g, H=0.7)
+        assert np.array_equal(spec.sampler()(5), spec.sampler()(5))
 
     def test_invalid_hurst(self):
         g = Grid(0.0, 1.0, 8)
         for H in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(ParameterError):
-                generate_fgn(g, H, 0)
+                GeneratorSpec("fbm", g, H=H)
 
     def test_hosking_matches_target_covariance(self):
         # the test oracle, exercised directly
@@ -191,7 +190,7 @@ class TestFgn:
 
         monkeypatch.setattr(generators, "_fgn_autocov", invalid)
         with pytest.raises(ParameterError, match="roundoff tolerance"):
-            generate_fgn(Grid(0.0, 1.0, 8), 0.7, 0)
+            GeneratorSpec("fbm", Grid(0.0, 1.0, 8), H=0.7).sampler()(0)
 
     def test_self_similarity_variance_scaling(self):
         # level-n increment variance of fBm scales as 2^{-2Hn}
@@ -209,7 +208,7 @@ class TestFgn:
         # continuity proxy backing the continuous-paths hypothesis
         sup = []
         for J in (8, 12, 16):
-            inc = generate_bm(Grid(0.0, 1.0, J), 13).increments
+            inc = GeneratorSpec("bm", Grid(0.0, 1.0, J)).sample(13).increments
             sup.append(np.abs(inc).max())
         assert sup[2] < sup[1] < sup[0]
 
@@ -217,29 +216,31 @@ class TestFgn:
 class TestWeightedFbmMeasure:
     def test_requires_h_above_half(self):
         g = Grid(0.0, 1.0, 8)
-        with pytest.raises(ParameterError):
-            generate_weighted_fbm_measure(g, WeightFn.one(), 0.4, 0)
-        with pytest.raises(ParameterError):
-            GeneratorSpec("wfbm", g, H=0.5)
+        for H in (0.4, 0.5):
+            with pytest.raises(ParameterError):
+                GeneratorSpec("wfbm", g, H=H, weight=WeightFn.one())
+
+    def test_refused_above_one_when_built(self):
+        # the range is checked with the spec, not first when sampler() is called
+        with pytest.raises(ParameterError, match=r"H in \(0.5, 1\)"):
+            GeneratorSpec("wfbm", Grid(0, 1, 8), H=1.5)
 
     def test_unit_weight_endpoint_variance(self):
         # f == 1: path is fBm, Var mu(b) ~ (b-a)^{2H}
         g = Grid(0.0, 1.0, 10)
         H = 0.75
-        ends = [
-            path_of(generate_weighted_fbm_measure(g, WeightFn.one(), H, [6, r])).values[-1]
-            for r in range(500)
-        ]
+        spec = GeneratorSpec("wfbm", g, H=H, weight=WeightFn.one())
+        ends = [path_of(spec.sample([6, r])).values[-1] for r in range(500)]
         assert np.var(ends) == pytest.approx(1.0, rel=0.10)
 
     def test_zero_weight(self):
         g = Grid(0.0, 1.0, 8)
-        m = generate_weighted_fbm_measure(g, WeightFn("constant", (0.0,)), 0.8, 1)
+        m = GeneratorSpec("wfbm", g, H=0.8, weight=WeightFn("constant", (0.0,))).sample(1)
         assert np.all(m.increments == 0.0)
 
     def test_indicator_restricts_support(self):
         g = Grid(0.0, 1.0, 8)
-        m = generate_weighted_fbm_measure(g, WeightFn("indicator", (0.0, 0.5)), 0.8, 1)
+        m = GeneratorSpec("wfbm", g, H=0.8, weight=WeightFn("indicator", (0.0, 0.5))).sample(1)
         assert np.all(m.increments[128:] == 0.0)
         assert np.any(m.increments[:128] != 0.0)
 
@@ -255,15 +256,24 @@ class TestGeneratorSpec:
         with pytest.raises(ConfigurationError):
             GeneratorSpec("fbm", Grid(0.0, 1.0, 8))
 
-    @pytest.mark.parametrize("kind", ["bm", "martingale", "linear"])
+    @pytest.mark.parametrize("kind", [k for k, row in _KINDS.items() if row.hurst is None])
     def test_hurst_only_for_fractional_kinds(self, kind):
         with pytest.raises(ConfigurationError, match="no Hurst index"):
             GeneratorSpec(kind, Grid(0.0, 1.0, 8), H=0.3)
 
-    @pytest.mark.parametrize("kind, H", [("bm", None), ("fbm", 0.7), ("linear", None)])
+    @pytest.mark.parametrize(
+        "kind, H",
+        [(k, 0.7 if row.hurst else None) for k, row in _KINDS.items() if not row.weighted],
+    )
     def test_weight_only_for_weighted_kinds(self, kind, H):
         with pytest.raises(ConfigurationError, match="no weight"):
             GeneratorSpec(kind, Grid(0.0, 1.0, 8), H=H, weight=WeightFn("sine", (1, 3, 0)))
+
+    @pytest.mark.parametrize("kind", GeneratorSpec.KINDS)
+    def test_every_kind_round_trips_and_is_a_cli_process(self, kind):
+        spec = spec_of(kind, 9, 0.7)
+        assert GeneratorSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
+        assert process_choices() == {"generate": tuple(_KINDS), "lemma": tuple(_KINDS)}
 
     def test_linear_stub(self):
         path = path_of(GeneratorSpec("linear", Grid(0.0, 1.0, 6)).sample())
@@ -284,10 +294,23 @@ def circulant_fgn_reference(root, rng):
 
 
 def spec_of(kind, J, H):
-    grid = Grid(-0.5, 1.5, J)
-    weight = WeightFn("sine", (1.5, 2.0, 0.3)) if kind in ("martingale", "wfbm") else None
-    return GeneratorSpec(kind, grid, seed=3, H=H if kind in ("fbm", "wfbm") else None,
+    """A spec of `kind` with every field its row of the table takes."""
+    row = _KINDS[kind]
+    weight = WeightFn("sine", (1.5, 2.0, 0.3)) if row.weighted else None
+    return GeneratorSpec(kind, Grid(-0.5, 1.5, J), seed=3, H=H if row.hurst else None,
                          weight=weight)
+
+
+def process_choices():
+    """Subcommand -> the choices of its --process flag."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: tuple(action.choices)
+        for name, p in sub.choices.items()
+        for action in p._actions
+        if "--process" in action.option_strings
+    }
 
 
 class TestSampler:
@@ -312,7 +335,7 @@ class TestSampler:
         root = _fgn_embedding(g.n_cells, H)
         for seed in ([1, 0], [1, 1], 77):
             expected = circulant_fgn_reference(root, np.random.default_rng(seed))
-            got = generate_fgn(g, H, seed) / g.dx**H
+            got = GeneratorSpec("fbm", g, H=H).sampler()(seed) / g.dx**H
             assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("H", [0.3, 0.75, 0.95])

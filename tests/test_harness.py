@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from besovlab.criterion import (
     verdict_code,
 )
 from besovlab.errors import ConfigurationError, ParameterError
+from besovlab import harness
 from besovlab.harness import _fold, _raw_level_sums
 from besovlab.paths import path_of
 
@@ -80,6 +83,25 @@ class TestConfig:
         d["schema_version"] = 99
         with pytest.raises(ConfigurationError):
             ExperimentConfig.from_dict(d)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("J", 10.9), ("J", True), ("seed", 2.5), ("seed", True), ("a", False), ("b", True),
+         ("n_levels", 8.9), ("n_levels", True), ("replicates", 2.7), ("replicates", True),
+         ("workers", 1.5), ("workers", True), ("p", True), ("alpha_grid", [0.3, True]),
+         ("schema_version", True), ("J", "10")],
+    )
+    def test_truncating_values_refused(self, field, value):
+        # int() and float() would load these as J = 10, seed 1, p = 1.0, ...
+        d = bm_config().to_dict()
+        (d["generator"] if field in d["generator"] else d)[field] = value
+        with pytest.raises(ConfigurationError, match=field):
+            ExperimentConfig.from_dict(d)
+
+    def test_integral_floats_accepted(self):
+        d = bm_config().to_dict()
+        d["generator"]["J"], d["n_levels"], d["replicates"], d["workers"] = 10.0, 8.0, 10.0, 1.0
+        assert ExperimentConfig.from_dict(d) == bm_config()
 
 
 class TestAlphaSweep:
@@ -171,7 +193,8 @@ SPLIT_SPECS = {
 class TestWorkerBlocks:
     @pytest.mark.parametrize("kind", sorted(SPLIT_SPECS))
     @pytest.mark.parametrize("replicates, worker_counts", [(7, (1, 2, 3)), (2, (1, 4))])
-    def test_rows_independent_of_split(self, kind, replicates, worker_counts):
+    def test_rows_independent_of_split(self, kind, replicates, worker_counts, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)  # the splits, on any machine
         configs = [
             bm_config(generator=SPLIT_SPECS[kind], replicates=replicates, workers=w)
             for w in worker_counts
@@ -182,6 +205,31 @@ class TestWorkerBlocks:
             assert raw.tobytes() == raws[0].tobytes()
         reports = [run_alpha_sweep(cfg) for cfg in configs]
         assert all(r.rows == reports[0].rows for r in reports)
+
+    @pytest.mark.parametrize("cpus, pools", [(3, [3]), (None, [])])
+    def test_pool_capped_at_cpu_count(self, monkeypatch, cpus, pools):
+        started = []
+
+        class InProcessPool:  # records the pool size and starts no process
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, payloads):
+                return map(fn, payloads)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        cfg = bm_config(generator=GeneratorSpec("bm", Grid(0.0, 1.0, 6), seed=4),
+                        n_levels=6, replicates=5000, workers=5000)
+        raw = _raw_level_sums(cfg)
+        assert started == pools
+        assert raw.tobytes() == _raw_level_sums(dataclasses.replace(cfg, workers=1)).tobytes()
 
     def test_row_is_the_replicate_own_draw(self):
         cfg = bm_config(generator=SPLIT_SPECS["fbm"], replicates=3, workers=2)

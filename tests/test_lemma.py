@@ -13,7 +13,6 @@ from besovlab import (
     GeneratorSpec,
     WeightSequence,
     boundedness_probe,
-    generate_bm,
     kamont_series,
     lemma_statistic,
     paley_zygmund_check,
@@ -22,7 +21,6 @@ from besovlab import (
 )
 from besovlab import generators
 from besovlab.errors import ConfigurationError, ParameterError, SizeError
-from besovlab.generators import generate_linear
 from besovlab.lemma import (
     PZ_BLOCK_SUMS,
     PZ_THRESHOLD_FACTOR,
@@ -128,7 +126,7 @@ class TestDisjointFamily:
 class TestLemmaStatistic:
     def test_zero_measure(self):
         g = Grid(0.0, 1.0, 6)
-        sample = generate_linear(g, 0.0)
+        sample = StochasticMeasureSample(g, np.zeros(g.n_cells))
         out = lemma_statistic(
             sample, WeightSequence.geometric(0.4, 2.0, 6), DisjointFamily.full_dyadic(6)
         )
@@ -138,7 +136,7 @@ class TestLemmaStatistic:
         # all finest increments dx; a_n = 2^{-n}: level sum 2^n 2^{-2n},
         # weighted 2^{-3n}; partial sum is the geometric series
         g = Grid(0.0, 1.0, 8)
-        sample = generate_linear(g, 1.0)
+        sample = GeneratorSpec("linear", g).sample()
         weights = WeightSequence.from_values([2.0**-n for n in range(1, 9)])
         out = lemma_statistic(sample, weights, DisjointFamily.full_dyadic(8))
         expected = np.cumsum([2.0 ** (-3 * n) for n in range(1, 9)])
@@ -146,7 +144,7 @@ class TestLemmaStatistic:
 
     def test_nondecreasing_partial_sums(self):
         g = Grid(0.0, 1.0, 10)
-        sample = generate_bm(g, 17)
+        sample = GeneratorSpec("bm", g).sample(17)
         out = lemma_statistic(
             sample,
             WeightSequence.geometric(0.4, 2.0, 10),
@@ -157,7 +155,7 @@ class TestLemmaStatistic:
 
     def test_scale_equivariance(self):
         g = Grid(0.0, 1.0, 8)
-        sample = generate_bm(g, 23)
+        sample = GeneratorSpec("bm", g).sample(23)
         scaled = type(sample)(g, 3.0 * sample.increments)
         w = WeightSequence.geometric(0.4, 2.0, 8)
         fam = DisjointFamily.full_dyadic(8)
@@ -172,7 +170,7 @@ class TestLemmaStatistic:
         alpha = 0.4
         g = Grid(0.0, 1.0, 10)
         for seed in range(3):
-            sample = generate_bm(g, [41, seed])
+            sample = GeneratorSpec("bm", g).sample([41, seed])
             stat = lemma_statistic(
                 sample,
                 WeightSequence.geometric(alpha, 2.0, 10),
@@ -186,7 +184,7 @@ class TestLemmaStatistic:
     def test_mixed_level_families_match_per_set_reference(self, seed):
         rng = np.random.default_rng(seed)
         J = 8
-        sample = generate_bm(Grid(0.0, 1.0, J), seed)
+        sample = GeneratorSpec("bm", Grid(0.0, 1.0, J)).sample(seed)
         levels = [random_disjoint_level(rng, J) for _ in range(int(rng.integers(1, 5)))]
         weights = WeightSequence.geometric(0.4, 2.0, len(levels))
         got = lemma_statistic(sample, weights, DisjointFamily(levels))
@@ -347,7 +345,7 @@ class TestRandomizeSigns:
         # sum_n a_n (mu(B_n) - mu(C_n)) == sum_{n,k} a_n eps_{kn} mu(D_{kn})
         rng = np.random.default_rng(seed)
         g = Grid(0.0, 1.0, 8)
-        sample = generate_bm(g, seed)
+        sample = GeneratorSpec("bm", g).sample(seed)
         fam = DisjointFamily.full_dyadic(6)
         weights = WeightSequence.geometric(0.4, 2.0, 6)
         signs = [
@@ -368,7 +366,7 @@ class TestRandomizeSigns:
     @settings(max_examples=100, deadline=None)
     def test_unions_match_set_algebra(self, seed):
         rng = np.random.default_rng(seed)
-        sample = generate_bm(Grid(0.0, 1.0, 8), seed)
+        sample = GeneratorSpec("bm", Grid(0.0, 1.0, 8)).sample(seed)
         levels = [random_disjoint_level(rng, 8) for _ in range(int(rng.integers(1, 4)))]
         signs = [[int(e) for e in rng.choice([-1, 1], size=len(sets))] for sets in levels]
         B, C = randomize_signs(DisjointFamily(levels), signs)
