@@ -68,36 +68,44 @@ def _check_exponents(alpha: float, p: float):
 def dyadic_pyramid(cells: np.ndarray, coarsest: int = 1) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (n, level-n cell measures) for n = J, J - 1, ..., coarsest.
 
-    `cells` is a 1-d float array of the 2^J finest increments.  A pairwise
-    pyramid: level n - 1 is the sum of adjacent level-n cells, so all levels
-    cost O(N) together and no cumulative path is formed.
+    `cells` holds the 2^J finest increments along its last axis (one path,
+    or a stack of paths).  A pairwise pyramid: level n - 1 is the sum of
+    adjacent level-n cells, so all levels cost O(N) together and no
+    cumulative path is formed.
     """
-    n = len(cells).bit_length() - 1
+    n = cells.shape[-1].bit_length() - 1
     while True:
         yield n, cells
         if n <= coarsest:
             return
-        cells = cells[0::2] + cells[1::2]
+        cells = cells[..., 0::2] + cells[..., 1::2]
         n -= 1
 
 
 def level_sums(increments, n_levels: int, p: float) -> np.ndarray:
     """sum_k |level-n increment|^p for n = 1..n_levels, from the 2^J finest increments.
 
-    The level-n increments come from `dyadic_pyramid`, O(N) for all levels.
+    `increments` is one path's 2^J increments, giving n_levels sums, or an
+    (R, 2^J) stack of R paths, giving (R, n_levels); each row's sums are
+    bit-identical to the call on that row alone.  The level-n increments
+    come from `dyadic_pyramid`, O(N) for all levels.
     """
     x = np.asarray(increments, dtype=float)
-    if x.ndim != 1 or len(x) < 2 or len(x) & (len(x) - 1):
-        raise ParameterError(f"need a 1-d array of 2^J >= 2 increments, got shape {x.shape}")
-    J = len(x).bit_length() - 1
+    N = x.shape[-1] if x.ndim else 0
+    if x.ndim not in (1, 2) or N < 2 or N & (N - 1):
+        raise ParameterError(
+            f"need 2^J >= 2 increments along the last axis of a 1-d or 2-d array, "
+            f"got shape {x.shape}"
+        )
+    J = N.bit_length() - 1
     if n_levels > J:
         raise ResolutionError(f"level {n_levels} exceeds grid resolution J={J}")
     if n_levels < 1:
         raise ParameterError(f"need at least one level, got {n_levels}")
-    out = np.empty(n_levels)
+    out = np.empty(x.shape[:-1] + (n_levels,))
     for n, cells in dyadic_pyramid(x):
         if n <= n_levels:
-            out[n - 1] = np.sum(np.abs(cells) ** p)
+            out[..., n - 1] = np.sum(np.abs(cells) ** p, axis=-1)
     return out
 
 

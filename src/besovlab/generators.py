@@ -11,6 +11,18 @@ one generation path: it computes what a spec's draws share (sqrt(dx), the
 weight at the cell midpoints, the fGn circulant embedding) once and returns
 `draw(seed)`.  `sample()` is a single draw through the same sampler.
 
+`sampler(level)` draws the 2^level increments of the dyadic cells at a
+coarser level, with the law of the finest draw summed up the pyramid.  A
+row marked `coarse` has a cheap law there, so its draw is made directly:
+BM is i.i.d. N(0, 2^-level (b - a)); fGn is Davies-Harte at N = 2^level
+with scale (2^-level (b - a))^H, exact in law by self-similarity; the
+martingale is N(0, dx sum_k g(mid_k)^2) over each block of finest cells;
+the ramp is the constant 2^-level (b - a).  Weighted fBm has no such law:
+it draws all 2^J cells and sums them down with `dyadic_pyramid`, so its
+coarse draw is bit-identical to the finest draw summed.  A coarse draw
+uses fewer normals of the seed's stream, so it is equal to the summed
+finest draw in law, not bit for bit; at level J both are the same draw.
+
 fGn has one path, the Davies-Harte circulant embedding: O(N log N) per
 draw for every H in (0, 1).  The embedding is nonnegative in exact
 arithmetic (Craigmile 2003); the autocovariance is summed without
@@ -27,7 +39,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, ParameterError, config_number
+from .criterion import dyadic_pyramid
+from .errors import ConfigurationError, ParameterError, ResolutionError, config_number
 from .paths import Grid, StochasticMeasureSample
 
 
@@ -92,7 +105,7 @@ class WeightFn:
         return cls(kind, params)
 
 
-Sampler = Callable[[object], np.ndarray]  # seed -> finest-level increments
+Sampler = Callable[[object], np.ndarray]  # seed -> increments at the sampler's level
 
 
 # Sampler factories take (grid, H); those of kinds without a Hurst index ignore H.
@@ -101,9 +114,29 @@ def _bm_sampler(grid: Grid, H: None) -> Sampler:
     return lambda seed: np.random.default_rng(seed).standard_normal(n) * scale
 
 
-def _weighted(g: WeightFn, grid: Grid, draw: Sampler) -> Sampler:
-    weights = g(grid.midpoints())
+def _weighted(weights: np.ndarray, draw: Sampler) -> Sampler:
     return lambda seed: weights * draw(seed)
+
+
+def _block_rms(g: np.ndarray, width: int) -> np.ndarray:
+    """Root mean square of g over consecutive blocks of `width` values.
+
+    Each block is scaled by its largest |g| before squaring, so a weight
+    near the top of the double range does not overflow in g^2.
+    """
+    blocks = np.abs(g).reshape(-1, width)
+    top = blocks.max(axis=1, keepdims=True)
+    unit = np.divide(blocks, top, out=np.zeros_like(blocks), where=top > 0.0)
+    return top[:, 0] * np.sqrt(np.mean(unit * unit, axis=1))
+
+
+def _summed_to(level: int, draw: Sampler) -> Sampler:
+    def coarse(seed):
+        for _, cells in dyadic_pyramid(draw(seed), coarsest=level):
+            pass
+        return cells
+
+    return coarse
 
 
 # Lags from _SERIES_FROM_LAG on are summed from the even binomial series of the
@@ -194,15 +227,18 @@ class _Kind(NamedTuple):
     hurst: Optional[tuple[float, float]]  # the open range of H, or None: the kind takes no H
     weighted: bool  # takes a weight: increment k is weight(midpoint_k) times the base draw
     factory: Callable[[Grid, Optional[float]], Sampler]  # (grid, H) -> base sampler
+    # a coarse draw is the factory on the coarse level's grid (times the block RMS of
+    # the weight); otherwise the finest draw is summed down to that level
+    coarse: bool
 
 
 # The first row is the CLI's default process.
 _KINDS = {
-    "bm": _Kind(None, False, _bm_sampler),  # i.i.d. N(0, dx)
-    "martingale": _Kind(None, True, _bm_sampler),  # g(midpoint_k) dW_k: an Ito integral
-    "fbm": _Kind((0.0, 1.0), False, _fgn_sampler),  # fGn, variance dx^{2H}
-    "wfbm": _Kind((0.5, 1.0), True, _fgn_sampler),  # f(midpoint_k) dW^H_k
-    "linear": _Kind(None, False, _ramp_sampler),  # the constant dx: a ramp (test stub)
+    "bm": _Kind(None, False, _bm_sampler, True),  # i.i.d. N(0, dx)
+    "martingale": _Kind(None, True, _bm_sampler, True),  # g(midpoint_k) dW_k: an Ito integral
+    "fbm": _Kind((0.0, 1.0), False, _fgn_sampler, True),  # fGn, variance dx^{2H}
+    "wfbm": _Kind((0.5, 1.0), True, _fgn_sampler, False),  # f(midpoint_k) dW^H_k
+    "linear": _Kind(None, False, _ramp_sampler, True),  # the constant dx: a ramp (test stub)
 }
 
 
@@ -234,17 +270,28 @@ class GeneratorSpec:
         if not row.weighted and self.weight is not None:
             raise ConfigurationError(f"{self.kind} generator takes no weight")
 
-    def sampler(self) -> Sampler:
-        """`draw(seed)` -> finest-level increments, equal to `sample(seed).increments`.
+    def sampler(self, level: Optional[int] = None) -> Sampler:
+        """`draw(seed)` -> the 2^level increments of the level-`level` dyadic cells.
 
-        The per-spec constants (sqrt(dx), the weight at the midpoints, the
-        fGn circulant embedding) are computed here once, not per draw.
+        `level` None is J: the finest increments, equal to
+        `sample(seed).increments`.  A coarser level has the law of the
+        finest draw summed up the pyramid (see the module docstring).  The
+        per-spec constants (sqrt(dx), the weight at the midpoints, the fGn
+        circulant embedding) are computed here once, not per draw.
         """
+        fine = self.grid
+        level = fine.J if level is None else level
+        if not 1 <= level <= fine.J:
+            raise ResolutionError(f"level {level} is outside the grid's levels 1..J={fine.J}")
         row = _KINDS[self.kind]
-        draw = row.factory(self.grid, self.H)
+        grid = Grid(fine.a, fine.b, level) if row.coarse else fine
+        draw = row.factory(grid, self.H)
         if row.weighted:
-            return _weighted(self.weight or WeightFn.one(), self.grid, draw)
-        return draw
+            weights = (self.weight or WeightFn.one())(fine.midpoints())
+            if grid.J < fine.J:
+                weights = _block_rms(weights, 1 << (fine.J - level))
+            draw = _weighted(weights, draw)
+        return draw if grid.J == level else _summed_to(level, draw)
 
     def sample(self, seed=None) -> StochasticMeasureSample:
         """Draw one realization; seed overrides the spec's own seed."""

@@ -265,9 +265,25 @@ class TestLevelSums:
     def test_bad_shapes(self):
         with pytest.raises(ParameterError):
             level_sums(np.zeros(12), 2, 2.0)
+        with pytest.raises(ParameterError):  # a stack whose last axis is not 2^J
+            level_sums(np.zeros((2, 12)), 2, 2.0)
+        with pytest.raises(ParameterError):  # stacks are 2-d at most
+            level_sums(np.zeros((2, 2, 8)), 2, 2.0)
         with pytest.raises(ParameterError):
-            level_sums(np.zeros((2, 8)), 2, 2.0)
+            level_sums(np.float64(1.0), 1, 2.0)
         with pytest.raises(ResolutionError):
             level_sums(np.zeros(16), 5, 2.0)
+        with pytest.raises(ResolutionError):
+            level_sums(np.zeros((3, 16)), 5, 2.0)
         with pytest.raises(ParameterError):
             level_sums(np.zeros(16), 0, 2.0)
+
+    @pytest.mark.parametrize("p", [2.0, 3.0, 1.5])
+    @pytest.mark.parametrize("rows, J, n_levels", [(1, 6, 6), (5, 8, 6), (16, 12, 12), (3, 10, 7)])
+    def test_stack_rows_equal_one_row_calls(self, p, rows, J, n_levels):
+        spec = GeneratorSpec("fbm", Grid(0.0, 1.0, J), H=0.7)
+        stack = np.stack([spec.sampler()([4, i]) for i in range(rows)])
+        got = level_sums(stack, n_levels, p)
+        assert got.shape == (rows, n_levels)
+        for row, x in zip(got, stack):
+            assert row.view(np.int64).tolist() == level_sums(x, n_levels, p).view(np.int64).tolist()

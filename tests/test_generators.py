@@ -16,7 +16,7 @@ from besovlab import (
     path_of,
 )
 from besovlab.cli import build_parser
-from besovlab.errors import ConfigurationError, ParameterError
+from besovlab.errors import ConfigurationError, ParameterError, ResolutionError
 from besovlab import generators
 from besovlab.generators import _KINDS, _fgn_autocov, _fgn_circulant, _fgn_embedding
 
@@ -327,6 +327,7 @@ class TestSampler:
         got = draw(seed)
         assert np.array_equal(got, spec.sample(seed).increments)
         assert np.array_equal(draw(seed), got)  # a sampler holds no draw state
+        assert np.array_equal(spec.sampler(level=J)(seed), got)  # level J is the finest draw
 
     @pytest.mark.parametrize("H", [0.2, 0.5, 0.75, 0.95])
     def test_circulant_matches_one_piece_reference(self, H):
@@ -353,3 +354,53 @@ class TestSampler:
             se_c, se_h = c.std() / math.sqrt(reps), h.std() / math.sqrt(reps)
             assert abs(c.mean() - gamma[lag]) <= 4.0 * se_c
             assert abs(c.mean() - h.mean()) <= 4.0 * math.hypot(se_c, se_h)
+
+
+class TestCoarseSampler:
+    J, LEVEL, SEED = 9, 5, [8, 2]
+
+    def coarse_and_summed(self, kind, H=None):
+        spec = spec_of(kind, self.J, H)
+        coarse = spec.sampler(level=self.LEVEL)(self.SEED)
+        summed = level_cells(spec.sampler()(self.SEED), self.LEVEL)
+        assert coarse.shape == summed.shape == (2**self.LEVEL,)
+        return spec, coarse, summed
+
+    @pytest.mark.parametrize("kind, H", [("bm", None), ("fbm", 0.3), ("fbm", 0.75)])
+    def test_unweighted_draw_is_the_kind_on_the_coarse_grid(self, kind, H):
+        # BM: i.i.d. N(0, 2^-level (b - a)); fGn: Davies-Harte at N = 2^level
+        spec, coarse, _ = self.coarse_and_summed(kind, H)
+        on_coarse_grid = GeneratorSpec(kind, Grid(spec.grid.a, spec.grid.b, self.LEVEL), H=H)
+        assert np.array_equal(coarse, on_coarse_grid.sampler()(self.SEED))
+
+    def test_martingale_variance_is_the_block_sum_of_squared_weights(self):
+        spec, coarse, _ = self.coarse_and_summed("martingale")
+        unit = GeneratorSpec("bm", Grid(spec.grid.a, spec.grid.b, self.LEVEL)).sampler()(self.SEED)
+        g = spec.weight(spec.grid.midpoints()).reshape(2**self.LEVEL, -1)
+        # (coarse / unit)^2 dx_coarse = dx sum_k g(mid_k)^2 over each block of finest cells
+        coarse_dx = spec.grid.dx * 2 ** (self.J - self.LEVEL)
+        np.testing.assert_allclose((coarse / unit) ** 2 * coarse_dx,
+                                   spec.grid.dx * np.sum(g * g, axis=1), rtol=1e-14)
+
+    @pytest.mark.parametrize("kind", ["wfbm", "linear"])
+    def test_coarse_draw_is_the_fine_draw_summed(self, kind):
+        # weighted fBm is summed down from 2^J cells; the ramp's sums are exact
+        _, coarse, summed = self.coarse_and_summed(kind, 0.75)
+        assert coarse.view(np.int64).tolist() == summed.view(np.int64).tolist()
+
+    @pytest.mark.parametrize("kind", GeneratorSpec.KINDS)
+    @pytest.mark.parametrize("level", [0, -1, 10])
+    def test_level_outside_the_grid_refused(self, kind, level):
+        with pytest.raises(ResolutionError, match="level"):
+            spec_of(kind, self.J, 0.75).sampler(level=level)
+
+    def test_block_rms_does_not_overflow(self):
+        g = np.array([1e200, -1e200, 1e200, 1e200, 3e300, 0.0, -4e300, 0.0, 0.0, 0.0, 0.0, 0.0])
+        np.testing.assert_allclose(generators._block_rms(g, 4), [1e200, 2.5e300, 0.0], rtol=1e-15)
+
+
+def level_cells(cells, level):
+    """The finest draw summed pairwise up to `level`, as the level sums see it."""
+    while len(cells) > 2**level:
+        cells = cells[0::2] + cells[1::2]
+    return cells

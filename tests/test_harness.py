@@ -28,7 +28,7 @@ from besovlab.criterion import (
 from besovlab.errors import ConfigurationError, ParameterError
 from besovlab import harness
 from besovlab.harness import _fold, _raw_level_sums
-from besovlab.paths import path_of
+from besovlab.paths import StochasticMeasureSample, path_of
 
 
 def bm_config(**kw):
@@ -190,6 +190,26 @@ SPLIT_SPECS = {
 }
 
 
+def spec_of_kind(kind, grid):
+    """A spec of `kind` on `grid` with a sign-changing weight where the kind takes one."""
+    hurst = {"fbm": 0.3, "wfbm": 0.75}.get(kind)
+    weight = WeightFn("sine", (1.5, 2.0, 0.3)) if kind in ("martingale", "wfbm") else None
+    return GeneratorSpec(kind, grid, seed=17, H=hurst, weight=weight)
+
+
+def huge_martingale(c):
+    return GeneratorSpec("martingale", Grid(0.0, 1.0, 8), seed=1,
+                         weight=WeightFn("constant", (c,)))
+
+
+def assert_rows_are_fine_draws(raw, cfg):
+    """Each row is bit for bit the level sums of the replicate's 2^J-cell draw."""
+    draw = cfg.generator.sampler()
+    for i, row in enumerate(raw):
+        fine = level_sums(draw([cfg.generator.seed, i]), cfg.n_levels, cfg.p)
+        assert row.view(np.int64).tolist() == fine.view(np.int64).tolist()
+
+
 class TestWorkerBlocks:
     @pytest.mark.parametrize("kind", sorted(SPLIT_SPECS))
     @pytest.mark.parametrize("replicates, worker_counts", [(7, (1, 2, 3)), (2, (1, 4))])
@@ -232,12 +252,50 @@ class TestWorkerBlocks:
         assert raw.tobytes() == _raw_level_sums(dataclasses.replace(cfg, workers=1)).tobytes()
 
     def test_row_is_the_replicate_own_draw(self):
+        # each replicate is drawn at level n_levels from its own [seed, index] stream
         cfg = bm_config(generator=SPLIT_SPECS["fbm"], replicates=3, workers=2)
         raw = _raw_level_sums(cfg)
+        draw = cfg.generator.sampler(level=cfg.n_levels)
         for i in range(3):
-            path = path_of(cfg.generator.sample(seed=[cfg.generator.seed, i]))
-            expected = [raw_level_sum(path, n, cfg.p) for n in range(1, cfg.n_levels + 1)]
+            expected = level_sums(draw([cfg.generator.seed, i]), cfg.n_levels, cfg.p)
             np.testing.assert_allclose(raw[i], expected, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("kind", GeneratorSpec.KINDS)
+    def test_rows_at_full_resolution_are_the_fine_draw(self, kind):
+        # at n_levels == J the level-n_levels draw is the finest draw, bit for bit
+        spec = spec_of_kind(kind, Grid(0.0, 1.0, 8))
+        cfg = bm_config(generator=spec, n_levels=8, replicates=5)
+        assert_rows_are_fine_draws(_raw_level_sums(cfg), cfg)
+
+    def test_wfbm_rows_are_the_fine_draw_summed(self):
+        # weighted fBm has no coarse law: it draws all 2^J cells and sums them down
+        spec = spec_of_kind("wfbm", Grid(0.0, 1.0, 11))
+        cfg = bm_config(generator=spec, n_levels=7, replicates=5, workers=2)
+        assert_rows_are_fine_draws(_raw_level_sums(cfg), cfg)
+
+    def test_stacks_sized_by_elements(self, monkeypatch):
+        shapes = []
+        stacked = harness.level_sums
+        monkeypatch.setattr(
+            harness, "level_sums", lambda x, n, p: shapes.append(x.shape) or stacked(x, n, p)
+        )
+        cfg = bm_config(generator=GeneratorSpec("bm", Grid(0.0, 1.0, 14), seed=3),
+                        n_levels=12, replicates=37)
+        raw = _raw_level_sums(cfg)
+        assert shapes == [(16, 4096), (16, 4096), (5, 4096)]  # 2^16 increments a stack
+        one_by_one = [level_sums(x, 12, 2.0) for x in
+                      (cfg.generator.sampler(level=12)([3, i]) for i in range(37))]
+        assert raw.tobytes() == np.array(one_by_one).tobytes()
+
+    @pytest.mark.parametrize("kind", sorted(SPLIT_SPECS))
+    def test_two_workers_split_stacks_bit_identically(self, kind, monkeypatch):
+        # 37 replicates: stacks of 16 + 16 + 5 in one worker, 16 + 2 and 16 + 3 in two
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        spec = dataclasses.replace(SPLIT_SPECS[kind], grid=Grid(0.0, 1.0, 13))
+        cfg = bm_config(generator=spec, n_levels=12, replicates=37)
+        one = _raw_level_sums(cfg)
+        two = _raw_level_sums(dataclasses.replace(cfg, workers=2))
+        assert one.view(np.int64).tolist() == two.view(np.int64).tolist()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_overflowing_level_sums_refused(self, workers):
@@ -251,6 +309,21 @@ class TestWorkerBlocks:
             workers=workers,
         )
         with np.errstate(over="ignore"), pytest.raises(ParameterError, match="non-finite"):
+            run_alpha_sweep(cfg)
+
+    def test_huge_martingale_weight_is_drawn_coarse_without_overflow(self):
+        # the coarse weight is the block RMS of g, scaled by the block's max |g|
+        # before squaring: g^2 = 1e400 would make every coarse increment infinite
+        cfg = bm_config(generator=huge_martingale(1e200), p=1.0, n_levels=6, replicates=3)
+        raw = _raw_level_sums(cfg)
+        assert np.all(np.isfinite(raw)) and raw.min() > 1e199
+        report = run_alpha_sweep(cfg)
+        assert all(math.isfinite(row.median_slope) for row in report.rows)
+
+    def test_overflowing_squares_make_no_invalid_values(self):
+        # at 1e300 the increments and the pyramid stay finite; only |x|^2 overflows
+        cfg = bm_config(generator=huge_martingale(1e300), n_levels=6, replicates=3)
+        with np.errstate(over="ignore", invalid="raise"), pytest.raises(ParameterError):
             run_alpha_sweep(cfg)
 
 
@@ -300,16 +373,18 @@ class TestClosedFormFold:
             assert report.critical_alpha is not None
 
     def test_verdicts_match_kamont_series(self):
+        # each replicate's verdict is kamont_series on its path drawn at level n_levels
         cfg = bm_config(generator=SPLIT_SPECS["fbm"], replicates=12)
         report = run_alpha_sweep(cfg)
         s, one_level = tail_exponent(_raw_level_sums(cfg))
+        grid = cfg.generator.grid
+        coarse = Grid(grid.a, grid.b, cfg.n_levels)
+        draw = cfg.generator.sampler(level=cfg.n_levels)
+        paths = [path_of(StochasticMeasureSample(coarse, draw([cfg.generator.seed, i])))
+                 for i in range(cfg.replicates)]
         for row in report.rows:
             per_path = [
-                kamont_series(
-                    path_of(cfg.generator.sample(seed=[cfg.generator.seed, i])),
-                    cfg.n_levels, row.alpha, cfg.p,
-                ).verdict
-                for i in range(cfg.replicates)
+                kamont_series(path, cfg.n_levels, row.alpha, cfg.p).verdict for path in paths
             ]
             sweep = [(Verdict.CONVERGES, Verdict.INCONCLUSIVE, Verdict.DIVERGES)[c]
                      for c in verdict_code(slope_at(s, one_level, row.alpha, cfg.p))]
