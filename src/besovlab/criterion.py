@@ -82,6 +82,10 @@ def dyadic_pyramid(cells: np.ndarray, coarsest: int = 1) -> Iterator[tuple[int, 
         n -= 1
 
 
+# |x|^p at p = 1 and 2 without the general pow loop, bit-identical to it
+_EXACT_POWERS = {1.0: np.abs, 2.0: np.square}
+
+
 def level_sums(increments, n_levels: int, p: float) -> np.ndarray:
     """sum_k |level-n increment|^p for n = 1..n_levels, from the 2^J finest increments.
 
@@ -102,10 +106,11 @@ def level_sums(increments, n_levels: int, p: float) -> np.ndarray:
         raise ResolutionError(f"level {n_levels} exceeds grid resolution J={J}")
     if n_levels < 1:
         raise ParameterError(f"need at least one level, got {n_levels}")
+    power = _EXACT_POWERS.get(p)
     out = np.empty(x.shape[:-1] + (n_levels,))
     for n, cells in dyadic_pyramid(x):
         if n <= n_levels:
-            out[..., n - 1] = np.sum(np.abs(cells) ** p, axis=-1)
+            out[..., n - 1] = np.sum(power(cells) if power else np.abs(cells) ** p, axis=-1)
     return out
 
 
@@ -163,6 +168,29 @@ def tail_exponent(raw_rows) -> tuple[np.ndarray, np.ndarray]:
     rows = np.asarray(raw_rows, dtype=float)
     tail = rows[:, rows.shape[1] // 2 :]  # the last ceil(N/2) levels, as fitted
     return fit_tail_slope(rows), np.count_nonzero(tail > _ZERO_FLOOR, axis=1) == 1
+
+
+def predicted_exponent_law(spec, n_levels: int, p: float) -> tuple[float, float]:
+    """Predicted (mean, sd) of the tail exponent s of a `GeneratorSpec` over
+    levels 1..n_levels at exponent p, by the delta method.
+
+    Only Brownian motion at p = 2 is predicted so far.  There R_n/(b - a)
+    has mean 1 and Cov(R_n, R_m) = 2 * 2^-max(n, m), so to first order
+    Cov(log2 R_n, log2 R_m) = 2 * 2^-max(n, m) / ln^2 2 and, to second
+    order, E log2 R_n = -2^-n / ln 2 + log2(b - a).  The fit is linear in
+    the log2 R_n, s = sum_n c_n log2 R_n with sum_n c_n = 0, so s does not
+    see the constant log2(b - a), and c_n is the slope `fit_tail_slope`
+    fits to a series equal to 2 at level n and 1 elsewhere.
+    """
+    if spec.kind != "bm" or p != 2.0:
+        raise ParameterError(f"no predicted exponent law for {spec.kind} at p = {p}")
+    if not MIN_LEVELS <= n_levels <= spec.grid.J:
+        raise ParameterError(f"n_levels={n_levels} is outside {MIN_LEVELS}..J={spec.grid.J}")
+    c = fit_tail_slope(2.0 ** np.eye(n_levels))
+    ns = np.arange(1, n_levels + 1, dtype=float)
+    mean = float(c @ (-(2.0**-ns) / math.log(2.0)))
+    cov = 2.0 * 2.0 ** -np.maximum.outer(ns, ns) / math.log(2.0) ** 2
+    return mean, math.sqrt(float(c @ cov @ c))
 
 
 def slope_at(s, one_level, alpha: float, p: float):

@@ -23,6 +23,13 @@ coarse draw is bit-identical to the finest draw summed.  A coarse draw
 uses fewer normals of the seed's stream, so it is equal to the summed
 finest draw in law, not bit for bit; at level J both are the same draw.
 
+A row may also carry a p = 2 level-sum law, and `level_sum_law(n_levels,
+p)` returns `draw(seed)` -> the raw level sums R_1..R_{n_levels} from it,
+with no cell drawn.  Only BM has one: by the Haar (Levy-Ciesielski)
+decomposition R_n = (b - a) 2^-n S_n, where S_0 ~ chi2_1 and S_n = S_{n-1}
++ chi2_{2^(n-1)}, all independent, so n_levels + 1 chi-square draws replace
+2^n_levels normals.  It is exact in law for all the sums jointly.
+
 fGn has one path, the Davies-Harte circulant embedding: O(N log N) per
 draw for every H in (0, 1).  The embedding is nonnegative in exact
 arithmetic (Craigmile 2003); the autocovariance is summed without
@@ -112,6 +119,21 @@ Sampler = Callable[[object], np.ndarray]  # seed -> increments at the sampler's 
 def _bm_sampler(grid: Grid, H: None) -> Sampler:
     n, scale = grid.n_cells, math.sqrt(grid.dx)
     return lambda seed: np.random.default_rng(seed).standard_normal(n) * scale
+
+
+def _bm_p2_law(grid: Grid, n_levels: int) -> Sampler:
+    """`draw(seed)` -> BM's raw level sums R_1..R_{n_levels} at p = 2, from their joint law.
+
+    Two adjacent level-(n+1) cells u, v sum to their level-n parent, and
+    u - v ~ N(0, 2^-n (b - a)) is independent of it and of every coarser
+    cell, so R_{n+1} = (R_n + (u - v)^2 summed over the 2^n pairs) / 2.
+    Hence R_n = (b - a) 2^-n S_n with S_0 ~ chi2_1 and S_n = S_{n-1} +
+    chi2_{2^(n-1)}, all independent: n_levels + 1 chi-square draws, not
+    2^n_levels normals.
+    """
+    df = np.concatenate([[1.0], 2.0 ** np.arange(n_levels)])
+    scale = (grid.b - grid.a) * 2.0 ** -np.arange(1.0, n_levels + 1)
+    return lambda seed: np.cumsum(np.random.default_rng(seed).chisquare(df))[1:] * scale
 
 
 def _weighted(weights: np.ndarray, draw: Sampler) -> Sampler:
@@ -230,11 +252,14 @@ class _Kind(NamedTuple):
     # a coarse draw is the factory on the coarse level's grid (times the block RMS of
     # the weight); otherwise the finest draw is summed down to that level
     coarse: bool
+    # (grid, n_levels) -> draw(seed) of the raw level sums at p = 2 from their exact
+    # joint law, or None: the sweep sums drawn cells
+    p2_law: Optional[Callable[[Grid, int], Sampler]] = None
 
 
 # The first row is the CLI's default process.
 _KINDS = {
-    "bm": _Kind(None, False, _bm_sampler, True),  # i.i.d. N(0, dx)
+    "bm": _Kind(None, False, _bm_sampler, True, _bm_p2_law),  # i.i.d. N(0, dx)
     "martingale": _Kind(None, True, _bm_sampler, True),  # g(midpoint_k) dW_k: an Ito integral
     "fbm": _Kind((0.0, 1.0), False, _fgn_sampler, True),  # fGn, variance dx^{2H}
     "wfbm": _Kind((0.5, 1.0), True, _fgn_sampler, False),  # f(midpoint_k) dW^H_k
@@ -269,6 +294,20 @@ class GeneratorSpec:
             raise ParameterError(f"{self.kind} requires H in ({lo:g}, {hi:g}), got {self.H}")
         if not row.weighted and self.weight is not None:
             raise ConfigurationError(f"{self.kind} generator takes no weight")
+
+    def level_sum_law(self, n_levels: int, p: float) -> Optional[Sampler]:
+        """`draw(seed)` -> the raw level sums R_1..R_{n_levels} at exponent p,
+        drawn from their exact joint law, or None if the kind has no such law
+        at p (only `bm` at p = 2 has one).  Equal in law to `level_sums` of a
+        `sampler(level)` draw, not bit for bit."""
+        law = _KINDS[self.kind].p2_law
+        if law is None or p != 2.0:
+            return None
+        if not 1 <= n_levels <= self.grid.J:
+            raise ResolutionError(
+                f"level {n_levels} is outside the grid's levels 1..J={self.grid.J}"
+            )
+        return law(self.grid, n_levels)
 
     def sampler(self, level: Optional[int] = None) -> Sampler:
         """`draw(seed)` -> the 2^level increments of the level-`level` dyadic cells.

@@ -12,8 +12,10 @@ the law of its 2^J-cell draw summed up the pyramid (`GeneratorSpec.sampler`;
 weighted fBm still draws all 2^J cells).  A worker stacks about
 _BLOCK_ELEMENTS increments of consecutive replicates and runs one
 `level_sums` pyramid on the stack; each row's sums are bit-identical to the
-one-row call, so rows never depend on the stack or block bounds.  After all
-blocks finish, one tail fit per
+one-row call, so rows never depend on the stack or block bounds.  Brownian
+motion at p = 2 draws no cells: each row comes from the exact joint law of
+its level sums (`GeneratorSpec.level_sum_law`), n_levels + 1 chi-square
+draws on the replicate's stream.  After all blocks finish, one tail fit per
 replicate gives its raw exponent s (`criterion.tail_exponent`), and each
 alpha's verdict counts and median slope s + alpha p - 1 are one pass over
 the replicates, so `workers` changes the wall time and never the report.
@@ -167,9 +169,14 @@ def _replicate_block(args) -> np.ndarray:
     config_dict, start, stop = args
     config = ExperimentConfig.from_dict(config_dict)
     n, seed = config.n_levels, config.generator.seed
+    out = np.empty((stop - start, n))
+    law = config.generator.level_sum_law(n, config.p)
+    if law is not None:
+        for index in range(start, stop):
+            out[index - start] = law(replicate_seed(seed, index))
+        return out
     draw = config.generator.sampler(level=n)
     stack = max(1, _BLOCK_ELEMENTS >> n)
-    out = np.empty((stop - start, n))
     for lo in range(start, stop, stack):
         hi = min(lo + stack, stop)
         cells = np.stack([draw(replicate_seed(seed, index)) for index in range(lo, hi)])

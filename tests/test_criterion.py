@@ -278,6 +278,24 @@ class TestLevelSums:
         with pytest.raises(ParameterError):
             level_sums(np.zeros(16), 0, 2.0)
 
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_exact_powers_equal_pow(self, p):
+        # |x| and x^2 in place of the pow loop: bit-identical, across subnormals,
+        # squares that underflow and squares that overflow to inf
+        rng = np.random.default_rng(8)
+        y = rng.standard_normal(1 << 16) * np.exp(rng.uniform(-400.0, 400.0, 1 << 16))
+        y = np.concatenate([y, [5e-324, -2.5e-310, 2.2250738585072014e-308, 1.5e-162, -1e-160,
+                                1.3407807929942596e154, -1.4e154, 1e300, 0.0, -0.0]])
+        with np.errstate(over="ignore", under="ignore"):
+            want = np.abs(y) ** p
+            # one cell of each pair is 0: the level-1 sum is the power of the other
+            got = level_sums(np.stack([y, np.zeros_like(y)], axis=1), 1, p)[:, 0]
+        a = np.abs(y)
+        assert (a > 1.35e154).any()  # squares that overflow
+        assert ((a > 1e-162) & (a < 1.49e-154)).any()  # subnormal squares
+        assert ((a > 0.0) & (a < np.finfo(float).tiny)).any()  # subnormal inputs
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
     @pytest.mark.parametrize("p", [2.0, 3.0, 1.5])
     @pytest.mark.parametrize("rows, J, n_levels", [(1, 6, 6), (5, 8, 6), (16, 12, 12), (3, 10, 7)])
     def test_stack_rows_equal_one_row_calls(self, p, rows, J, n_levels):

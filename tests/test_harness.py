@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -262,10 +263,27 @@ class TestWorkerBlocks:
 
     @pytest.mark.parametrize("kind", GeneratorSpec.KINDS)
     def test_rows_at_full_resolution_are_the_fine_draw(self, kind):
-        # at n_levels == J the level-n_levels draw is the finest draw, bit for bit
+        # at n_levels == J the level-n_levels draw is the finest draw, bit for bit;
+        # bm at p = 2 draws no cells (test_bm_p2_rows_are_the_level_sum_law)
         spec = spec_of_kind(kind, Grid(0.0, 1.0, 8))
-        cfg = bm_config(generator=spec, n_levels=8, replicates=5)
+        p = 3.0 if kind == "bm" else 2.0
+        cfg = bm_config(generator=spec, p=p, n_levels=8, replicates=5)
         assert_rows_are_fine_draws(_raw_level_sums(cfg), cfg)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bm_p2_rows_are_the_level_sum_law(self, workers, monkeypatch):
+        # row i is R_n = (b - a) 2^-n S_n on stream [seed, i], S_0 ~ chi2_1 and
+        # S_n = S_{n-1} + chi2_{2^(n-1)}, and no cell is drawn or summed
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(harness, "level_sums", None)
+        spec = GeneratorSpec("bm", Grid(-1.0, 2.0, 12), seed=29)
+        cfg = bm_config(generator=spec, n_levels=9, replicates=7, workers=workers)
+        raw = _raw_level_sums(cfg)
+        df = [1.0] + [2.0 ** k for k in range(9)]
+        scale = 3.0 * 2.0 ** -np.arange(1.0, 10.0)
+        for i, row in enumerate(raw):
+            want = np.cumsum(np.random.default_rng([29, i]).chisquare(df))[1:] * scale
+            assert row.view(np.int64).tolist() == want.view(np.int64).tolist()
 
     def test_wfbm_rows_are_the_fine_draw_summed(self):
         # weighted fBm has no coarse law: it draws all 2^J cells and sums them down
@@ -273,14 +291,27 @@ class TestWorkerBlocks:
         cfg = bm_config(generator=spec, n_levels=7, replicates=5, workers=2)
         assert_rows_are_fine_draws(_raw_level_sums(cfg), cfg)
 
+    def test_bm_p2_sweep_at_J24_in_bounded_memory(self):
+        # one 2^24-cell draw would be 128 MiB; the law draws 25 numbers a replicate
+        cfg = bm_config(generator=GeneratorSpec("bm", Grid(0.0, 1.0, 24), seed=5),
+                        n_levels=24, replicates=200)
+        tracemalloc.start()
+        try:
+            report = run_alpha_sweep(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert report.critical_alpha == pytest.approx(0.5, abs=0.005)
+
     def test_stacks_sized_by_elements(self, monkeypatch):
         shapes = []
         stacked = harness.level_sums
         monkeypatch.setattr(
             harness, "level_sums", lambda x, n, p: shapes.append(x.shape) or stacked(x, n, p)
         )
-        cfg = bm_config(generator=GeneratorSpec("bm", Grid(0.0, 1.0, 14), seed=3),
-                        n_levels=12, replicates=37)
+        spec = dataclasses.replace(SPLIT_SPECS["martingale"], grid=Grid(0.0, 1.0, 14), seed=3)
+        cfg = bm_config(generator=spec, n_levels=12, replicates=37)
         raw = _raw_level_sums(cfg)
         assert shapes == [(16, 4096), (16, 4096), (5, 4096)]  # 2^16 increments a stack
         one_by_one = [level_sums(x, 12, 2.0) for x in

@@ -3,6 +3,8 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -21,3 +23,14 @@ def test_bm_phase_transition_writes_report(tmp_path, monkeypatch, capsys):
     assert 0.45 <= report["critical_alpha"] <= 0.55  # acceptance 03's window
     assert (tmp_path / "report.csv").read_text().startswith("alpha,median_slope,")
     assert "estimated critical alpha" in capsys.readouterr().out
+
+
+def test_bm_exponent_spread_prints_measured_and_predicted(capsys):
+    load_script("bm_exponent_spread").main()
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("n_levels")
+    rows = [[float(x) for x in line.split()] for line in lines[1:]]
+    assert [int(row[0]) for row in rows] == list(range(8, 21))
+    for _, _, _, sd, predicted_sd in rows:
+        # at 4000 replicates the sample sd has a relative standard error of 1.1 %
+        assert sd == pytest.approx(predicted_sd, rel=0.05)

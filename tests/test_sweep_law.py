@@ -3,7 +3,10 @@
 A sweep draws each replicate at level n_levels (`GeneratorSpec.sampler(level)`)
 instead of drawing all 2^J cells and summing them up the pyramid.  These
 gates compare the law of the per-replicate tail exponent s from both draws,
-and for Brownian motion at p = 2 against the delta-method prediction.
+and for Brownian motion at p = 2 against the delta-method prediction.  BM
+at p = 2 draws its level sums from their exact joint law instead of drawing
+cells (`GeneratorSpec.level_sum_law`); the KS gate compares them with real
+cells, and a moment gate checks their means and covariances.
 """
 
 import math
@@ -12,7 +15,8 @@ import numpy as np
 import pytest
 
 from besovlab import ExperimentConfig, GeneratorSpec, Grid, WeightFn
-from besovlab.criterion import level_sums, tail_exponent
+from besovlab.criterion import level_sums, predicted_exponent_law, tail_exponent
+from besovlab.errors import ParameterError
 from besovlab.harness import _raw_level_sums
 
 REPLICATES = 2000
@@ -44,24 +48,6 @@ def ks_statistic(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.max(np.abs(fx - fy)))
 
 
-def delta_method_law(n_levels: int) -> tuple[float, float]:
-    """Predicted (mean, sd) of s for BM on [0, 1] at p = 2.
-
-    R_n has mean 1 and Cov(R_n, R_m) = 2 * 2^-max(n, m), so to first order
-    Cov(log2 R_n, log2 R_m) = 2 * 2^-max(n, m) / ln^2 2 and, to second order,
-    E log2 R_n = -2^-n / ln 2.  s is linear in the log2 R_n of the tail half,
-    with the weights of `fit_tail_slope`.
-    """
-    start = n_levels - math.ceil(n_levels / 2)
-    ns = np.arange(start + 1, n_levels + 1, dtype=float)
-    w = 2.0**ns / np.sum(2.0**ns)
-    dx = ns - np.sum(w * ns)
-    c = w * dx / np.sum(w * dx * dx)  # s = sum_n c_n log2 R_n
-    mean = float(np.sum(c * -(2.0**-ns) / math.log(2.0)))
-    cov = 2.0 * 2.0 ** -np.maximum.outer(ns, ns) / math.log(2.0) ** 2
-    return mean, math.sqrt(float(c @ cov @ c))
-
-
 def _grid():
     return Grid(0.0, 1.0, KS_LEVELS + 2)
 
@@ -91,19 +77,52 @@ def test_ks_statistic_sees_a_shift():
     assert ks_statistic(z[0], z[1] + 0.25) > KS_CRITICAL
 
 
-@pytest.mark.parametrize("n_levels, coarse", [(8, True), (8, False), (12, True)])
+@pytest.mark.parametrize("n_levels, coarse", [(8, True), (8, False), (12, True), (16, True)])
 def test_bm_exponent_matches_delta_method(n_levels, coarse):
     seed = COARSE_SEED if coarse else FINE_SEED
-    s = exponents(GeneratorSpec("bm", Grid(0.0, 1.0, n_levels + 2), seed=seed), n_levels, coarse)
-    mean, sd = delta_method_law(n_levels)
+    spec = GeneratorSpec("bm", Grid(0.0, 1.0, n_levels + 2), seed=seed)
+    s = exponents(spec, n_levels, coarse)
+    mean, sd = predicted_exponent_law(spec, n_levels, 2.0)
     # four standard errors of the sample mean and of the sample sd of R normal draws
     assert abs(s.mean() - mean) <= 4.0 * sd / math.sqrt(REPLICATES)
     assert abs(s.std(ddof=1) - sd) <= 4.0 * sd / math.sqrt(2.0 * (REPLICATES - 1))
 
 
 def test_delta_method_prediction():
-    # at 12 levels: mean +0.00121, sd 0.0248; the sd halves every two levels
-    mean, sd = delta_method_law(12)
+    # at 12 levels: mean +0.00121, sd 0.0248; the sd halves every two levels,
+    # and the law does not depend on the interval
+    spec = GeneratorSpec("bm", Grid(0.0, 1.0, 14))
+    mean, sd = predicted_exponent_law(spec, 12, 2.0)
     assert mean == pytest.approx(0.00121, abs=5e-6)
     assert sd == pytest.approx(0.0248, abs=5e-5)
-    assert delta_method_law(14)[1] == pytest.approx(sd / 2.0, rel=0.02)
+    assert predicted_exponent_law(spec, 14, 2.0)[1] == pytest.approx(sd / 2.0, rel=0.02)
+    other = GeneratorSpec("bm", Grid(-1.0, 2.0, 12))
+    assert predicted_exponent_law(other, 12, 2.0) == (mean, sd)
+
+
+@pytest.mark.parametrize("spec, n_levels, p", [
+    (GeneratorSpec("bm", Grid(0.0, 1.0, 12)), 12, 3.0),
+    (GeneratorSpec("fbm", Grid(0.0, 1.0, 12), H=0.5), 12, 2.0),
+    (GeneratorSpec("martingale", Grid(0.0, 1.0, 12)), 12, 2.0),
+    (GeneratorSpec("bm", Grid(0.0, 1.0, 12)), 13, 2.0),
+    (GeneratorSpec("bm", Grid(0.0, 1.0, 12)), 5, 2.0),
+])
+def test_prediction_refused_outside_bm_p2(spec, n_levels, p):
+    with pytest.raises(ParameterError):
+        predicted_exponent_law(spec, n_levels, p)
+
+
+def test_bm_p2_level_sum_moments():
+    # on [-1, 2], E R_n = b - a = 3 and Cov(R_n, R_m) = 2 (b - a)^2 2^-max(n, m),
+    # each within four standard errors of its sample estimate
+    n_levels, replicates = 10, 20000
+    spec = GeneratorSpec("bm", Grid(-1.0, 2.0, n_levels), seed=3)
+    raw = _raw_level_sums(ExperimentConfig(spec, 2.0, (0.5,), n_levels, replicates))
+    dev = raw - 3.0
+    se = dev.std(axis=0, ddof=1) / math.sqrt(replicates)
+    assert np.all(np.abs(dev.mean(axis=0)) <= 4.0 * se)
+    ns = np.arange(1, n_levels + 1)
+    products = dev[:, :, None] * dev[:, None, :]
+    cov = 18.0 * 2.0 ** -np.maximum.outer(ns, ns)
+    err = np.abs(products.mean(axis=0) - cov)
+    assert np.all(err <= 4.0 * products.std(axis=0, ddof=1) / math.sqrt(replicates))
