@@ -49,7 +49,7 @@ class DataError(BesovLabError):
     """Unparseable or inconsistent input data."""
 
 
-CSV_CHUNK_ROWS = 1 << 16  # rows formatted per write: bounded memory at any J
+CSV_CHUNK_ROWS = 1 << 12  # rows formatted per write: bounded memory at any J
 
 
 def _write_path_csv(path: SampledPath, out: Path):

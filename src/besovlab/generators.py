@@ -6,12 +6,15 @@ sequences of ints and are fed to numpy's PCG64 via default_rng.
 
 Each generator kind is one row of the table `_KINDS`: the Hurst range it
 takes (or none), whether it takes a weight, and its sampler factory.
-`GeneratorSpec` checks its fields against the row and `sampler()` is the
-one generation path: it computes what a spec's draws share (sqrt(dx), the
-weight at the cell midpoints, the fGn circulant embedding) once and returns
-`draw(seed)`.  `sample()` is a single draw through the same sampler.
+`GeneratorSpec` checks its fields against the row, and `block_sampler()` is
+the one generation path: it computes what a spec's draws share (sqrt(dx),
+the weight at the cell midpoints, the fGn circulant embedding) once and
+returns a block draw, `draw(seeds)` -> one row of increments per seed, row
+i bit-identical to the block of seeds[i] alone: each seed's normals are
+written into its row (for fGn, its row of one half-spectrum array, with one
+irfft for the block).  `sampler()(seed)` and `sample()` are the block of one.
 
-`sampler(level)` draws the 2^level increments of the dyadic cells at a
+A draw at `level` makes the 2^level increments of the dyadic cells at a
 coarser level, with the law of the finest draw summed up the pyramid.  A
 row marked `coarse` has a cheap law there, so its draw is made directly:
 BM is i.i.d. N(0, 2^-level (b - a)); fGn is Davies-Harte at N = 2^level
@@ -24,8 +27,8 @@ uses fewer normals of the seed's stream, so it is equal to the summed
 finest draw in law, not bit for bit; at level J both are the same draw.
 
 A row may also carry a p = 2 level-sum law, and `level_sum_law(n_levels,
-p)` returns `draw(seed)` -> the raw level sums R_1..R_{n_levels} from it,
-with no cell drawn.  Only BM has one: by the Haar (Levy-Ciesielski)
+p)` returns a block draw of the raw level sums R_1..R_{n_levels}, one row
+per seed, with no cell drawn.  Only BM has one: by the Haar (Levy-Ciesielski)
 decomposition R_n = (b - a) 2^-n S_n, where S_0 ~ chi2_1 and S_n = S_{n-1}
 + chi2_{2^(n-1)}, all independent, so n_levels + 1 chi-square draws replace
 2^n_levels normals.  It is exact in law for all the sums jointly.
@@ -41,8 +44,9 @@ ParameterError.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -113,16 +117,32 @@ class WeightFn:
 
 
 Sampler = Callable[[object], np.ndarray]  # seed -> increments at the sampler's level
+# seeds -> (len(seeds), width): row i is the draw from seeds[i] alone, bit for bit
+BlockSampler = Callable[[Sequence], np.ndarray]
+
+
+def _rows(seeds: Sequence, width: int, fill: Callable) -> np.ndarray:
+    """(len(seeds), width) rows: `fill(rng, row)` writes row i from seeds[i]'s own stream."""
+    out = np.empty((len(seeds), width))
+    for row, seed in zip(out, seeds):
+        fill(np.random.default_rng(seed), row)
+    return out
+
+
+def _scaled(factor, draw: BlockSampler) -> BlockSampler:
+    """`draw` times `factor` (a number, or one value per cell), in place."""
+    return lambda seeds: operator.imul(draw(seeds), factor)
 
 
 # Sampler factories take (grid, H); those of kinds without a Hurst index ignore H.
-def _bm_sampler(grid: Grid, H: None) -> Sampler:
-    n, scale = grid.n_cells, math.sqrt(grid.dx)
-    return lambda seed: np.random.default_rng(seed).standard_normal(n) * scale
+def _bm_sampler(grid: Grid, H: None) -> BlockSampler:
+    n = grid.n_cells
+    normals = lambda seeds: _rows(seeds, n, lambda rng, row: rng.standard_normal(out=row))
+    return _scaled(math.sqrt(grid.dx), normals)
 
 
-def _bm_p2_law(grid: Grid, n_levels: int) -> Sampler:
-    """`draw(seed)` -> BM's raw level sums R_1..R_{n_levels} at p = 2, from their joint law.
+def _bm_p2_law(grid: Grid, n_levels: int) -> BlockSampler:
+    """`draw(seeds)` -> BM's raw level sums R_1..R_{n_levels} at p = 2, from their joint law.
 
     Two adjacent level-(n+1) cells u, v sum to their level-n parent, and
     u - v ~ N(0, 2^-n (b - a)) is independent of it and of every coarser
@@ -133,11 +153,13 @@ def _bm_p2_law(grid: Grid, n_levels: int) -> Sampler:
     """
     df = np.concatenate([[1.0], 2.0 ** np.arange(n_levels)])
     scale = (grid.b - grid.a) * 2.0 ** -np.arange(1.0, n_levels + 1)
-    return lambda seed: np.cumsum(np.random.default_rng(seed).chisquare(df))[1:] * scale
 
+    def draw(seeds):
+        S = _rows(seeds, n_levels + 1, lambda rng, row: np.copyto(row, rng.chisquare(df)))
+        np.cumsum(S, axis=1, out=S)
+        return S[:, 1:] * scale
 
-def _weighted(weights: np.ndarray, draw: Sampler) -> Sampler:
-    return lambda seed: weights * draw(seed)
+    return draw
 
 
 def _block_rms(g: np.ndarray, width: int) -> np.ndarray:
@@ -152,9 +174,9 @@ def _block_rms(g: np.ndarray, width: int) -> np.ndarray:
     return top[:, 0] * np.sqrt(np.mean(unit * unit, axis=1))
 
 
-def _summed_to(level: int, draw: Sampler) -> Sampler:
-    def coarse(seed):
-        for _, cells in dyadic_pyramid(draw(seed), coarsest=level):
+def _summed_to(level: int, draw: BlockSampler) -> BlockSampler:
+    def coarse(seeds):
+        for _, cells in dyadic_pyramid(draw(seeds), coarsest=level):
             pass
         return cells
 
@@ -218,52 +240,66 @@ def _fgn_embedding(N: int, H: float) -> np.ndarray:
     return np.sqrt(np.clip(eig, 0.0, None))
 
 
-def _fgn_circulant(root: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Davies-Harte synthesis of unit-step fGn from the embedding's root.
+def _fgn_circulant(root: np.ndarray, seeds: Sequence) -> np.ndarray:
+    """Davies-Harte synthesis of unit-step fGn from the embedding's root, one row per seed.
 
-    Z is the half spectrum of a Hermitian vector: Z[0] and Z[N] real
-    standard normals, Z[1:N] = (V[:, 0] + 1j V[:, 1]) / sqrt(2), drawn in
-    that order and written through a (real, imag) view.
+    Row i of Z is the half spectrum of a Hermitian vector: Z[0] and Z[N]
+    real standard normals, Z[1:N] = (V[:, 0] + 1j V[:, 1]) / sqrt(2), drawn
+    from seeds[i] (a seed or a Generator) in that order and written through
+    the (real, imag) view.  All rows go through one irfft, each bit-identical
+    to a block of one.  Z and the irfft output share one allocation of 4 N + 2
+    floats a row, and the scaling is in place: with two allocations a sweep's
+    stacks made the heap shrink and regrow, faulting in fresh pages each time.
     """
     N = len(root) - 1
-    Z = np.empty(N + 1, dtype=complex)
-    parts = Z.view(float).reshape(N + 1, 2)
-    parts[0] = rng.standard_normal(), 0.0
-    parts[N] = rng.standard_normal(), 0.0
-    parts[1:N] = rng.standard_normal((N - 1, 2)) * (1.0 / math.sqrt(2.0))
-    return math.sqrt(2 * N) * np.fft.irfft(root * Z, 2 * N)[:N]
+
+    def fill(rng, row):  # re Z[0], im Z[0], re Z[1], im Z[1], ..., re Z[N], im Z[N]
+        rng.standard_normal(out=row[:1])
+        rng.standard_normal(out=row[2 * N : 2 * N + 1])
+        rng.standard_normal(out=row[2 : 2 * N])
+
+    buf = _rows(seeds, 4 * N + 2, fill)
+    parts = buf[:, : 2 * N + 2]
+    parts[:, [1, 2 * N + 1]] = 0.0
+    parts[:, 2 : 2 * N] *= 1.0 / math.sqrt(2.0)
+    Z = parts.view(complex)
+    Z *= root
+    cells = np.fft.irfft(Z, 2 * N, axis=-1, out=buf[:, 2 * N + 2 :])[:, :N]
+    cells *= math.sqrt(2 * N)
+    return cells
 
 
-def _fgn_sampler(grid: Grid, H: float) -> Sampler:
-    N, scale = grid.n_cells, grid.dx**H
-    root = _fgn_embedding(N, H)
-    return lambda seed: _fgn_circulant(root, np.random.default_rng(seed)) * scale
+def _fgn_sampler(grid: Grid, H: float) -> BlockSampler:
+    root = _fgn_embedding(grid.n_cells, H)
+    return _scaled(grid.dx**H, lambda seeds: _fgn_circulant(root, seeds))
 
 
-def _ramp_sampler(grid: Grid, H: None) -> Sampler:
+def _ramp_sampler(grid: Grid, H: None) -> BlockSampler:
     n, dx = grid.n_cells, grid.dx
-    return lambda seed: np.full(n, dx)
+    return lambda seeds: np.full((len(seeds), n), dx)
 
 
 class _Kind(NamedTuple):
     hurst: Optional[tuple[float, float]]  # the open range of H, or None: the kind takes no H
     weighted: bool  # takes a weight: increment k is weight(midpoint_k) times the base draw
-    factory: Callable[[Grid, Optional[float]], Sampler]  # (grid, H) -> base sampler
+    factory: Callable[[Grid, Optional[float]], BlockSampler]  # (grid, H) -> base draw
     # a coarse draw is the factory on the coarse level's grid (times the block RMS of
     # the weight); otherwise the finest draw is summed down to that level
     coarse: bool
-    # (grid, n_levels) -> draw(seed) of the raw level sums at p = 2 from their exact
+    # floats a draw holds per cell: fGn's half spectrum and 2N-point irfft hold 4
+    floats: int
+    # (grid, n_levels) -> draw(seeds) of the raw level sums at p = 2 from their exact
     # joint law, or None: the sweep sums drawn cells
-    p2_law: Optional[Callable[[Grid, int], Sampler]] = None
+    p2_law: Optional[Callable[[Grid, int], BlockSampler]] = None
 
 
 # The first row is the CLI's default process.
 _KINDS = {
-    "bm": _Kind(None, False, _bm_sampler, True, _bm_p2_law),  # i.i.d. N(0, dx)
-    "martingale": _Kind(None, True, _bm_sampler, True),  # g(midpoint_k) dW_k: an Ito integral
-    "fbm": _Kind((0.0, 1.0), False, _fgn_sampler, True),  # fGn, variance dx^{2H}
-    "wfbm": _Kind((0.5, 1.0), True, _fgn_sampler, False),  # f(midpoint_k) dW^H_k
-    "linear": _Kind(None, False, _ramp_sampler, True),  # the constant dx: a ramp (test stub)
+    "bm": _Kind(None, False, _bm_sampler, True, 1, _bm_p2_law),  # i.i.d. N(0, dx)
+    "martingale": _Kind(None, True, _bm_sampler, True, 1),  # g(midpoint_k) dW_k: an Ito integral
+    "fbm": _Kind((0.0, 1.0), False, _fgn_sampler, True, 4),  # fGn, variance dx^{2H}
+    "wfbm": _Kind((0.5, 1.0), True, _fgn_sampler, False, 4),  # f(midpoint_k) dW^H_k
+    "linear": _Kind(None, False, _ramp_sampler, True, 1),  # the constant dx: a ramp (test stub)
 }
 
 
@@ -295,33 +331,33 @@ class GeneratorSpec:
         if not row.weighted and self.weight is not None:
             raise ConfigurationError(f"{self.kind} generator takes no weight")
 
-    def level_sum_law(self, n_levels: int, p: float) -> Optional[Sampler]:
-        """`draw(seed)` -> the raw level sums R_1..R_{n_levels} at exponent p,
-        drawn from their exact joint law, or None if the kind has no such law
-        at p (only `bm` at p = 2 has one).  Equal in law to `level_sums` of a
-        `sampler(level)` draw, not bit for bit."""
+    def _level(self, level: Optional[int]) -> int:
+        level = self.grid.J if level is None else level
+        if not 1 <= level <= self.grid.J:
+            raise ResolutionError(f"level {level} is outside the grid's levels 1..J={self.grid.J}")
+        return level
+
+    def level_sum_law(self, n_levels: int, p: float) -> Optional[BlockSampler]:
+        """`draw(seeds)` -> (len(seeds), n_levels): the raw level sums R_1..R_{n_levels}
+        at exponent p of each seed, drawn from their exact joint law, or None if
+        the kind has no such law at p (only `bm` at p = 2 has one).  Equal in
+        law to `level_sums` of a `sampler(level)` draw, not bit for bit."""
         law = _KINDS[self.kind].p2_law
         if law is None or p != 2.0:
             return None
-        if not 1 <= n_levels <= self.grid.J:
-            raise ResolutionError(
-                f"level {n_levels} is outside the grid's levels 1..J={self.grid.J}"
-            )
-        return law(self.grid, n_levels)
+        return law(self.grid, self._level(n_levels))
 
-    def sampler(self, level: Optional[int] = None) -> Sampler:
-        """`draw(seed)` -> the 2^level increments of the level-`level` dyadic cells.
+    def block_sampler(self, level: Optional[int] = None) -> BlockSampler:
+        """`draw(seeds)` -> (len(seeds), 2^level): the increments of the
+        level-`level` dyadic cells, row i drawn from seeds[i] alone.
 
-        `level` None is J: the finest increments, equal to
-        `sample(seed).increments`.  A coarser level has the law of the
-        finest draw summed up the pyramid (see the module docstring).  The
-        per-spec constants (sqrt(dx), the weight at the midpoints, the fGn
-        circulant embedding) are computed here once, not per draw.
+        `level` None is J: the finest increments.  A coarser level has the
+        law of the finest draw summed up the pyramid (see the module
+        docstring).  The per-spec constants (sqrt(dx), the weight at the
+        midpoints, the fGn circulant embedding) are computed here once, not
+        per draw.
         """
-        fine = self.grid
-        level = fine.J if level is None else level
-        if not 1 <= level <= fine.J:
-            raise ResolutionError(f"level {level} is outside the grid's levels 1..J={fine.J}")
+        level, fine = self._level(level), self.grid
         row = _KINDS[self.kind]
         grid = Grid(fine.a, fine.b, level) if row.coarse else fine
         draw = row.factory(grid, self.H)
@@ -329,8 +365,25 @@ class GeneratorSpec:
             weights = (self.weight or WeightFn.one())(fine.midpoints())
             if grid.J < fine.J:
                 weights = _block_rms(weights, 1 << (fine.J - level))
-            draw = _weighted(weights, draw)
+            draw = _scaled(weights, draw)
         return draw if grid.J == level else _summed_to(level, draw)
+
+    def sampler(self, level: Optional[int] = None) -> Sampler:
+        """`draw(seed)` -> the 2^level increments of one seed: the block of one.
+
+        `level` None is J, and the draw equals `sample(seed).increments`.
+        """
+        block = self.block_sampler(level)
+        return lambda seed: block([seed])[0]
+
+    def draw_size(self, level: int, p: float) -> tuple[int, int]:
+        """(values, floats) a sweep at `level` and exponent p draws and holds per
+        seed: the level-sum law's level + 1 values, or the block draw's cells."""
+        if self.level_sum_law(level, p) is not None:
+            return level + 1, level + 1
+        row = _KINDS[self.kind]
+        cells = 1 << (self._level(level) if row.coarse else self.grid.J)
+        return cells, cells * row.floats
 
     def sample(self, seed=None) -> StochasticMeasureSample:
         """Draw one realization; seed overrides the spec's own seed."""

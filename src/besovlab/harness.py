@@ -2,23 +2,26 @@
 
 Per-replicate RNG streams are derived from (master seed, replicate index),
 so results are independent of worker count and scheduling.  The replicates
-run as contiguous blocks, one per worker process (`workers=1` runs a single
-block in-process).  Each worker receives the config once, builds the
-generator's sampler at level n_levels once (for fBm this is the circulant
-embedding at N = 2^n_levels) and returns only the raw level sums of its
-block, one row of n_levels per replicate; no path is kept.  The fit reads
-levels 1..n_levels only, so each replicate is drawn at level n_levels, with
-the law of its 2^J-cell draw summed up the pyramid (`GeneratorSpec.sampler`;
-weighted fBm still draws all 2^J cells).  A worker stacks about
-_BLOCK_ELEMENTS increments of consecutive replicates and runs one
-`level_sums` pyramid on the stack; each row's sums are bit-identical to the
-one-row call, so rows never depend on the stack or block bounds.  Brownian
-motion at p = 2 draws no cells: each row comes from the exact joint law of
-its level sums (`GeneratorSpec.level_sum_law`), n_levels + 1 chi-square
-draws on the replicate's stream.  After all blocks finish, one tail fit per
-replicate gives its raw exponent s (`criterion.tail_exponent`), and each
-alpha's verdict counts and median slope s + alpha p - 1 are one pass over
-the replicates, so `workers` changes the wall time and never the report.
+run as contiguous blocks, one per worker process, at most one per CPU and
+one per _POOL_VALUES values drawn, so a cheap sweep starts no pool (a
+single block runs in-process).  Each worker receives the config once,
+builds the generator's block draw at level n_levels once (for fBm this is
+the circulant embedding at N = 2^n_levels) and returns only the raw level
+sums of its block, one row of n_levels per replicate; no path is kept.  The
+fit reads levels 1..n_levels only, so each replicate is drawn at level
+n_levels, with the law of its 2^J-cell draw summed up the pyramid
+(`GeneratorSpec.block_sampler`; weighted fBm still draws all 2^J cells).  A
+worker walks its block in stacks of consecutive replicates holding about
+_BLOCK_ELEMENTS floats: one block draw makes a stack's rows (one irfft for
+fGn) and one `level_sums` pyramid sums them.  Brownian motion at p = 2
+draws no cells: its stack's rows come from the exact joint law of the level
+sums (`GeneratorSpec.level_sum_law`), n_levels + 1 chi-square draws on each
+replicate's stream.  Every row is bit-identical to its replicate drawn
+alone, so rows never depend on the stack or block bounds.  After all
+blocks finish, one tail fit per replicate gives its raw exponent s
+(`criterion.tail_exponent`), and each alpha's verdict counts and median
+slope s + alpha p - 1 are one pass over the replicates, so `workers`
+changes the wall time and never the report.
 The median slope is affine in alpha, so the critical alpha is its zero
 (1 - median s)/p, reported when it lies in (first alpha, last alpha].
 """
@@ -43,9 +46,13 @@ from .errors import ConfigurationError, ParameterError, config_number
 from .generators import GeneratorSpec
 
 SCHEMA_VERSION = 1
-# increments per stacked `level_sums` call: 16 replicates at n_levels 12; a
-# larger stack gains little and raises the peak memory of a sweep
+# floats a stack of replicates holds: 16 rows of 2^12 cells, or 4 fGn rows with
+# their spectra; a larger stack gains little and raises the peak memory of a sweep
 _BLOCK_ELEMENTS = 1 << 16
+# values drawn per worker block: starting a pool took about 7 ms on a shared
+# 2-core host, the time to draw and sum about 2^18 cells in-process (25-37 ns
+# a cell), so a second block pays once it would hold that many values
+_POOL_VALUES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -164,33 +171,34 @@ def replicate_seed(master_seed: int, index: int) -> list[int]:
 def _replicate_block(args) -> np.ndarray:
     """Worker task: raw level sums (before the alpha prefactor) of replicates start..stop-1.
 
-    Row i depends only on (master seed, start + i), never on the block bounds.
+    Row i depends only on (master seed, start + i), never on the block or stack bounds.
     """
     config_dict, start, stop = args
     config = ExperimentConfig.from_dict(config_dict)
-    n, seed = config.n_levels, config.generator.seed
+    spec, n, p = config.generator, config.n_levels, config.p
+    rows = spec.level_sum_law(n, p)
+    if rows is None:
+        cells = spec.block_sampler(n)
+        rows = lambda seeds: level_sums(cells(seeds), n, p)
+    stack = max(1, _BLOCK_ELEMENTS // spec.draw_size(n, p)[1])
     out = np.empty((stop - start, n))
-    law = config.generator.level_sum_law(n, config.p)
-    if law is not None:
-        for index in range(start, stop):
-            out[index - start] = law(replicate_seed(seed, index))
-        return out
-    draw = config.generator.sampler(level=n)
-    stack = max(1, _BLOCK_ELEMENTS >> n)
     for lo in range(start, stop, stack):
         hi = min(lo + stack, stop)
-        cells = np.stack([draw(replicate_seed(seed, index)) for index in range(lo, hi)])
-        out[lo - start : hi - start] = level_sums(cells, n, config.p)
+        out[lo - start : hi - start] = rows([replicate_seed(spec.seed, i) for i in range(lo, hi)])
     return out
 
 
 def _raw_level_sums(config: ExperimentConfig) -> np.ndarray:
     """(replicates, n_levels) raw level sums, one contiguous block per worker.
 
-    The block count is also capped at the CPU count, so a large `workers`
-    starts no more processes than can run at once; no report depends on it.
+    The block count is capped at the CPU count, so a large `workers` starts
+    no more processes than can run at once, and at one block per
+    _POOL_VALUES values drawn, so a cheap sweep starts no pool; no report
+    depends on it.
     """
-    n_blocks = min(config.workers, config.replicates, os.cpu_count() or 1)
+    work = config.replicates * config.generator.draw_size(config.n_levels, config.p)[0]
+    n_blocks = min(config.workers, config.replicates, os.cpu_count() or 1,
+                   max(1, work // _POOL_VALUES))
     bounds = [config.replicates * k // n_blocks for k in range(n_blocks + 1)]
     payloads = [(config.to_dict(), lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     if n_blocks == 1:

@@ -35,7 +35,7 @@ import numpy as np
 from .criterion import dyadic_pyramid
 from .errors import ConfigurationError, ParameterError, ResolutionError, SizeError
 from .generators import GeneratorSpec
-from .paths import MAX_RESOLUTION, DyadicSet, StochasticMeasureSample, measure_of
+from .paths import MAX_RESOLUTION, DyadicSet, StochasticMeasureSample
 
 PZ_THRESHOLD_FACTOR = 0.25
 PZ_PROBABILITY_BOUND = 0.125
@@ -317,11 +317,21 @@ def signed_sum_via_sets(
     B: Sequence[DyadicSet],
     C: Sequence[DyadicSet],
 ) -> float:
-    """sum_n a_n (mu(B_n) - mu(C_n)) for the randomized-sign construction."""
-    return math.fsum(
-        a * (measure_of(sample, b) - measure_of(sample, c))
-        for a, b, c in zip(weights.values, B, C)
-    )
+    """sum_n a_n (mu(B_n) - mu(C_n)) for the randomized-sign construction.
+
+    One pass: each finest cell gets the signed sum of the a_n of the sets
+    B_n (+a_n) and C_n (-a_n) that hold it, and one dot with the increments
+    gives the sum.
+    """
+    J, w = sample.grid.J, np.zeros(sample.grid.n_cells)
+    for a, b, c in zip(weights.values, B, C):
+        for sign, s in ((a, b), (-a, c)):
+            if s.is_empty():
+                continue
+            if s.level > J:
+                raise ResolutionError(f"set at level {s.level} exceeds sample resolution J={J}")
+            w[s.at_level(J).ks - 1] += sign  # a set's cells are distinct
+    return float(w @ sample.increments)
 
 
 @dataclass(frozen=True)

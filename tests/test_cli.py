@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +75,26 @@ class TestGenerate:
                 writer.writerow([repr(float(t)), repr(float(v))])
         out = tmp_path / "out.csv"
         _write_path_csv(path, out)
+        assert out.read_bytes() == ref.read_bytes()
+
+    def test_csv_write_memory_bounded_by_chunks(self, tmp_path):
+        # 2^16 + 1 rows: formatting a chunk of 2^12 rows peaks at about 1.2 MiB,
+        # and all of them at once (or in chunks of 2^16) at about 11 MiB
+        grid = Grid(0.0, 1.0, 16)
+        path = path_of(GeneratorSpec("bm", grid).sample(4))
+        out = tmp_path / "out.csv"
+        tracemalloc.start()
+        try:
+            _write_path_csv(path, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        ref = tmp_path / "ref.csv"
+        with ref.open("w", newline="") as fh:
+            fh.write("t,value\n")
+            for t, v in zip(grid.points().tolist(), path.values.tolist()):
+                fh.write(f"{t!r},{v!r}\n")
         assert out.read_bytes() == ref.read_bytes()
 
     def test_wfbm_low_hurst_rejected(self, tmp_path, capsys):

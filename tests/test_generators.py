@@ -1,6 +1,8 @@
 import argparse
+import hashlib
 import json
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -344,7 +346,7 @@ class TestSampler:
         N, reps = 64, 1000
         root = _fgn_embedding(N, H)
         rng = np.random.default_rng(11)
-        circ = np.stack([_fgn_circulant(root, rng) for _ in range(reps)])
+        circ = _fgn_circulant(root, [rng] * reps)  # rows drawn one after another from rng
         hosk = np.stack([_fgn_hosking(N, H, rng) for _ in range(reps)])
         gamma = _fgn_autocov(H, 4)
         for lag in range(4):
@@ -354,6 +356,71 @@ class TestSampler:
             se_c, se_h = c.std() / math.sqrt(reps), h.std() / math.sqrt(reps)
             assert abs(c.mean() - gamma[lag]) <= 4.0 * se_c
             assert abs(c.mean() - h.mean()) <= 4.0 * math.hypot(se_c, se_h)
+
+
+def int_rows(x):
+    return np.asarray(x).view(np.int64).tolist()
+
+
+class TestBlockDraw:
+    # sha256 of GeneratorSpec("fbm", Grid(0, 1, 12), seed=2024, H=H).sample().increments,
+    # drawn one seed at a time before draws were made in blocks
+    FBM_DIGESTS = {
+        0.3: "021a2b6e084a50821dec171752e11d1c4a67adebc04ab840ccb381b45aaf8310",
+        0.75: "f284aca2e46ff81f4a32d522103fa1d7160f2c31e5c51498eb46293dbe4f3970",
+    }
+
+    @given(
+        st.sampled_from(GeneratorSpec.KINDS),
+        st.data(),
+        st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=17),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_block_rows_are_the_single_draws(self, kind, data, roots):
+        J = data.draw(st.integers(6, 11), label="J")
+        level = data.draw(st.integers(6, J), label="level")
+        spec = spec_of(kind, J, 0.75 if kind == "wfbm" else 0.3)
+        seeds = [[root, i] for i, root in enumerate(roots)]
+        block = spec.block_sampler(level)(seeds)
+        assert block.shape == (len(seeds), 2**level)
+        draw = spec.sampler(level)
+        for row, seed in zip(block, seeds):
+            assert int_rows(row) == int_rows(draw(seed))
+
+    @given(st.integers(6, 14), st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=17))
+    @settings(max_examples=30, deadline=None)
+    def test_law_rows_are_the_single_draws(self, n_levels, roots):
+        # each row is R_n = (b - a) 2^-n S_n on its own stream, as drawn one seed at a time
+        spec = GeneratorSpec("bm", Grid(-1.0, 2.0, 14))
+        law = spec.level_sum_law(n_levels, 2.0)
+        seeds = [[root, i] for i, root in enumerate(roots)]
+        block = law(seeds)
+        assert block.shape == (len(seeds), n_levels)
+        df = [1.0] + [2.0**k for k in range(n_levels)]
+        scale = 3.0 * 2.0 ** -np.arange(1.0, n_levels + 1)
+        for row, seed in zip(block, seeds):
+            assert int_rows(row) == int_rows(law([seed])[0])
+            want = np.cumsum(np.random.default_rng(seed).chisquare(df))[1:] * scale
+            assert int_rows(row) == int_rows(want)
+
+    @pytest.mark.parametrize("H", sorted(FBM_DIGESTS))
+    def test_fbm_sample_keeps_its_bits(self, H):
+        sample = GeneratorSpec("fbm", Grid(0.0, 1.0, 12), seed=2024, H=H).sample()
+        assert hashlib.sha256(sample.increments.tobytes()).hexdigest() == self.FBM_DIGESTS[H]
+
+    def test_fgn_draw_memory(self):
+        # one allocation holds the half spectrum (2N + 2 floats) and the irfft
+        # output (2N): normals and scaling are written in place.  The
+        # embedding's N + 1 roots belong to the sampler, built before tracing.
+        N = 2**16
+        draw = GeneratorSpec("fbm", Grid(0.0, 1.0, 16), H=0.75).sampler()
+        tracemalloc.start()
+        try:
+            draw(5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 8 * N
 
 
 class TestCoarseSampler:

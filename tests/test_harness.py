@@ -163,6 +163,7 @@ class TestAlphaSweep:
         slopes = [row.median_slope for row in report.rows]
         assert all(b >= a - 1e-12 for a, b in zip(slopes, slopes[1:]))
 
+    @pytest.mark.usefixtures("split_by_workers")
     def test_worker_counts_agree(self):
         cfg1 = bm_config(replicates=6, workers=1)
         cfg4 = bm_config(replicates=6, workers=4)
@@ -211,7 +212,36 @@ def assert_rows_are_fine_draws(raw, cfg):
         assert row.view(np.int64).tolist() == fine.view(np.int64).tolist()
 
 
+@pytest.fixture
+def split_by_workers(monkeypatch):
+    """One block per worker however small the work, so the splits are exercised."""
+    monkeypatch.setattr(harness, "_POOL_VALUES", 1)
+
+
+@pytest.fixture
+def pools_started(monkeypatch):
+    """The sizes of the process pools a sweep starts; the pool runs in-process."""
+    started = []
+
+    class InProcessPool:  # records the pool size and starts no process
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            return map(fn, payloads)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    return started
+
+
 class TestWorkerBlocks:
+    @pytest.mark.usefixtures("split_by_workers")
     @pytest.mark.parametrize("kind", sorted(SPLIT_SPECS))
     @pytest.mark.parametrize("replicates, worker_counts", [(7, (1, 2, 3)), (2, (1, 4))])
     def test_rows_independent_of_split(self, kind, replicates, worker_counts, monkeypatch):
@@ -228,30 +258,26 @@ class TestWorkerBlocks:
         assert all(r.rows == reports[0].rows for r in reports)
 
     @pytest.mark.parametrize("cpus, pools", [(3, [3]), (None, [])])
-    def test_pool_capped_at_cpu_count(self, monkeypatch, cpus, pools):
-        started = []
-
-        class InProcessPool:  # records the pool size and starts no process
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, payloads):
-                return map(fn, payloads)
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    def test_pool_capped_at_cpu_count(self, pools_started, monkeypatch, cpus, pools):
+        # 5000 x 2^8 cells drawn: work for 4 blocks, capped at 3 CPUs
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        cfg = bm_config(generator=GeneratorSpec("bm", Grid(0.0, 1.0, 6), seed=4),
-                        n_levels=6, replicates=5000, workers=5000)
+        cfg = bm_config(generator=GeneratorSpec("bm", Grid(0.0, 1.0, 8), seed=4), p=3.0,
+                        n_levels=8, replicates=5000, workers=5000)
+        assert cfg.replicates * 2**8 >= 4 * harness._POOL_VALUES
         raw = _raw_level_sums(cfg)
-        assert started == pools
+        assert pools_started == pools
         assert raw.tobytes() == _raw_level_sums(dataclasses.replace(cfg, workers=1)).tobytes()
 
+    def test_cheap_sweep_starts_no_pool(self, pools_started, monkeypatch):
+        # 1000 BM replicates at p = 2 draw 13 chi-square values each: a pool costs more
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        cfg = bm_config(generator=GeneratorSpec("bm", Grid(0.0, 1.0, 14), seed=4),
+                        n_levels=12, replicates=1000, workers=2)
+        raw = _raw_level_sums(cfg)
+        assert pools_started == []
+        assert raw.shape == (1000, 12) and np.all(raw > 0.0)
+
+    @pytest.mark.usefixtures("split_by_workers")
     def test_row_is_the_replicate_own_draw(self):
         # each replicate is drawn at level n_levels from its own [seed, index] stream
         cfg = bm_config(generator=SPLIT_SPECS["fbm"], replicates=3, workers=2)
@@ -270,6 +296,7 @@ class TestWorkerBlocks:
         cfg = bm_config(generator=spec, p=p, n_levels=8, replicates=5)
         assert_rows_are_fine_draws(_raw_level_sums(cfg), cfg)
 
+    @pytest.mark.usefixtures("split_by_workers")
     @pytest.mark.parametrize("workers", [1, 2])
     def test_bm_p2_rows_are_the_level_sum_law(self, workers, monkeypatch):
         # row i is R_n = (b - a) 2^-n S_n on stream [seed, i], S_0 ~ chi2_1 and
@@ -285,6 +312,7 @@ class TestWorkerBlocks:
             want = np.cumsum(np.random.default_rng([29, i]).chisquare(df))[1:] * scale
             assert row.view(np.int64).tolist() == want.view(np.int64).tolist()
 
+    @pytest.mark.usefixtures("split_by_workers")
     def test_wfbm_rows_are_the_fine_draw_summed(self):
         # weighted fBm has no coarse law: it draws all 2^J cells and sums them down
         spec = spec_of_kind("wfbm", Grid(0.0, 1.0, 11))
@@ -318,9 +346,26 @@ class TestWorkerBlocks:
                       (cfg.generator.sampler(level=12)([3, i]) for i in range(37))]
         assert raw.tobytes() == np.array(one_by_one).tobytes()
 
+    def test_fgn_stacks_sized_by_floats(self, monkeypatch):
+        # an fGn row holds its half spectrum and 2N-point irfft too: 4 rows of 2^12
+        shapes = []
+        stacked = harness.level_sums
+        monkeypatch.setattr(
+            harness, "level_sums", lambda x, n, p: shapes.append(x.shape) or stacked(x, n, p)
+        )
+        spec = dataclasses.replace(SPLIT_SPECS["fbm"], grid=Grid(0.0, 1.0, 12))
+        cfg = bm_config(generator=spec, n_levels=12, replicates=9)
+        raw = _raw_level_sums(cfg)
+        assert shapes == [(4, 4096), (4, 4096), (1, 4096)]
+        draw = cfg.generator.sampler(level=12)
+        one_by_one = [level_sums(draw([102, i]), 12, 2.0) for i in range(9)]
+        assert raw.tobytes() == np.array(one_by_one).tobytes()
+
+    @pytest.mark.usefixtures("split_by_workers")
     @pytest.mark.parametrize("kind", sorted(SPLIT_SPECS))
     def test_two_workers_split_stacks_bit_identically(self, kind, monkeypatch):
         # 37 replicates: stacks of 16 + 16 + 5 in one worker, 16 + 2 and 16 + 3 in two
+        # (fBm rows hold their spectra too: stacks of 4)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         spec = dataclasses.replace(SPLIT_SPECS[kind], grid=Grid(0.0, 1.0, 13))
         cfg = bm_config(generator=spec, n_levels=12, replicates=37)
@@ -328,6 +373,7 @@ class TestWorkerBlocks:
         two = _raw_level_sums(dataclasses.replace(cfg, workers=2))
         assert one.view(np.int64).tolist() == two.view(np.int64).tolist()
 
+    @pytest.mark.usefixtures("split_by_workers")
     @pytest.mark.parametrize("workers", [1, 2])
     def test_overflowing_level_sums_refused(self, workers):
         cfg = bm_config(
