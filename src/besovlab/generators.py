@@ -9,10 +9,9 @@ takes (or none), whether it takes a weight, and its sampler factory.
 `GeneratorSpec` checks its fields against the row, and `block_sampler()` is
 the one generation path: it computes what a spec's draws share (sqrt(dx),
 the weight at the cell midpoints, the fGn circulant embedding) once and
-returns a block draw, `draw(seeds)` -> one row of increments per seed, row
-i bit-identical to the block of seeds[i] alone: each seed's normals are
-written into its row (for fGn, its row of one half-spectrum array, with one
-irfft for the block).  `sampler()(seed)` and `sample()` are the block of one.
+returns `draw(seeds)`, one row of increments per seed, each seed's normals
+written into its own row (fGn: one irfft per block), so row i is bit for
+bit the block of seeds[i] alone.  `sampler()` and `sample()` are blocks of one.
 
 A draw at `level` makes the 2^level increments of the dyadic cells at a
 coarser level, with the law of the finest draw summed up the pyramid.  A
@@ -117,8 +116,7 @@ class WeightFn:
 
 
 Sampler = Callable[[object], np.ndarray]  # seed -> increments at the sampler's level
-# seeds -> (len(seeds), width): row i is the draw from seeds[i] alone, bit for bit
-BlockSampler = Callable[[Sequence], np.ndarray]
+BlockSampler = Callable[[Sequence], np.ndarray]  # seeds -> one row per seed, as drawn alone
 
 
 def _rows(seeds: Sequence, width: int, fill: Callable) -> np.ndarray:
@@ -136,9 +134,8 @@ def _scaled(factor, draw: BlockSampler) -> BlockSampler:
 
 # Sampler factories take (grid, H); those of kinds without a Hurst index ignore H.
 def _bm_sampler(grid: Grid, H: None) -> BlockSampler:
-    n = grid.n_cells
-    normals = lambda seeds: _rows(seeds, n, lambda rng, row: rng.standard_normal(out=row))
-    return _scaled(math.sqrt(grid.dx), normals)
+    normal = lambda rng, row: rng.standard_normal(out=row)
+    return _scaled(math.sqrt(grid.dx), lambda seeds: _rows(seeds, grid.n_cells, normal))
 
 
 def _bm_p2_law(grid: Grid, n_levels: int) -> BlockSampler:
@@ -153,13 +150,8 @@ def _bm_p2_law(grid: Grid, n_levels: int) -> BlockSampler:
     """
     df = np.concatenate([[1.0], 2.0 ** np.arange(n_levels)])
     scale = (grid.b - grid.a) * 2.0 ** -np.arange(1.0, n_levels + 1)
-
-    def draw(seeds):
-        S = _rows(seeds, n_levels + 1, lambda rng, row: np.copyto(row, rng.chisquare(df)))
-        np.cumsum(S, axis=1, out=S)
-        return S[:, 1:] * scale
-
-    return draw
+    chi2 = lambda rng, row: np.copyto(row, rng.chisquare(df))
+    return lambda seeds: np.cumsum(_rows(seeds, n_levels + 1, chi2), axis=1)[:, 1:] * scale
 
 
 def _block_rms(g: np.ndarray, width: int) -> np.ndarray:
@@ -192,6 +184,9 @@ _SERIES_TERMS = 11
 # Eigenvalues down to -EMBEDDING_TOLERANCE * eps * log2(2N) * max eig are FFT
 # roundoff around an exact eigenvalue of 0 or more and are clipped to 0.
 EMBEDDING_TOLERANCE = 16.0
+# floats an fGn draw holds per cell: its N + 1 complex half spectrum and its
+# 2N-point irfft output make a row of 4 N + 2
+_FGN_FLOATS = 4
 
 
 def _fgn_autocov(H: float, n_lags: int) -> np.ndarray:
@@ -246,10 +241,9 @@ def _fgn_circulant(root: np.ndarray, seeds: Sequence) -> np.ndarray:
     Row i of Z is the half spectrum of a Hermitian vector: Z[0] and Z[N]
     real standard normals, Z[1:N] = (V[:, 0] + 1j V[:, 1]) / sqrt(2), drawn
     from seeds[i] (a seed or a Generator) in that order and written through
-    the (real, imag) view.  All rows go through one irfft, each bit-identical
-    to a block of one.  Z and the irfft output share one allocation of 4 N + 2
-    floats a row, and the scaling is in place: with two allocations a sweep's
-    stacks made the heap shrink and regrow, faulting in fresh pages each time.
+    the (real, imag) view.  One irfft makes all rows, into the same
+    allocation as Z (two allocations made a sweep's heap shrink and regrow
+    at every stack), and the scaling is in place.
     """
     N = len(root) - 1
 
@@ -258,7 +252,7 @@ def _fgn_circulant(root: np.ndarray, seeds: Sequence) -> np.ndarray:
         rng.standard_normal(out=row[2 * N : 2 * N + 1])
         rng.standard_normal(out=row[2 : 2 * N])
 
-    buf = _rows(seeds, 4 * N + 2, fill)
+    buf = _rows(seeds, _FGN_FLOATS * N + 2, fill)
     parts = buf[:, : 2 * N + 2]
     parts[:, [1, 2 * N + 1]] = 0.0
     parts[:, 2 : 2 * N] *= 1.0 / math.sqrt(2.0)
@@ -286,19 +280,22 @@ class _Kind(NamedTuple):
     # a coarse draw is the factory on the coarse level's grid (times the block RMS of
     # the weight); otherwise the finest draw is summed down to that level
     coarse: bool
-    # floats a draw holds per cell: fGn's half spectrum and 2N-point irfft hold 4
-    floats: int
+    floats: int  # floats a draw holds per cell
     # (grid, n_levels) -> draw(seeds) of the raw level sums at p = 2 from their exact
     # joint law, or None: the sweep sums drawn cells
     p2_law: Optional[Callable[[Grid, int], BlockSampler]] = None
 
 
+# a level-sum law row costs as much as 2^8 drawn cells: on a shared 2-core host a
+# 2-worker pool paid from about 1500 law rows on, and from about 2^19 cells on
+_LAW_CELLS = 1 << 8
+
 # The first row is the CLI's default process.
 _KINDS = {
     "bm": _Kind(None, False, _bm_sampler, True, 1, _bm_p2_law),  # i.i.d. N(0, dx)
     "martingale": _Kind(None, True, _bm_sampler, True, 1),  # g(midpoint_k) dW_k: an Ito integral
-    "fbm": _Kind((0.0, 1.0), False, _fgn_sampler, True, 4),  # fGn, variance dx^{2H}
-    "wfbm": _Kind((0.5, 1.0), True, _fgn_sampler, False, 4),  # f(midpoint_k) dW^H_k
+    "fbm": _Kind((0.0, 1.0), False, _fgn_sampler, True, _FGN_FLOATS),  # fGn, variance dx^{2H}
+    "wfbm": _Kind((0.5, 1.0), True, _fgn_sampler, False, _FGN_FLOATS),  # f(midpoint_k) dW^H_k
     "linear": _Kind(None, False, _ramp_sampler, True, 1),  # the constant dx: a ramp (test stub)
 }
 
@@ -353,9 +350,7 @@ class GeneratorSpec:
 
         `level` None is J: the finest increments.  A coarser level has the
         law of the finest draw summed up the pyramid (see the module
-        docstring).  The per-spec constants (sqrt(dx), the weight at the
-        midpoints, the fGn circulant embedding) are computed here once, not
-        per draw.
+        docstring).  What the draws share is computed here once.
         """
         level, fine = self._level(level), self.grid
         row = _KINDS[self.kind]
@@ -369,21 +364,21 @@ class GeneratorSpec:
         return draw if grid.J == level else _summed_to(level, draw)
 
     def sampler(self, level: Optional[int] = None) -> Sampler:
-        """`draw(seed)` -> the 2^level increments of one seed: the block of one.
-
-        `level` None is J, and the draw equals `sample(seed).increments`.
-        """
+        """`draw(seed)`, the block of one: equal to `sample(seed).increments` at level J."""
         block = self.block_sampler(level)
         return lambda seed: block([seed])[0]
 
-    def draw_size(self, level: int, p: float) -> tuple[int, int]:
-        """(values, floats) a sweep at `level` and exponent p draws and holds per
-        seed: the level-sum law's level + 1 values, or the block draw's cells."""
+    @property
+    def floats(self) -> int:
+        """Floats a block draw holds per cell."""
+        return _KINDS[self.kind].floats
+
+    def draw_size(self, level: int, p: float) -> int:
+        """Cells a sweep at `level` and exponent p draws per seed; a level-sum law
+        row counts as _LAW_CELLS, the cells that cost as much to draw and sum."""
         if self.level_sum_law(level, p) is not None:
-            return level + 1, level + 1
-        row = _KINDS[self.kind]
-        cells = 1 << (self._level(level) if row.coarse else self.grid.J)
-        return cells, cells * row.floats
+            return _LAW_CELLS
+        return 1 << (self._level(level) if _KINDS[self.kind].coarse else self.grid.J)
 
     def sample(self, seed=None) -> StochasticMeasureSample:
         """Draw one realization; seed overrides the spec's own seed."""

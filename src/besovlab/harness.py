@@ -3,25 +3,22 @@
 Per-replicate RNG streams are derived from (master seed, replicate index),
 so results are independent of worker count and scheduling.  The replicates
 run as contiguous blocks, one per worker process, at most one per CPU and
-one per _POOL_VALUES values drawn, so a cheap sweep starts no pool (a
-single block runs in-process).  Each worker receives the config once,
-builds the generator's block draw at level n_levels once (for fBm this is
-the circulant embedding at N = 2^n_levels) and returns only the raw level
-sums of its block, one row of n_levels per replicate; no path is kept.  The
-fit reads levels 1..n_levels only, so each replicate is drawn at level
-n_levels, with the law of its 2^J-cell draw summed up the pyramid
-(`GeneratorSpec.block_sampler`; weighted fBm still draws all 2^J cells).  A
-worker walks its block in stacks of consecutive replicates holding about
+per _POOL_CELLS cells drawn (a single block runs in-process).  Each worker
+receives the config once, builds the generator's block draw at level
+n_levels once (for fBm the circulant embedding at N = 2^n_levels) and
+returns only the raw level sums of its block, one row of n_levels per
+replicate.  The fit reads levels 1..n_levels only, so each replicate is
+drawn at level n_levels, with the law of its 2^J-cell draw summed up the
+pyramid (`GeneratorSpec.block_sampler`; weighted fBm still draws all 2^J
+cells).  A worker walks its block in stacks of replicates holding about
 _BLOCK_ELEMENTS floats: one block draw makes a stack's rows (one irfft for
 fGn) and one `level_sums` pyramid sums them.  Brownian motion at p = 2
-draws no cells: its stack's rows come from the exact joint law of the level
-sums (`GeneratorSpec.level_sum_law`), n_levels + 1 chi-square draws on each
-replicate's stream.  Every row is bit-identical to its replicate drawn
-alone, so rows never depend on the stack or block bounds.  After all
-blocks finish, one tail fit per replicate gives its raw exponent s
-(`criterion.tail_exponent`), and each alpha's verdict counts and median
-slope s + alpha p - 1 are one pass over the replicates, so `workers`
-changes the wall time and never the report.
+draws no cells: its rows come from the exact joint law of the level sums
+(`GeneratorSpec.level_sum_law`).  Every row is bit-identical to its
+replicate drawn alone, so rows never depend on stack or block bounds.  One
+tail fit per replicate gives its raw exponent s (`criterion.tail_exponent`),
+and each alpha's verdict counts and median slope s + alpha p - 1 are one
+pass over the replicates, so `workers` changes the wall time, not the report.
 The median slope is affine in alpha, so the critical alpha is its zero
 (1 - median s)/p, reported when it lies in (first alpha, last alpha].
 """
@@ -47,12 +44,13 @@ from .generators import GeneratorSpec
 
 SCHEMA_VERSION = 1
 # floats a stack of replicates holds: 16 rows of 2^12 cells, or 4 fGn rows with
-# their spectra; a larger stack gains little and raises the peak memory of a sweep
+# their spectra (a law row counts as its draw_size); a larger stack gains little
+# and raises the peak memory of a sweep
 _BLOCK_ELEMENTS = 1 << 16
-# values drawn per worker block: starting a pool took about 7 ms on a shared
-# 2-core host, the time to draw and sum about 2^18 cells in-process (25-37 ns
-# a cell), so a second block pays once it would hold that many values
-_POOL_VALUES = 1 << 18
+# cells drawn per worker block (`GeneratorSpec.draw_size`): on a shared 2-core
+# host a 2-worker pool lost to one block at 100 BM p = 3 replicates of 2^12
+# cells and won from 200 on, so a second block pays from about 2^19 cells
+_POOL_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -180,7 +178,7 @@ def _replicate_block(args) -> np.ndarray:
     if rows is None:
         cells = spec.block_sampler(n)
         rows = lambda seeds: level_sums(cells(seeds), n, p)
-    stack = max(1, _BLOCK_ELEMENTS // spec.draw_size(n, p)[1])
+    stack = max(1, _BLOCK_ELEMENTS // (spec.draw_size(n, p) * spec.floats))
     out = np.empty((stop - start, n))
     for lo in range(start, stop, stack):
         hi = min(lo + stack, stop)
@@ -193,12 +191,12 @@ def _raw_level_sums(config: ExperimentConfig) -> np.ndarray:
 
     The block count is capped at the CPU count, so a large `workers` starts
     no more processes than can run at once, and at one block per
-    _POOL_VALUES values drawn, so a cheap sweep starts no pool; no report
+    _POOL_CELLS cells drawn, so a cheap sweep starts no pool; no report
     depends on it.
     """
-    work = config.replicates * config.generator.draw_size(config.n_levels, config.p)[0]
+    work = config.replicates * config.generator.draw_size(config.n_levels, config.p)
     n_blocks = min(config.workers, config.replicates, os.cpu_count() or 1,
-                   max(1, work // _POOL_VALUES))
+                   max(1, work // _POOL_CELLS))
     bounds = [config.replicates * k // n_blocks for k in range(n_blocks + 1)]
     payloads = [(config.to_dict(), lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     if n_blocks == 1:

@@ -319,9 +319,8 @@ def signed_sum_via_sets(
 ) -> float:
     """sum_n a_n (mu(B_n) - mu(C_n)) for the randomized-sign construction.
 
-    One pass: each finest cell gets the signed sum of the a_n of the sets
-    B_n (+a_n) and C_n (-a_n) that hold it, and one dot with the increments
-    gives the sum.
+    Each finest cell gets the sum of +a_n (B_n) and -a_n (C_n) over the sets
+    holding it; the fsum of its products with the increments is exactly rounded.
     """
     J, w = sample.grid.J, np.zeros(sample.grid.n_cells)
     for a, b, c in zip(weights.values, B, C):
@@ -331,7 +330,7 @@ def signed_sum_via_sets(
             if s.level > J:
                 raise ResolutionError(f"set at level {s.level} exceeds sample resolution J={J}")
             w[s.at_level(J).ks - 1] += sign  # a set's cells are distinct
-    return float(w @ sample.increments)
+    return math.fsum((w * sample.increments).tolist())
 
 
 @dataclass(frozen=True)

@@ -215,7 +215,7 @@ def assert_rows_are_fine_draws(raw, cfg):
 @pytest.fixture
 def split_by_workers(monkeypatch):
     """One block per worker however small the work, so the splits are exercised."""
-    monkeypatch.setattr(harness, "_POOL_VALUES", 1)
+    monkeypatch.setattr(harness, "_POOL_CELLS", 1)
 
 
 @pytest.fixture
@@ -263,19 +263,20 @@ class TestWorkerBlocks:
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         cfg = bm_config(generator=GeneratorSpec("bm", Grid(0.0, 1.0, 8), seed=4), p=3.0,
                         n_levels=8, replicates=5000, workers=5000)
-        assert cfg.replicates * 2**8 >= 4 * harness._POOL_VALUES
+        assert cfg.replicates * 2**8 >= 4 * harness._POOL_CELLS
         raw = _raw_level_sums(cfg)
         assert pools_started == pools
         assert raw.tobytes() == _raw_level_sums(dataclasses.replace(cfg, workers=1)).tobytes()
 
-    def test_cheap_sweep_starts_no_pool(self, pools_started, monkeypatch):
-        # 1000 BM replicates at p = 2 draw 13 chi-square values each: a pool costs more
+    @pytest.mark.parametrize("replicates, pools", [(1000, []), (5000, [2])])
+    def test_law_sweep_pools_by_work(self, pools_started, monkeypatch, replicates, pools):
+        # a BM p = 2 replicate costs 2^8 cells: 1000 fill one block, 5000 pay for a pool
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         cfg = bm_config(generator=GeneratorSpec("bm", Grid(0.0, 1.0, 14), seed=4),
-                        n_levels=12, replicates=1000, workers=2)
+                        n_levels=12, replicates=replicates, workers=2)
         raw = _raw_level_sums(cfg)
-        assert pools_started == []
-        assert raw.shape == (1000, 12) and np.all(raw > 0.0)
+        assert pools_started == pools
+        assert raw.tobytes() == _raw_level_sums(dataclasses.replace(cfg, workers=1)).tobytes()
 
     @pytest.mark.usefixtures("split_by_workers")
     def test_row_is_the_replicate_own_draw(self):

@@ -361,6 +361,22 @@ class TestRandomizeSigns:
         )
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
+    def test_signed_sum_is_correctly_rounded(self):
+        # bit for bit the fsum over finest cells of w_k x_k, where w_k adds the
+        # +-a_n of the sets holding cell k level by level: no BLAS reduction order
+        rng = np.random.default_rng(11)
+        J, fam = 10, DisjointFamily.full_dyadic(8)
+        sample = GeneratorSpec("bm", Grid(0.0, 1.0, J)).sample(11)
+        weights = WeightSequence.geometric(0.4, 2.0, 8)
+        signs = [[int(s) for s in rng.choice([-1, 1], size=len(level))] for level in fam.levels]
+        B, C = randomize_signs(fam, signs)
+        w, cells = np.zeros(1 << J), np.arange(1 << J)
+        for a, b, c in zip(weights.values, B, C):
+            inside = [np.isin((cells >> (J - s.level)) + 1, s.ks) for s in (b, c)]
+            w += a * (inside[0].astype(float) - inside[1])
+        expected = math.fsum((w * sample.increments).tolist())
+        assert signed_sum_via_sets(sample, weights, B, C).hex() == expected.hex()
+
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
