@@ -32,7 +32,7 @@ unresolved tail.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain
 from typing import Optional
 
@@ -83,14 +83,7 @@ class BesovNormReport:
     norm_total: float
 
     def to_dict(self) -> dict:
-        return {
-            "lp_norm": self.lp_norm,
-            "seminorm_truncated": self.seminorm_truncated,
-            "truncation_floor": self.truncation_floor,
-            "extrapolated_seminorm": self.extrapolated_seminorm,
-            "tail_diverges": self.tail_diverges,
-            "norm_total": self.norm_total,
-        }
+        return asdict(self)
 
 
 def _p2_cell_sum(g: np.ndarray) -> float:
@@ -103,22 +96,20 @@ def _p2_cell_sum(g: np.ndarray) -> float:
     return (2.0 * np.dot(g, g) + np.dot(g[:-1], g[1:]) - g[0] * g[0] - g[-1] * g[-1]) / 3.0
 
 
-def _cell_power_integral(g: np.ndarray, p: float, scratch: Optional[np.ndarray] = None) -> float:
+def _cell_power_integral(g: np.ndarray, p: float) -> float:
     """sum_k of the integral over s in [0, 1] of |g_k (1 - s) + g_{k+1} s|^p.
 
     p = 2 is the closed form `_p2_cell_sum`.  Other p sum `_power_sum` over
     the weighted Gauss-node values (`_node_values`) of blocks of at most
-    _BLOCK_CELLS cells, so memory stays bounded at any length.  `scratch`
-    (at least 10 min(L, _BLOCK_CELLS) floats) holds a block's node values
-    and one temporary.
+    _BLOCK_CELLS cells, so memory stays bounded at any length.  One buffer
+    of 10 min(L, _BLOCK_CELLS) floats holds a block's node values and one
+    temporary.
     """
     if p == 2.0:
         return _p2_cell_sum(g)
     L = len(g) - 1
     B = min(L, _BLOCK_CELLS)
-    if scratch is None:
-        scratch = np.empty(10 * B)
-    nodes, tmp = scratch[: 10 * B].reshape(2, 5 * B)
+    nodes, tmp = np.empty((2, 5 * B))
     total = 0.0
     for k0 in range(0, L, _BLOCK_CELLS):
         w = min(_BLOCK_CELLS, L - k0)

@@ -12,7 +12,6 @@ import csv
 import dataclasses
 import json
 import math
-import re
 import sys
 import warnings
 from pathlib import Path
@@ -62,12 +61,6 @@ def _write_path_csv(path: SampledPath, out: Path):
             fh.write("".join(f"{t!r},{v!r}\n" for t, v in rows))
 
 
-# loadtxt numbers the non-blank data rows, from 1 in a short-row error and
-# from 0 in a conversion error; compiled on the first malformed file
-_SHORT_ROW = r"invalid column index \d+ at row (\d+) with"
-_BAD_FIELD = r"could not convert string (.*) to float64 at row (\d+), column (\d+)"
-
-
 def read_series_csv(source: Path) -> tuple[np.ndarray, np.ndarray]:
     """Times and values from the first two columns of a 't,value' CSV file.
 
@@ -90,9 +83,12 @@ def read_series_csv(source: Path) -> tuple[np.ndarray, np.ndarray]:
     except OSError as exc:
         raise DataError(f"cannot read {source}: {exc}") from exc
     except ValueError as exc:
-        raise _row_error(source, exc) from exc
+        raise _bad_row(source, f"cannot read {source}: {exc}") from exc
     if not np.all(np.isfinite(table)):
-        raise _non_finite_error(source, table)
+        row, col = np.argwhere(~np.isfinite(table))[0]
+        value = float(table[row, col])
+        where = f"data row {row + 1}, column {col + 1}"
+        raise _bad_row(source, f"{source}: {where}: {value!r} is not finite")
     times, values = table.T.copy()
     if len(times) < 2:
         raise DataError(f"{source}: need at least two samples")
@@ -101,42 +97,32 @@ def read_series_csv(source: Path) -> tuple[np.ndarray, np.ndarray]:
     return times, values
 
 
-def _row_error(source: Path, exc: ValueError) -> DataError:
-    """A DataError naming the file line of loadtxt's failing row, when it gives one."""
-    msg = str(exc)
-    line = None
-    if short := re.search(_SHORT_ROW, msg):
-        line = _file_line(source, int(short[1]) - 1)
-        what = f"line {line} has fewer than two fields"
-    elif bad := re.search(_BAD_FIELD, msg):
-        line = _file_line(source, int(bad[2]))
-        what = f"line {line}, column {bad[3]}: cannot parse {bad[1]} as a number"
-    if line is None:
-        return DataError(f"cannot read {source}: {msg}")
-    return DataError(f"{source}: {what}")
+def _bad_row(source: Path, fallback: str) -> DataError:
+    """A DataError naming the file line of the first short, unparsable or non-finite row.
 
-
-def _non_finite_error(source: Path, table: np.ndarray) -> DataError:
-    """A DataError naming the file line and column of the first NaN or infinity."""
-    row, col = np.argwhere(~np.isfinite(table))[0]
-    line = _file_line(source, int(row))
-    where = f"line {line}" if line is not None else f"data row {row + 1}"
-    value = float(table[row, col])
-    return DataError(f"{source}: {where}, column {col + 1}: {value!r} is not finite")
-
-
-def _file_line(source: Path, row: int) -> int | None:
-    """File line, from 1 at the header, of the non-blank data row `row` (from 0)."""
+    The file is re-read with csv.reader and float(), the row reader that
+    `np.loadtxt` replaced, so the line does not rest on the wording of
+    loadtxt's messages.  `fallback` is the message when the file cannot be
+    re-read (a pipe, or a file that changed) or no row is at fault.
+    """
     try:
         with source.open(newline="") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if line_no > 1 and line.strip("\r\n"):
-                    if row == 0:
-                        return line_no
-                    row -= 1
-    except (OSError, ValueError):
-        pass  # the file is gone or changed: the error is reported without a line
-    return None
+            reader = csv.reader(fh)
+            next(reader, None)  # the header
+            for row in filter(None, reader):  # blank lines are skipped, as loadtxt does
+                at = f"{source}: line {reader.line_num}"
+                for col, field in enumerate(row[:2], start=1):
+                    try:
+                        value = float(field)
+                    except ValueError:
+                        return DataError(f"{at}, column {col}: cannot parse {field!r} as a number")
+                    if not math.isfinite(value):
+                        return DataError(f"{at}, column {col}: {value!r} is not finite")
+                if len(row) < 2:
+                    return DataError(f"{at} has fewer than two fields")
+    except (OSError, ValueError, csv.Error):
+        pass  # the error is reported without a line
+    return DataError(fallback)
 
 
 def ingest_series(times: np.ndarray, values: np.ndarray) -> tuple[SampledPath, bool]:

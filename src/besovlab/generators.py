@@ -11,7 +11,7 @@ the one generation path: it computes what a spec's draws share (sqrt(dx),
 the weight at the cell midpoints, the fGn circulant embedding) once and
 returns `draw(seeds)`, one row of increments per seed, each seed's normals
 written into its own row (fGn: one irfft per block), so row i is bit for
-bit the block of seeds[i] alone.  `sampler()` and `sample()` are blocks of one.
+bit the block of seeds[i] alone.  `sample()` is the block of one.
 
 A draw at `level` makes the 2^level increments of the dyadic cells at a
 coarser level, with the law of the finest draw summed up the pyramid.  A
@@ -25,12 +25,15 @@ coarse draw is bit-identical to the finest draw summed.  A coarse draw
 uses fewer normals of the seed's stream, so it is equal to the summed
 finest draw in law, not bit for bit; at level J both are the same draw.
 
-A row may also carry a p = 2 level-sum law, and `level_sum_law(n_levels,
-p)` returns a block draw of the raw level sums R_1..R_{n_levels}, one row
-per seed, with no cell drawn.  Only BM has one: by the Haar (Levy-Ciesielski)
-decomposition R_n = (b - a) 2^-n S_n, where S_0 ~ chi2_1 and S_n = S_{n-1}
-+ chi2_{2^(n-1)}, all independent, so n_levels + 1 chi-square draws replace
-2^n_levels normals.  It is exact in law for all the sums jointly.
+A sweep's replicate rows are made here too: `level_sum_rows(n_levels, p)`
+returns `rows(seeds)`, the raw level sums R_1..R_{n_levels} of each seed,
+drawn in stacks of about _STACK_FLOATS floats.  A stack is one block draw
+at level n_levels summed by one `level_sums` pyramid, unless p = 2 and the
+kind's row carries a p = 2 level-sum law.  Only BM has one: by the Haar
+(Levy-Ciesielski) decomposition R_n = (b - a) 2^-n S_n, where S_0 ~ chi2_1
+and S_n = S_{n-1} + chi2_{2^(n-1)}, all independent, so n_levels + 1
+chi-square draws replace 2^n_levels normals.  It is exact in law for all
+the sums jointly.
 
 fGn has one path, the Davies-Harte circulant embedding: O(N log N) per
 draw for every H in (0, 1).  The embedding is nonnegative in exact
@@ -49,7 +52,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .criterion import dyadic_pyramid
+from .criterion import dyadic_pyramid, level_sums
 from .errors import ConfigurationError, ParameterError, ResolutionError, config_number
 from .paths import Grid, StochasticMeasureSample
 
@@ -115,7 +118,6 @@ class WeightFn:
         return cls(kind, params)
 
 
-Sampler = Callable[[object], np.ndarray]  # seed -> increments at the sampler's level
 BlockSampler = Callable[[Sequence], np.ndarray]  # seeds -> one row per seed, as drawn alone
 
 
@@ -193,7 +195,8 @@ def _fgn_autocov(H: float, n_lags: int) -> np.ndarray:
     """Unit-step fGn autocovariance gamma(m), m = 0 .. n_lags - 1.
 
     gamma(m) = (|m+1|^{2H} - 2|m|^{2H} + |m-1|^{2H}) / 2, summed for
-    m >= _SERIES_FROM_LAG as m^{2H} sum_{j>=1} binom(2H, 2j) m^{-2j}.
+    m >= _SERIES_FROM_LAG as m^{2H} sum_{j>=1} binom(2H, 2j) m^{-2j}, in
+    place in gamma: 4 N floats at the peak, no more than the embedding's rfft.
     """
     a = 2.0 * H
     head = np.arange(min(n_lags, _SERIES_FROM_LAG), dtype=float)
@@ -207,11 +210,12 @@ def _fgn_autocov(H: float, n_lags: int) -> np.ndarray:
                 coeffs.append(binom)
         m = np.arange(_SERIES_FROM_LAG, n_lags, dtype=float)
         u = 1.0 / (m * m)
-        series = np.zeros_like(m)
-        for c in reversed(coeffs):  # Horner in u = m^-2
+        series = gamma[_SERIES_FROM_LAG:]
+        series.fill(0.0)
+        for c in reversed(coeffs):  # Horner in u
             series += c
             series *= u
-        gamma[_SERIES_FROM_LAG:] = m**a * series
+        series *= np.power(m, a, out=m)
     return gamma
 
 
@@ -223,8 +227,9 @@ def _fgn_embedding(N: int, H: float) -> np.ndarray:
     more negative one means an invalid covariance and raises ParameterError.
     They depend only on (N, H), so a sampler computes them once per spec.
     """
-    c = _fgn_autocov(H, N + 1)
-    eig = np.fft.rfft(np.concatenate([c, c[-2:0:-1]])).real
+    # the circulant's first row, gamma(0..N) then gamma(N-1..1), lives only
+    # while its rfft runs: 4 N floats at the peak
+    eig = np.fft.rfft(np.pad(_fgn_autocov(H, N + 1), (0, N - 1), mode="reflect")).real
     top = eig.max()
     floor = -EMBEDDING_TOLERANCE * np.finfo(float).eps * math.log2(2 * N) * top
     if not eig.min() >= floor:
@@ -289,6 +294,10 @@ class _Kind(NamedTuple):
 # a level-sum law row costs as much as 2^8 drawn cells: on a shared 2-core host a
 # 2-worker pool paid from about 1500 law rows on, and from about 2^19 cells on
 _LAW_CELLS = 1 << 8
+# floats a stack of replicates holds: 16 rows of 2^12 cells, or 4 fGn rows with
+# their spectra (a law row counts as its draw_size); a larger stack gains little
+# and raises the peak memory of a sweep
+_STACK_FLOATS = 1 << 16
 
 # The first row is the CLI's default process.
 _KINDS = {
@@ -334,15 +343,29 @@ class GeneratorSpec:
             raise ResolutionError(f"level {level} is outside the grid's levels 1..J={self.grid.J}")
         return level
 
-    def level_sum_law(self, n_levels: int, p: float) -> Optional[BlockSampler]:
-        """`draw(seeds)` -> (len(seeds), n_levels): the raw level sums R_1..R_{n_levels}
-        at exponent p of each seed, drawn from their exact joint law, or None if
-        the kind has no such law at p (only `bm` at p = 2 has one).  Equal in
-        law to `level_sums` of a `sampler(level)` draw, not bit for bit."""
-        law = _KINDS[self.kind].p2_law
-        if law is None or p != 2.0:
-            return None
-        return law(self.grid, self._level(n_levels))
+    def level_sum_rows(self, n_levels: int, p: float) -> BlockSampler:
+        """`rows(seeds)` -> (len(seeds), n_levels): the raw level sums R_1..R_{n_levels}
+        at exponent p, row i from seeds[i] alone, in stacks of about _STACK_FLOATS floats.
+
+        `bm` at p = 2 draws them from their exact joint law, equal in law to
+        the level sums of a `block_sampler(n_levels)` draw, not bit for bit;
+        every other kind and p sums that draw with `level_sums`.
+        """
+        row = _KINDS[self.kind]
+        if row.p2_law is not None and p == 2.0:
+            draw = row.p2_law(self.grid, self._level(n_levels))
+        else:
+            cells = self.block_sampler(n_levels)
+            draw = lambda seeds: level_sums(cells(seeds), n_levels, p)
+        stack = max(1, _STACK_FLOATS // (self.draw_size(n_levels, p) * row.floats))
+
+        def rows(seeds: Sequence) -> np.ndarray:
+            out = np.empty((len(seeds), n_levels))
+            for lo in range(0, len(seeds), stack):
+                out[lo : lo + stack] = draw(seeds[lo : lo + stack])
+            return out
+
+        return rows
 
     def block_sampler(self, level: Optional[int] = None) -> BlockSampler:
         """`draw(seeds)` -> (len(seeds), 2^level): the increments of the
@@ -363,27 +386,17 @@ class GeneratorSpec:
             draw = _scaled(weights, draw)
         return draw if grid.J == level else _summed_to(level, draw)
 
-    def sampler(self, level: Optional[int] = None) -> Sampler:
-        """`draw(seed)`, the block of one: equal to `sample(seed).increments` at level J."""
-        block = self.block_sampler(level)
-        return lambda seed: block([seed])[0]
-
-    @property
-    def floats(self) -> int:
-        """Floats a block draw holds per cell."""
-        return _KINDS[self.kind].floats
-
     def draw_size(self, level: int, p: float) -> int:
         """Cells a sweep at `level` and exponent p draws per seed; a level-sum law
         row counts as _LAW_CELLS, the cells that cost as much to draw and sum."""
-        if self.level_sum_law(level, p) is not None:
+        if _KINDS[self.kind].p2_law is not None and p == 2.0:
             return _LAW_CELLS
         return 1 << (self._level(level) if _KINDS[self.kind].coarse else self.grid.J)
 
     def sample(self, seed=None) -> StochasticMeasureSample:
         """Draw one realization; seed overrides the spec's own seed."""
         s = self.seed if seed is None else seed
-        return StochasticMeasureSample(self.grid, self.sampler()(s))
+        return StochasticMeasureSample(self.grid, self.block_sampler()([s])[0])
 
     def to_dict(self) -> dict:
         d = {

@@ -4,21 +4,18 @@ Per-replicate RNG streams are derived from (master seed, replicate index),
 so results are independent of worker count and scheduling.  The replicates
 run as contiguous blocks, one per worker process, at most one per CPU and
 per _POOL_CELLS cells drawn (a single block runs in-process).  Each worker
-receives the config once, builds the generator's block draw at level
-n_levels once (for fBm the circulant embedding at N = 2^n_levels) and
-returns only the raw level sums of its block, one row of n_levels per
-replicate.  The fit reads levels 1..n_levels only, so each replicate is
-drawn at level n_levels, with the law of its 2^J-cell draw summed up the
-pyramid (`GeneratorSpec.block_sampler`; weighted fBm still draws all 2^J
-cells).  A worker walks its block in stacks of replicates holding about
-_BLOCK_ELEMENTS floats: one block draw makes a stack's rows (one irfft for
-fGn) and one `level_sums` pyramid sums them.  Brownian motion at p = 2
-draws no cells: its rows come from the exact joint law of the level sums
-(`GeneratorSpec.level_sum_law`).  Every row is bit-identical to its
-replicate drawn alone, so rows never depend on stack or block bounds.  One
-tail fit per replicate gives its raw exponent s (`criterion.tail_exponent`),
-and each alpha's verdict counts and median slope s + alpha p - 1 are one
-pass over the replicates, so `workers` changes the wall time, not the report.
+receives the config once, builds the generator's replicate rows once
+(`GeneratorSpec.level_sum_rows`, which owns how a row is drawn and how
+many rows a stack holds) and returns only the raw level sums of its block,
+one row of n_levels per replicate.  The fit reads levels 1..n_levels only,
+so each replicate is drawn at level n_levels, or for Brownian motion at
+p = 2 from the exact joint law of its level sums.  Every row is
+bit-identical to its replicate drawn alone, so rows never depend on block
+bounds.  This module splits the replicates into blocks, checks that every
+row is finite and folds them: one tail fit per replicate gives its raw
+exponent s (`criterion.tail_exponent`), and each alpha's verdict counts and
+median slope s + alpha p - 1 are one pass over the replicates, so `workers`
+changes the wall time, not the report.
 The median slope is affine in alpha, so the critical alpha is its zero
 (1 - median s)/p, reported when it lies in (first alpha, last alpha].
 """
@@ -38,15 +35,11 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .criterion import MIN_LEVELS, level_sums, slope_at, tail_exponent, verdict_code
+from .criterion import MIN_LEVELS, slope_at, tail_exponent, verdict_code
 from .errors import ConfigurationError, ParameterError, config_number
 from .generators import GeneratorSpec
 
 SCHEMA_VERSION = 1
-# floats a stack of replicates holds: 16 rows of 2^12 cells, or 4 fGn rows with
-# their spectra (a law row counts as its draw_size); a larger stack gains little
-# and raises the peak memory of a sweep
-_BLOCK_ELEMENTS = 1 << 16
 # cells drawn per worker block (`GeneratorSpec.draw_size`): on a shared 2-core
 # host a 2-worker pool lost to one block at 100 BM p = 3 replicates of 2^12
 # cells and won from 200 on, so a second block pays from about 2^19 cells
@@ -169,21 +162,12 @@ def replicate_seed(master_seed: int, index: int) -> list[int]:
 def _replicate_block(args) -> np.ndarray:
     """Worker task: raw level sums (before the alpha prefactor) of replicates start..stop-1.
 
-    Row i depends only on (master seed, start + i), never on the block or stack bounds.
+    Row i depends only on (master seed, start + i), never on the block bounds.
     """
-    config_dict, start, stop = args
-    config = ExperimentConfig.from_dict(config_dict)
-    spec, n, p = config.generator, config.n_levels, config.p
-    rows = spec.level_sum_law(n, p)
-    if rows is None:
-        cells = spec.block_sampler(n)
-        rows = lambda seeds: level_sums(cells(seeds), n, p)
-    stack = max(1, _BLOCK_ELEMENTS // (spec.draw_size(n, p) * spec.floats))
-    out = np.empty((stop - start, n))
-    for lo in range(start, stop, stack):
-        hi = min(lo + stack, stop)
-        out[lo - start : hi - start] = rows([replicate_seed(spec.seed, i) for i in range(lo, hi)])
-    return out
+    config, start, stop = args
+    spec = config.generator
+    rows = spec.level_sum_rows(config.n_levels, config.p)
+    return rows([replicate_seed(spec.seed, i) for i in range(start, stop)])
 
 
 def _raw_level_sums(config: ExperimentConfig) -> np.ndarray:
@@ -198,7 +182,7 @@ def _raw_level_sums(config: ExperimentConfig) -> np.ndarray:
     n_blocks = min(config.workers, config.replicates, os.cpu_count() or 1,
                    max(1, work // _POOL_CELLS))
     bounds = [config.replicates * k // n_blocks for k in range(n_blocks + 1)]
-    payloads = [(config.to_dict(), lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    payloads = [(config, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     if n_blocks == 1:
         raw = _replicate_block(payloads[0])
     else:

@@ -367,11 +367,11 @@ def boundedness_probe(
             raise ParameterError(f"family sizes must be at least 1, got {n}")
         if n > n_cells:
             raise ResolutionError(f"family size {n} exceeds {n_cells} finest cells")
-    draw = generator.sampler()
+    draw = generator.block_sampler()
     sums = {n: np.empty(replicates) for n in family_sizes}
     for r in range(replicates):
         rng = np.random.default_rng([generator.seed, r])
-        inc = draw([generator.seed, r, 1])
+        inc = draw([[generator.seed, r, 1]])[0]
         for n in family_sizes:
             group = max(1, n_cells // (2 * n))
             total = min(n * group, n_cells)

@@ -629,6 +629,22 @@ class TestReadSeriesCsv:
         assert re.search(r"line (\d+)", str(info.value))[1] == str(len(lines) - 1)
 
 
+    def test_bad_row_line_does_not_rest_on_loadtxt_wording(self, tmp_path, monkeypatch):
+        # the line comes from re-reading the file, whatever loadtxt's message says
+        def reworded(*args, **kwargs):
+            raise ValueError("reworded message")
+
+        monkeypatch.setattr(np, "loadtxt", reworded)
+        f = tmp_path / "x.csv"
+        f.write_text("t,value\n0,0\n\n0.5,abc\n1,1\n")
+        with pytest.raises(DataError, match=r"x\.csv: line 4, column 2: cannot parse 'abc'"):
+            read_series_csv(f)
+        # no row at fault: loadtxt's own message is the report
+        f.write_text("t,value\n0,0\n1,1\n")
+        with pytest.raises(DataError, match=r"^cannot read .*x\.csv: reworded message$"):
+            read_series_csv(f)
+
+
 class TestIngest:
     def test_non_dyadic_resampled(self):
         times = np.linspace(0.0, 1.0, 100)

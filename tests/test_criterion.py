@@ -300,7 +300,7 @@ class TestLevelSums:
     @pytest.mark.parametrize("rows, J, n_levels", [(1, 6, 6), (5, 8, 6), (16, 12, 12), (3, 10, 7)])
     def test_stack_rows_equal_one_row_calls(self, p, rows, J, n_levels):
         spec = GeneratorSpec("fbm", Grid(0.0, 1.0, J), H=0.7)
-        stack = np.stack([spec.sampler()([4, i]) for i in range(rows)])
+        stack = np.stack([spec.block_sampler()([[4, i]])[0] for i in range(rows)])
         got = level_sums(stack, n_levels, p)
         assert got.shape == (rows, n_levels)
         for row, x in zip(got, stack):

@@ -113,8 +113,8 @@ class TestMartingale:
         # g(s) = s: variance of increment k is about midpoint_k^2 dx
         g = Grid(0.0, 1.0, 6)
         weight = WeightFn("affine", (0.0, 1.0))
-        draw = GeneratorSpec("martingale", g, weight=weight).sampler()
-        draws = np.stack([draw([9, r]) for r in range(500)])
+        draw = GeneratorSpec("martingale", g, weight=weight).block_sampler()
+        draws = np.stack([draw([[9, r]])[0] for r in range(500)])
         target = g.midpoints() ** 2 * g.dx
         observed = draws.var(axis=0)
         # aggregate over cells: per-cell MC error at 500 replicates is ~6%
@@ -124,20 +124,20 @@ class TestMartingale:
 class TestFgn:
     def test_h_half_uncorrelated(self):
         g = Grid(0.0, 1.0, 14)
-        x = GeneratorSpec("fbm", g, H=0.5).sampler()(21)
+        x = GeneratorSpec("fbm", g, H=0.5).block_sampler()([21])[0]
         r1 = np.corrcoef(x[:-1], x[1:])[0, 1]
         assert abs(r1) < 3.0 / np.sqrt(len(x))
 
     def test_h075_lag1_autocorr(self):
         g = Grid(0.0, 1.0, 14)
-        x = GeneratorSpec("fbm", g, H=0.75).sampler()(22)
+        x = GeneratorSpec("fbm", g, H=0.75).block_sampler()([22])[0]
         r1 = np.corrcoef(x[:-1], x[1:])[0, 1]
         assert r1 == pytest.approx(2.0**1.5 / 2.0 - 1.0, abs=0.05)
 
     def test_seed_determinism(self):
         g = Grid(0.0, 1.0, 12)
         spec = GeneratorSpec("fbm", g, H=0.7)
-        assert np.array_equal(spec.sampler()(5), spec.sampler()(5))
+        assert np.array_equal(spec.block_sampler()([5])[0], spec.block_sampler()([5])[0])
 
     def test_invalid_hurst(self):
         g = Grid(0.0, 1.0, 8)
@@ -181,7 +181,7 @@ class TestFgn:
         spec = GeneratorSpec(
             "wfbm", Grid(0.0, 1.0, 22), H=0.9, weight=WeightFn("sine", (1.0, 2.0, 0.3))
         )
-        assert np.all(np.isfinite(spec.sampler()(5)))
+        assert np.all(np.isfinite(spec.block_sampler()([5])[0]))
 
     def test_invalid_covariance_raises(self, monkeypatch):
         # |gamma(1)| > gamma(0) is no covariance: eigenvalue 1 + 3 cos(theta) < 0
@@ -192,7 +192,7 @@ class TestFgn:
 
         monkeypatch.setattr(generators, "_fgn_autocov", invalid)
         with pytest.raises(ParameterError, match="roundoff tolerance"):
-            GeneratorSpec("fbm", Grid(0.0, 1.0, 8), H=0.7).sampler()(0)
+            GeneratorSpec("fbm", Grid(0.0, 1.0, 8), H=0.7).block_sampler()([0])[0]
 
     def test_self_similarity_variance_scaling(self):
         # level-n increment variance of fBm scales as 2^{-2Hn}
@@ -223,7 +223,7 @@ class TestWeightedFbmMeasure:
                 GeneratorSpec("wfbm", g, H=H, weight=WeightFn.one())
 
     def test_refused_above_one_when_built(self):
-        # the range is checked with the spec, not first when sampler() is called
+        # the range is checked with the spec, not first when block_sampler() is called
         with pytest.raises(ParameterError, match=r"H in \(0.5, 1\)"):
             GeneratorSpec("wfbm", Grid(0, 1, 8), H=1.5)
 
@@ -325,11 +325,11 @@ class TestSampler:
     @settings(max_examples=60, deadline=None)
     def test_draws_equal_sample(self, kind, J, H, seed):
         spec = spec_of(kind, J, H)
-        draw = spec.sampler()
-        got = draw(seed)
+        draw = spec.block_sampler()
+        got = draw([seed])[0]
         assert np.array_equal(got, spec.sample(seed).increments)
-        assert np.array_equal(draw(seed), got)  # a sampler holds no draw state
-        assert np.array_equal(spec.sampler(level=J)(seed), got)  # level J is the finest draw
+        assert np.array_equal(draw([seed])[0], got)  # a sampler holds no draw state
+        assert np.array_equal(spec.block_sampler(J)([seed])[0], got)  # level J is the finest draw
 
     @pytest.mark.parametrize("H", [0.2, 0.5, 0.75, 0.95])
     def test_circulant_matches_one_piece_reference(self, H):
@@ -338,7 +338,7 @@ class TestSampler:
         root = _fgn_embedding(g.n_cells, H)
         for seed in ([1, 0], [1, 1], 77):
             expected = circulant_fgn_reference(root, np.random.default_rng(seed))
-            got = GeneratorSpec("fbm", g, H=H).sampler()(seed) / g.dx**H
+            got = GeneratorSpec("fbm", g, H=H).block_sampler()([seed])[0] / g.dx**H
             assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("H", [0.3, 0.75, 0.95])
@@ -383,16 +383,16 @@ class TestBlockDraw:
         seeds = [[root, i] for i, root in enumerate(roots)]
         block = spec.block_sampler(level)(seeds)
         assert block.shape == (len(seeds), 2**level)
-        draw = spec.sampler(level)
+        draw = spec.block_sampler(level)
         for row, seed in zip(block, seeds):
-            assert int_rows(row) == int_rows(draw(seed))
+            assert int_rows(row) == int_rows(draw([seed])[0])
 
     @given(st.integers(6, 14), st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=17))
     @settings(max_examples=30, deadline=None)
     def test_law_rows_are_the_single_draws(self, n_levels, roots):
         # each row is R_n = (b - a) 2^-n S_n on its own stream, as drawn one seed at a time
         spec = GeneratorSpec("bm", Grid(-1.0, 2.0, 14))
-        law = spec.level_sum_law(n_levels, 2.0)
+        law = spec.level_sum_rows(n_levels, 2.0)
         seeds = [[root, i] for i, root in enumerate(roots)]
         block = law(seeds)
         assert block.shape == (len(seeds), n_levels)
@@ -413,14 +413,26 @@ class TestBlockDraw:
         # output (2N): normals and scaling are written in place.  The
         # embedding's N + 1 roots belong to the sampler, built before tracing.
         N = 2**16
-        draw = GeneratorSpec("fbm", Grid(0.0, 1.0, 16), H=0.75).sampler()
+        draw = GeneratorSpec("fbm", Grid(0.0, 1.0, 16), H=0.75).block_sampler()
         tracemalloc.start()
         try:
-            draw(5)
+            draw([5])[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 5 * 8 * N
+
+    def test_fgn_embedding_memory(self):
+        # the autocovariance's series is summed in place and the embedding drops
+        # each array once used: the rfft's 2N-point input and output are the peak
+        N = 2**16
+        tracemalloc.start()
+        try:
+            GeneratorSpec("fbm", Grid(0.0, 1.0, 16), H=0.75).block_sampler()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * 8 * N
 
 
 class TestCoarseSampler:
@@ -428,8 +440,8 @@ class TestCoarseSampler:
 
     def coarse_and_summed(self, kind, H=None):
         spec = spec_of(kind, self.J, H)
-        coarse = spec.sampler(level=self.LEVEL)(self.SEED)
-        summed = level_cells(spec.sampler()(self.SEED), self.LEVEL)
+        coarse = spec.block_sampler(self.LEVEL)([self.SEED])[0]
+        summed = level_cells(spec.block_sampler()([self.SEED])[0], self.LEVEL)
         assert coarse.shape == summed.shape == (2**self.LEVEL,)
         return spec, coarse, summed
 
@@ -438,11 +450,12 @@ class TestCoarseSampler:
         # BM: i.i.d. N(0, 2^-level (b - a)); fGn: Davies-Harte at N = 2^level
         spec, coarse, _ = self.coarse_and_summed(kind, H)
         on_coarse_grid = GeneratorSpec(kind, Grid(spec.grid.a, spec.grid.b, self.LEVEL), H=H)
-        assert np.array_equal(coarse, on_coarse_grid.sampler()(self.SEED))
+        assert np.array_equal(coarse, on_coarse_grid.block_sampler()([self.SEED])[0])
 
     def test_martingale_variance_is_the_block_sum_of_squared_weights(self):
         spec, coarse, _ = self.coarse_and_summed("martingale")
-        unit = GeneratorSpec("bm", Grid(spec.grid.a, spec.grid.b, self.LEVEL)).sampler()(self.SEED)
+        on_coarse_grid = GeneratorSpec("bm", Grid(spec.grid.a, spec.grid.b, self.LEVEL))
+        unit = on_coarse_grid.block_sampler()([self.SEED])[0]
         g = spec.weight(spec.grid.midpoints()).reshape(2**self.LEVEL, -1)
         # (coarse / unit)^2 dx_coarse = dx sum_k g(mid_k)^2 over each block of finest cells
         coarse_dx = spec.grid.dx * 2 ** (self.J - self.LEVEL)
@@ -459,7 +472,7 @@ class TestCoarseSampler:
     @pytest.mark.parametrize("level", [0, -1, 10])
     def test_level_outside_the_grid_refused(self, kind, level):
         with pytest.raises(ResolutionError, match="level"):
-            spec_of(kind, self.J, 0.75).sampler(level=level)
+            spec_of(kind, self.J, 0.75).block_sampler(level)
 
     def test_block_rms_does_not_overflow(self):
         g = np.array([1e200, -1e200, 1e200, 1e200, 3e300, 0.0, -4e300, 0.0, 0.0, 0.0, 0.0, 0.0])

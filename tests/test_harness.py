@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -27,7 +28,7 @@ from besovlab.criterion import (
     verdict_code,
 )
 from besovlab.errors import ConfigurationError, ParameterError
-from besovlab import harness
+from besovlab import generators, harness
 from besovlab.harness import _fold, _raw_level_sums
 from besovlab.paths import StochasticMeasureSample, path_of
 
@@ -206,9 +207,9 @@ def huge_martingale(c):
 
 def assert_rows_are_fine_draws(raw, cfg):
     """Each row is bit for bit the level sums of the replicate's 2^J-cell draw."""
-    draw = cfg.generator.sampler()
+    draw = cfg.generator.block_sampler()
     for i, row in enumerate(raw):
-        fine = level_sums(draw([cfg.generator.seed, i]), cfg.n_levels, cfg.p)
+        fine = level_sums(draw([[cfg.generator.seed, i]])[0], cfg.n_levels, cfg.p)
         assert row.view(np.int64).tolist() == fine.view(np.int64).tolist()
 
 
@@ -283,9 +284,9 @@ class TestWorkerBlocks:
         # each replicate is drawn at level n_levels from its own [seed, index] stream
         cfg = bm_config(generator=SPLIT_SPECS["fbm"], replicates=3, workers=2)
         raw = _raw_level_sums(cfg)
-        draw = cfg.generator.sampler(level=cfg.n_levels)
+        draw = cfg.generator.block_sampler(cfg.n_levels)
         for i in range(3):
-            expected = level_sums(draw([cfg.generator.seed, i]), cfg.n_levels, cfg.p)
+            expected = level_sums(draw([[cfg.generator.seed, i]])[0], cfg.n_levels, cfg.p)
             np.testing.assert_allclose(raw[i], expected, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("kind", GeneratorSpec.KINDS)
@@ -303,7 +304,7 @@ class TestWorkerBlocks:
         # row i is R_n = (b - a) 2^-n S_n on stream [seed, i], S_0 ~ chi2_1 and
         # S_n = S_{n-1} + chi2_{2^(n-1)}, and no cell is drawn or summed
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(harness, "level_sums", None)
+        monkeypatch.setattr(generators, "level_sums", None)
         spec = GeneratorSpec("bm", Grid(-1.0, 2.0, 12), seed=29)
         cfg = bm_config(generator=spec, n_levels=9, replicates=7, workers=workers)
         raw = _raw_level_sums(cfg)
@@ -335,31 +336,31 @@ class TestWorkerBlocks:
 
     def test_stacks_sized_by_elements(self, monkeypatch):
         shapes = []
-        stacked = harness.level_sums
+        stacked = generators.level_sums
         monkeypatch.setattr(
-            harness, "level_sums", lambda x, n, p: shapes.append(x.shape) or stacked(x, n, p)
+            generators, "level_sums", lambda x, n, p: shapes.append(x.shape) or stacked(x, n, p)
         )
         spec = dataclasses.replace(SPLIT_SPECS["martingale"], grid=Grid(0.0, 1.0, 14), seed=3)
         cfg = bm_config(generator=spec, n_levels=12, replicates=37)
         raw = _raw_level_sums(cfg)
         assert shapes == [(16, 4096), (16, 4096), (5, 4096)]  # 2^16 increments a stack
         one_by_one = [level_sums(x, 12, 2.0) for x in
-                      (cfg.generator.sampler(level=12)([3, i]) for i in range(37))]
+                      (cfg.generator.block_sampler(12)([[3, i]])[0] for i in range(37))]
         assert raw.tobytes() == np.array(one_by_one).tobytes()
 
     def test_fgn_stacks_sized_by_floats(self, monkeypatch):
         # an fGn row holds its half spectrum and 2N-point irfft too: 4 rows of 2^12
         shapes = []
-        stacked = harness.level_sums
+        stacked = generators.level_sums
         monkeypatch.setattr(
-            harness, "level_sums", lambda x, n, p: shapes.append(x.shape) or stacked(x, n, p)
+            generators, "level_sums", lambda x, n, p: shapes.append(x.shape) or stacked(x, n, p)
         )
         spec = dataclasses.replace(SPLIT_SPECS["fbm"], grid=Grid(0.0, 1.0, 12))
         cfg = bm_config(generator=spec, n_levels=12, replicates=9)
         raw = _raw_level_sums(cfg)
         assert shapes == [(4, 4096), (4, 4096), (1, 4096)]
-        draw = cfg.generator.sampler(level=12)
-        one_by_one = [level_sums(draw([102, i]), 12, 2.0) for i in range(9)]
+        draw = cfg.generator.block_sampler(12)
+        one_by_one = [level_sums(draw([[102, i]])[0], 12, 2.0) for i in range(9)]
         assert raw.tobytes() == np.array(one_by_one).tobytes()
 
     @pytest.mark.usefixtures("split_by_workers")
@@ -403,6 +404,32 @@ class TestWorkerBlocks:
         cfg = bm_config(generator=huge_martingale(1e300), n_levels=6, replicates=3)
         with np.errstate(over="ignore", invalid="raise"), pytest.raises(ParameterError):
             run_alpha_sweep(cfg)
+
+
+class TestSweepDigests:
+    # sha256 of to_csv() + repr(critical_alpha) of a 200-replicate sweep at J = 10
+    # and 8 levels, taken before the replicate rows moved into
+    # GeneratorSpec.level_sum_rows: a refactor of the draws, the stacks, the
+    # blocks or the fold keeps every report bit for bit
+    DIGESTS = {
+        ("bm", 2.0): "7a538aa7424beff0de4f9a0ac5adeaa103232e70eb30976e107d0af0e0280485",
+        ("bm", 3.0): "30072d21f15525aefe1a6bb5f6c92c414fb0e61b9797a00a18f1a101463669db",
+        ("martingale", 2.0): "dc4f3ff1fd9f02ed51c3c15f0b9b6303f9a690eaa238a4f01d1f6f0147148b6a",
+        ("fbm", 2.0): "cf56a888416a56fe30fa894656066b67fda96c3e1c3e8306c5bba1e70d70949b",
+        ("wfbm", 2.0): "684f8e5637a880f17e5754802d2990881c357c1226ee5e76daccf84b7aa01540",
+        ("linear", 2.0): "99f296281fde194b1d6d1bfcc65c2c10ece036fcdf3bd2182ad0eab3b9c88c94",
+    }
+
+    @pytest.mark.usefixtures("split_by_workers")
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("kind, p", sorted(DIGESTS))
+    def test_report_keeps_its_bits(self, kind, p, workers):
+        cfg = bm_config(generator=spec_of_kind(kind, Grid(0.0, 1.0, 10)), p=p,
+                        alpha_grid=tuple(k / 10 for k in range(1, 10)),
+                        n_levels=8, replicates=200, workers=workers)
+        report = run_alpha_sweep(cfg)
+        text = report.to_csv() + repr(report.critical_alpha)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[kind, p]
 
 
 def refit_fold(raw, alpha_grid, p):
@@ -457,8 +484,8 @@ class TestClosedFormFold:
         s, one_level = tail_exponent(_raw_level_sums(cfg))
         grid = cfg.generator.grid
         coarse = Grid(grid.a, grid.b, cfg.n_levels)
-        draw = cfg.generator.sampler(level=cfg.n_levels)
-        paths = [path_of(StochasticMeasureSample(coarse, draw([cfg.generator.seed, i])))
+        draw = cfg.generator.block_sampler(cfg.n_levels)
+        paths = [path_of(StochasticMeasureSample(coarse, draw([[cfg.generator.seed, i]])[0]))
                  for i in range(cfg.replicates)]
         for row in report.rows:
             per_path = [

@@ -1,11 +1,11 @@
 """The sweep's coarse draws against the finest draw summed: equal in law.
 
-A sweep draws each replicate at level n_levels (`GeneratorSpec.sampler(level)`)
+A sweep draws each replicate at level n_levels (`GeneratorSpec.block_sampler(level)`)
 instead of drawing all 2^J cells and summing them up the pyramid.  These
 gates compare the law of the per-replicate tail exponent s from both draws,
 and for Brownian motion at p = 2 against the delta-method prediction.  BM
 at p = 2 draws its level sums from their exact joint law instead of drawing
-cells (`GeneratorSpec.level_sum_law`); the KS gate compares them with real
+cells (`GeneratorSpec.level_sum_rows`); the KS gate compares them with real
 cells, and a moment gate checks their means and covariances.
 """
 
@@ -33,8 +33,8 @@ def exponents(spec: GeneratorSpec, n_levels: int, coarse: bool, p: float = 2.0) 
         config = ExperimentConfig(spec, p, (0.5,), n_levels, REPLICATES)
         raw = _raw_level_sums(config)
     else:
-        draw = spec.sampler()
-        cells = np.stack([draw([spec.seed, i]) for i in range(REPLICATES)])
+        draw = spec.block_sampler()
+        cells = np.stack([draw([[spec.seed, i]])[0] for i in range(REPLICATES)])
         raw = level_sums(cells, n_levels, p)
     return tail_exponent(raw)[0]
 
