@@ -33,12 +33,12 @@ def w2_squared(t: float) -> float:
     return (2.0 / 3.0) ** 2 * (1.0 / 3.0)
 
 
-def main():
+def oracle() -> dict:
     integrand = lambda t: w2_squared(t) * t ** (-ALPHA * Q - 1.0)
     i1, e1 = quad(integrand, FLOOR, 2.0 / 3.0, limit=500, epsabs=0.0, epsrel=1e-12)
     i2, e2 = quad(integrand, 2.0 / 3.0, 1.0, limit=500, epsabs=0.0, epsrel=1e-12)
     seminorm = math.sqrt(i1 + i2)
-    out = {
+    return {
         "alpha": ALPHA,
         "p": 2.0,
         "q": Q,
@@ -47,6 +47,10 @@ def main():
         "quadrature_error_bound": e1 + e2,
         "lp_norm": 1.0 / math.sqrt(3.0),
     }
+
+
+def main():
+    out = oracle()
     dest = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
     dest.mkdir(parents=True, exist_ok=True)
     (dest / "besov_ramp_oracle.json").write_text(json.dumps(out, indent=2) + "\n")

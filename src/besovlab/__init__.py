@@ -8,19 +8,14 @@ from .paths import (
     Grid,
     SampledPath,
     StochasticMeasureSample,
-    increments_of,
-    measure_of,
     path_of,
-    sample_from_path,
 )
 from .generators import GeneratorSpec, WeightFn
-from .besov import BesovNormReport, ModulusCurve, besov_norm, lp_norm, modulus
+from .besov import BesovNormReport, besov_norm, lp_norm
 from .criterion import (
     LevelSeriesReport,
     Verdict,
     kamont_series,
-    level_term,
-    reweight_identity_check,
 )
 from .lemma import (
     DisjointFamily,

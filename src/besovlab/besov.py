@@ -60,20 +60,6 @@ _W = 0.5 * _GAUSS_WEIGHTS
 
 
 @dataclass(frozen=True)
-class ModulusCurve:
-    """w_p(t) on an increasing t-grid from dx up to b - a."""
-
-    t_grid: np.ndarray
-    w_values: np.ndarray
-
-    def __post_init__(self):
-        for name in ("t_grid", "w_values"):
-            arr = np.asarray(getattr(self, name), dtype=float).copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-
-@dataclass(frozen=True)
 class BesovNormReport:
     lp_norm: float
     seminorm_truncated: float
@@ -287,26 +273,6 @@ def _p2_shift_cell_sums(v: np.ndarray, M: int) -> np.ndarray:
         last = c[N - r] - c[N]
         out[r - 1] = (2.0 * A + B - first * first - last * last) / 3.0
     return out
-
-
-def modulus(path: SampledPath, t: float, p: float) -> float:
-    """w_p(t): sup over shifts h <= t (grid multiples) of the overlap L_p norm."""
-    dx = path.grid.dx
-    span = path.grid.b - path.grid.a
-    if t < dx * (1.0 - 1e-12):
-        raise ResolutionError(f"t={t} is below the grid spacing {dx}")
-    if t > span * (1.0 + 1e-12):
-        raise ParameterError(f"t={t} exceeds the interval length {span}")
-    m = min(max(int(t / dx * (1.0 + 1e-12)), 1), path.grid.n_cells)
-    return float(shift_norms(path, p, max_shift=m).max())
-
-
-def modulus_curve(path: SampledPath, p: float) -> ModulusCurve:
-    """w_p on the standard logarithmic t-grid (64 points per octave)."""
-    t_grid = _log_t_grid(path)
-    d = shift_norms(path, p)
-    w = _modulus_on_grid(path, t_grid, d)
-    return ModulusCurve(t_grid, w)
 
 
 def _log_t_grid(path: SampledPath) -> np.ndarray:

@@ -102,8 +102,10 @@ def _bad_row(source: Path, fallback: str) -> DataError:
 
     The file is re-read with csv.reader and float(), the row reader that
     `np.loadtxt` replaced, so the line does not rest on the wording of
-    loadtxt's messages.  `fallback` is the message when the file cannot be
-    re-read (a pipe, or a file that changed) or no row is at fault.
+    loadtxt's messages.  float() also reads underscores and non-ASCII digits,
+    which loadtxt refuses, so a field holding either counts as unparsable.
+    `fallback` is the message when the file cannot be re-read (a pipe, or a
+    file that changed) or no row is at fault.
     """
     try:
         with source.open(newline="") as fh:
@@ -112,8 +114,11 @@ def _bad_row(source: Path, fallback: str) -> DataError:
             for row in filter(None, reader):  # blank lines are skipped, as loadtxt does
                 at = f"{source}: line {reader.line_num}"
                 for col, field in enumerate(row[:2], start=1):
+                    text = field.strip()  # both readers skip surrounding whitespace, "\xa0" too
                     try:
-                        value = float(field)
+                        if not text.isascii() or "_" in text:
+                            raise ValueError(text)
+                        value = float(text)
                     except ValueError:
                         return DataError(f"{at}, column {col}: cannot parse {field!r} as a number")
                     if not math.isfinite(value):

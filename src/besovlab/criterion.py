@@ -114,18 +114,6 @@ def level_sums(increments, n_levels: int, p: float) -> np.ndarray:
     return out
 
 
-def raw_level_sum(path: SampledPath, n: int, p: float) -> float:
-    """sum_k |level-n increment|^p, before the 2^{n(alpha p - 1)} prefactor."""
-    return float(level_sums(np.diff(path.values), n, p)[n - 1])
-
-
-def level_term(path: SampledPath, n: int, alpha: float, p: float) -> float:
-    _check_exponents(alpha, p)
-    if n < 1:
-        raise ParameterError(f"level must be >= 1, got {n}")
-    return 2.0 ** (n * (alpha * p - 1.0)) * raw_level_sum(path, n, p)
-
-
 def fit_tail_slope(values) -> float | np.ndarray:
     """Weighted LS slope of log2 values_n vs n over the last ceil(N/2) levels.
 
@@ -232,15 +220,3 @@ def kamont_series(path: SampledPath, N: int, alpha: float, p: float) -> LevelSer
     """Level terms, partial sums, and verdict for levels 1..N."""
     return series_from_raw(level_sums(np.diff(path.values), N, p), alpha, p)
 
-
-def reweight_identity_check(
-    path: SampledPath, n: int, alpha1: float, alpha2: float, p: float
-) -> tuple[float, float]:
-    """(T_n(alpha2), 2^{n p (alpha2 - alpha1)} T_n(alpha1)); equal to ~1e-12.
-
-    The level term depends on alpha only through its explicit prefactor,
-    so this is an exact algebraic identity.
-    """
-    direct = level_term(path, n, alpha2, p)
-    rescaled = 2.0 ** (n * p * (alpha2 - alpha1)) * level_term(path, n, alpha1, p)
-    return direct, rescaled

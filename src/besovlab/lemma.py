@@ -45,11 +45,9 @@ PZ_BLOCK_SUMS = 1 << 16  # pattern sums per block: 512 KiB of floats
 
 @dataclass(frozen=True)
 class WeightSequence:
-    """Positive weights a_n, n = 1..N, with a summability diagnostic."""
+    """Positive weights a_n, n = 1..N."""
 
     values: tuple[float, ...]
-    summable: bool = True
-    summability_margin: float = float("nan")
 
     def __post_init__(self):
         if any(v <= 0 for v in self.values):
@@ -62,25 +60,13 @@ class WeightSequence:
     def geometric(cls, alpha: float, p: float, N: int) -> "WeightSequence":
         """The regularity-proof choice a_n = 2^{n (alpha p - 1) / 2}.
 
-        Summable iff alpha p < 1; the margin adds the geometric tail bound
-        to the finite partial sum.
+        Summable iff alpha p < 1.
         """
         if N < 1:
             raise ParameterError("need at least one weight")
         ns = np.arange(1, N + 1)
         vals = 2.0 ** (ns * (alpha * p - 1.0) / 2.0)
-        ratio = 2.0 ** ((alpha * p - 1.0) / 2.0)
-        summable = alpha * p < 1.0
-        margin = float(vals.sum())
-        if summable:
-            margin += float(vals[-1]) * ratio / (1.0 - ratio)
-        else:
-            margin = math.inf
-        return cls(tuple(float(v) for v in vals), summable, margin)
-
-    @classmethod
-    def from_values(cls, values: Sequence[float]) -> "WeightSequence":
-        return cls(tuple(float(v) for v in values), True, float(np.sum(values)))
+        return cls(tuple(float(v) for v in vals))
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,8 @@
 
 Everything here is immutable after construction and safe to share across
 worker processes.  A measure sample stores increments at the finest level
-only; coarser increments are computed on demand, so refinement consistency
-holds by construction.
+only; coarser levels come from `criterion.dyadic_pyramid`, so refinement
+consistency holds by construction.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ResolutionError
+from .errors import ParameterError
 
 MAX_RESOLUTION = 24  # 2^24 cells ~ 128 MiB of doubles per path
 
@@ -43,13 +43,6 @@ class Grid:
     @property
     def dx(self) -> float:
         return (self.b - self.a) / self.n_cells
-
-    def point(self, k: int) -> float:
-        if k == 0:
-            return self.a
-        if k == self.n_cells:
-            return self.b
-        return self.a + k * (self.b - self.a) / self.n_cells
 
     def points(self) -> np.ndarray:
         return np.linspace(self.a, self.b, self.n_points)
@@ -112,15 +105,6 @@ class DyadicSet:
         ks.flags.writeable = False
         object.__setattr__(self, "ks", ks)
 
-    @classmethod
-    def empty(cls) -> "DyadicSet":
-        return cls(0, ())
-
-    @classmethod
-    def full(cls) -> "DyadicSet":
-        """The whole interval (a, b]."""
-        return cls(0, (1,))
-
     def is_empty(self) -> bool:
         return self.ks.size == 0
 
@@ -132,15 +116,6 @@ class DyadicSet:
         d = level - self.level
         ks = ((self.ks - 1)[:, None] << d) + np.arange(1, (1 << d) + 1)
         return DyadicSet(level, ks.ravel())
-
-    def union(self, other: "DyadicSet") -> "DyadicSet":
-        level = max(self.level, other.level)
-        ks = np.union1d(self.at_level(level).ks, other.at_level(level).ks)
-        return DyadicSet(level, ks)
-
-    def is_disjoint_from(self, other: "DyadicSet") -> bool:
-        level = max(self.level, other.level)
-        return not np.isin(self.at_level(level).ks, other.at_level(level).ks).any()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DyadicSet):
@@ -185,20 +160,6 @@ class BesovParams:
             raise ParameterError(f"p, q must be >= 1, got p={self.p}, q={self.q}")
 
 
-def measure_of(sample: StochasticMeasureSample, A: DyadicSet) -> float:
-    """Value of the measure on a dyadic set, by additivity over finest cells."""
-    if A.is_empty():
-        return 0.0
-    if A.level > sample.grid.J:
-        raise ResolutionError(
-            f"set at level {A.level} exceeds sample resolution J={sample.grid.J}"
-        )
-    f = 1 << (sample.grid.J - A.level)
-    # fixed summation order: cells in sorted position, finest index ascending
-    blocks = sample.increments.reshape(-1, f)
-    return float(np.sum(blocks[A.ks - 1, :]))
-
-
 def path_of(sample: StochasticMeasureSample) -> SampledPath:
     """Cumulative path t -> mu((a, t]) on the grid; starts at 0."""
     values = np.empty(sample.grid.n_points)
@@ -206,17 +167,3 @@ def path_of(sample: StochasticMeasureSample) -> SampledPath:
     np.cumsum(sample.increments, out=values[1:])
     return SampledPath(sample.grid, values)
 
-
-def increments_of(path: SampledPath, n: int) -> np.ndarray:
-    """Level-n dyadic increments of the path (2^n entries)."""
-    if n > path.grid.J:
-        raise ResolutionError(f"level {n} exceeds grid resolution J={path.grid.J}")
-    if n < 0:
-        raise ParameterError("level must be >= 0")
-    step = 1 << (path.grid.J - n)
-    return np.diff(path.values[::step])
-
-
-def sample_from_path(path: SampledPath) -> StochasticMeasureSample:
-    """Inverse of path_of: finest-level increments of a sampled path."""
-    return StochasticMeasureSample(path.grid, np.diff(path.values))

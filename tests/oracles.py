@@ -1,0 +1,55 @@
+"""Test-side references shared by more than one test file.
+
+`measure_of`, `union`, `is_disjoint` and `increments_of` are independent
+of the library: dyadic sets become Python sets of cell indices, and level-n
+increments come from a strided difference of the path.  `raw_level_sum` and
+`level_term` are thin wrappers over `criterion.level_sums`, so tests that
+use them still exercise the library's one level-sum path.
+"""
+
+import math
+
+import numpy as np
+
+from besovlab.criterion import level_sums
+from besovlab.paths import DyadicSet
+
+
+def ref_cells(level, ks, at):
+    """The level-`at` cell indices covered by cells ks at `level`, as a Python set."""
+    f = 2 ** (at - level)
+    return {(k - 1) * f + j for k in ks for j in range(1, f + 1)}
+
+
+def _cells(A, at):
+    return ref_cells(A.level, A.ks.tolist(), at)
+
+
+def measure_of(sample, A):
+    """mu(A): the exactly rounded sum of the finest increments of A's cells."""
+    return math.fsum(sample.increments[c - 1] for c in _cells(A, sample.grid.J))
+
+
+def union(A, B):
+    level = max(A.level, B.level)
+    return DyadicSet(level, sorted(_cells(A, level) | _cells(B, level)))
+
+
+def is_disjoint(A, B):
+    level = max(A.level, B.level)
+    return not _cells(A, level) & _cells(B, level)
+
+
+def increments_of(path, n):
+    """The 2^n level-n increments of a sampled path."""
+    return np.diff(path.values[:: 1 << (path.grid.J - n)])
+
+
+def raw_level_sum(path, n, p):
+    """sum_k |level-n increment|^p, before the 2^{n(alpha p - 1)} prefactor."""
+    return float(level_sums(np.diff(path.values), n, p)[n - 1])
+
+
+def level_term(path, n, alpha, p):
+    """T_n = 2^{n(alpha p - 1)} R_n, the level-n term of `kamont_series`."""
+    return 2.0 ** (n * (alpha * p - 1.0)) * raw_level_sum(path, n, p)

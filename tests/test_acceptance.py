@@ -24,12 +24,12 @@ from besovlab import (
     boundedness_probe,
     kamont_series,
     lemma_statistic,
-    level_term,
     paley_zygmund_check,
     path_of,
     run_alpha_sweep,
 )
-from besovlab.criterion import raw_level_sum, series_from_raw
+from besovlab.criterion import series_from_raw
+from oracles import level_term, raw_level_sum
 
 FIXTURES = Path(__file__).parent / "fixtures"
 MASTER_SEED = 2026

@@ -14,7 +14,6 @@ from besovlab import (
     SampledPath,
     besov_norm,
     lp_norm,
-    modulus,
     path_of,
 )
 from besovlab import besov as besov_module
@@ -23,9 +22,10 @@ from besovlab.besov import (
     GENERAL_P_MAX_J,
     POINTS_PER_OCTAVE,
     _cell_power_integral,
+    _log_t_grid,
+    _modulus_on_grid,
     _node_values,
     _power_sum,
-    modulus_curve,
     shift_norms,
 )
 from besovlab.errors import ParameterError, ResolutionError, SizeError
@@ -41,6 +41,11 @@ def ramp(J, a=0.0, b=1.0):
 def const(J, c):
     g = Grid(0.0, 1.0, J)
     return SampledPath(g, np.full(g.n_points, c))
+
+
+def modulus_curve(path, p):
+    """w_p on the logarithmic t-grid, exactly what `seminorm_integral` integrates."""
+    return _modulus_on_grid(path, _log_t_grid(path), shift_norms(path, p))
 
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(5)
@@ -147,29 +152,35 @@ class TestLpNorm:
 
 
 class TestModulus:
+    """w_p(t) is the largest shift norm up to shift m = t / dx."""
+
     def test_constant_zero(self):
-        assert modulus(const(8, 4.0), 0.25, 2.0) == 0.0
+        assert shift_norms(const(8, 4.0), 2.0, max_shift=64).max() == 0.0  # t = 1/4
 
     def test_ramp_closed_form(self):
         # sup_{h<=1/4} h sqrt(1-h); objective increasing below h = 2/3
-        got = modulus(ramp(12), 0.25, 2.0)
+        got = shift_norms(ramp(12), 2.0, max_shift=1024).max()  # t = 1/4
         assert got == pytest.approx(0.25 * 0.75**0.5, rel=1e-6)
 
     def test_monotone_in_t(self):
         path = path_of(GeneratorSpec("bm", Grid(0.0, 1.0, 10)).sample(3))
-        assert modulus(path, 0.5, 2.0) >= modulus(path, 0.25, 2.0)
+        w_half = shift_norms(path, 2.0, max_shift=512).max()  # t = 1/2
+        w_quarter = shift_norms(path, 2.0, max_shift=256).max()  # t = 1/4
+        assert w_half >= w_quarter
 
     def test_below_resolution(self):
+        path = ramp(6)
         with pytest.raises(ResolutionError):
-            modulus(ramp(6), 2.0**-10, 2.0)
+            _modulus_on_grid(path, np.array([2.0**-10]), shift_norms(path, 2.0))
 
     def test_curve_nondecreasing(self):
         path = path_of(GeneratorSpec("bm", Grid(0.0, 1.0, 10)).sample(9))
-        curve = modulus_curve(path, 2.0)
-        assert np.all(np.diff(curve.w_values) >= 0.0)
-        assert np.all(curve.w_values >= 0.0)
-        assert curve.t_grid[0] == pytest.approx(path.grid.dx)
-        assert curve.t_grid[-1] == pytest.approx(1.0)
+        w = modulus_curve(path, 2.0)
+        t_grid = _log_t_grid(path)
+        assert np.all(np.diff(w) >= 0.0)
+        assert np.all(w >= 0.0)
+        assert t_grid[0] == pytest.approx(path.grid.dx)
+        assert t_grid[-1] == pytest.approx(1.0)
 
 
 class TestBesovNorm:
@@ -333,7 +344,7 @@ class TestP2ShiftNorms:
     def test_matches_per_shift_closed_form(self, kind, J, seed, H, alpha, q, extrapolate):
         path = _test_path(kind, J, seed, H)
         d, w, ref = _reference(path.values, 2.0, alpha, q, extrapolate)
-        np.testing.assert_allclose(modulus_curve(path, 2.0).w_values, w, rtol=1e-10)
+        np.testing.assert_allclose(modulus_curve(path, 2.0), w, rtol=1e-10)
         np.testing.assert_allclose(shift_norms(path, 2.0)[:2], d[:2], rtol=1e-10)
         got = besov_norm(path, BesovParams(alpha, 2.0, q), extrapolate=extrapolate).to_dict()
         _assert_report_matches(got, ref, 1e-10)
@@ -383,7 +394,7 @@ class TestGeneralPShiftNorms:
         path = _test_path(kind, J, seed, H)
         d, w, ref = _reference(path.values, p, alpha, q, extrapolate)
         np.testing.assert_allclose(shift_norms(path, p), d, rtol=1e-10)
-        np.testing.assert_allclose(modulus_curve(path, p).w_values, w, rtol=1e-10)
+        np.testing.assert_allclose(modulus_curve(path, p), w, rtol=1e-10)
         got = besov_norm(path, BesovParams(alpha, p, q), extrapolate=extrapolate).to_dict()
         _assert_report_matches(got, ref, 1e-10)
 
@@ -454,7 +465,7 @@ class TestGeneralPLimit:
         dx = path.grid.dx
         tracemalloc.start()
         try:
-            got = modulus(path, 4 * dx, 3.0)
+            got = shift_norms(path, 3.0, max_shift=4).max()  # t = 4 dx
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -644,6 +644,22 @@ class TestReadSeriesCsv:
         with pytest.raises(DataError, match=r"^cannot read .*x\.csv: reworded message$"):
             read_series_csv(f)
 
+    @pytest.mark.parametrize(
+        "rows, named",
+        [
+            (["1_0,1"], "line 3, column 1: cannot parse '1_0'"),
+            (["\u0661,1"], "line 3, column 1: cannot parse '\u0661'"),
+            # loadtxt reads a trailing no-break space, so the row below it is at fault
+            (["1\xa0,1", "2,abc"], "line 4, column 2: cannot parse 'abc'"),
+        ],
+    )
+    def test_bad_row_refuses_what_loadtxt_refuses(self, tmp_path, rows, named):
+        # float() reads underscores and non-ASCII digits; loadtxt refuses both
+        f = tmp_path / "u.csv"
+        f.write_text("t,value\n0,0\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"u.csv: {named} as a number")):
+            read_series_csv(f)
+
 
 class TestIngest:
     def test_non_dyadic_resampled(self):

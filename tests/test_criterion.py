@@ -9,14 +9,12 @@ from besovlab import (
     GeneratorSpec,
     SampledPath,
     Verdict,
-    increments_of,
     kamont_series,
-    level_term,
     path_of,
-    reweight_identity_check,
 )
-from besovlab.criterion import fit_tail_slope, level_sums, raw_level_sum, series_from_raw
+from besovlab.criterion import fit_tail_slope, level_sums, series_from_raw
 from besovlab.errors import ParameterError, ResolutionError
+from oracles import increments_of, raw_level_sum
 
 
 def ramp(J):
@@ -29,37 +27,39 @@ def bm_path(J, seed):
 
 
 class TestLevelTerm:
+    """The level terms T_n are `kamont_series(...).terms`, entry n - 1."""
+
     def test_constant_path_zero(self):
         g = Grid(0.0, 1.0, 8)
         path = SampledPath(g, np.full(g.n_points, 2.0))
-        for n in range(1, 9):
-            assert level_term(path, n, 0.4, 2.0) == 0.0
+        assert kamont_series(path, 8, 0.4, 2.0).terms == (0.0,) * 8
 
     def test_ramp_closed_form(self):
         # T_n = 2^{n(ap-1)} 2^n 2^{-np} = 2^{np(a-1)}
-        assert level_term(ramp(10), 3, 0.25, 2.0) == pytest.approx(
+        assert kamont_series(ramp(10), 10, 0.25, 2.0).terms[2] == pytest.approx(
             2.0**-4.5, rel=1e-12
         )
-        for n in range(1, 11):
-            for alpha, p in [(0.25, 2.0), (0.4, 4.0), (0.6, 2.0)]:
-                assert level_term(ramp(10), n, alpha, p) == pytest.approx(
+        for alpha, p in [(0.25, 2.0), (0.4, 4.0), (0.6, 2.0)]:
+            terms = kamont_series(ramp(10), 10, alpha, p).terms
+            for n in range(1, 11):
+                assert terms[n - 1] == pytest.approx(
                     2.0 ** (n * p * (alpha - 1.0)), rel=1e-12
                 )
 
     def test_bm_expected_value(self):
         # E[T_8] = 2^{8(2a-1)} at p=2 on [0,1]; 200 replicates
-        vals = [level_term(bm_path(10, [50, r]), 8, 0.4, 2.0) for r in range(200)]
+        vals = [kamont_series(bm_path(10, [50, r]), 8, 0.4, 2.0).terms[7] for r in range(200)]
         assert np.mean(vals) == pytest.approx(2.0**-1.6, rel=0.10)
 
     def test_resolution_error(self):
         with pytest.raises(ResolutionError):
-            level_term(ramp(6), 7, 0.4, 2.0)
+            kamont_series(ramp(6), 7, 0.4, 2.0)
 
     def test_bad_exponents(self):
         with pytest.raises(ParameterError):
-            level_term(ramp(6), 2, 1.5, 2.0)
+            kamont_series(ramp(6), 6, 1.5, 2.0)
         with pytest.raises(ParameterError):
-            level_term(ramp(6), 2, 0.4, 0.5)
+            kamont_series(ramp(6), 6, 0.4, 0.5)
         # NaN p once gave NaN terms and a "converges" verdict
         with pytest.raises(ParameterError):
             kamont_series(ramp(8), 8, 0.4, float("nan"))
@@ -115,21 +115,19 @@ class TestKamontSeries:
 
 
 class TestReweighting:
-    def test_same_alpha_identical(self):
-        a, b = reweight_identity_check(bm_path(10, 4), 5, 0.3, 0.3, 2.0)
-        assert a == b
+    """T_n depends on alpha only through its prefactor 2^{n(alpha p - 1)}."""
 
     def test_linear_factor(self):
-        direct, rescaled = reweight_identity_check(ramp(8), 4, 0.2, 0.5, 2.0)
-        assert direct == pytest.approx(rescaled, rel=1e-12)
-        t1 = level_term(ramp(8), 4, 0.2, 2.0)
+        direct = kamont_series(ramp(8), 8, 0.5, 2.0).terms[3]
+        t1 = kamont_series(ramp(8), 8, 0.2, 2.0).terms[3]
         assert direct == pytest.approx(2.0**2.4 * t1, rel=1e-12)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
     def test_identity_random_paths(self, seed):
         path = bm_path(10, seed)
-        direct, rescaled = reweight_identity_check(path, 7, 0.2, 0.55, 2.0)
+        direct = kamont_series(path, 7, 0.55, 2.0).terms[6]
+        rescaled = 2.0 ** (7 * 2.0 * (0.55 - 0.2)) * kamont_series(path, 7, 0.2, 2.0).terms[6]
         assert direct == pytest.approx(rescaled, rel=1e-12)
 
     @given(
@@ -141,9 +139,9 @@ class TestReweighting:
         path = bm_path(8, seed)
         scaled = SampledPath(path.grid, c * path.values)
         shifted = SampledPath(path.grid, path.values + 10.0)
-        t = level_term(path, 5, 0.4, 2.0)
-        assert level_term(scaled, 5, 0.4, 2.0) == pytest.approx(c**2 * t, rel=1e-9)
-        assert level_term(shifted, 5, 0.4, 2.0) == pytest.approx(t, rel=1e-9)
+        t = kamont_series(path, 8, 0.4, 2.0).terms[4]
+        assert kamont_series(scaled, 8, 0.4, 2.0).terms[4] == pytest.approx(c**2 * t, rel=1e-9)
+        assert kamont_series(shifted, 8, 0.4, 2.0).terms[4] == pytest.approx(t, rel=1e-9)
 
 
 class TestSeriesFromRaw:

@@ -14,13 +14,13 @@ from besovlab import (
     Grid,
     GeneratorSpec,
     WeightFn,
-    increments_of,
     path_of,
 )
 from besovlab.cli import build_parser
 from besovlab.errors import ConfigurationError, ParameterError, ResolutionError
 from besovlab import generators
 from besovlab.generators import _KINDS, _fgn_autocov, _fgn_circulant, _fgn_embedding
+from oracles import increments_of
 
 
 def _fgn_hosking(N: int, H: float, rng: np.random.Generator) -> np.ndarray:

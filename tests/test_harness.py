@@ -21,7 +21,6 @@ from besovlab.criterion import (
     Verdict,
     fit_tail_slope,
     level_sums,
-    raw_level_sum,
     series_from_raw,
     slope_at,
     tail_exponent,
@@ -31,6 +30,7 @@ from besovlab.errors import ConfigurationError, ParameterError
 from besovlab import generators, harness
 from besovlab.harness import _fold, _raw_level_sums
 from besovlab.paths import StochasticMeasureSample, path_of
+from oracles import raw_level_sum
 
 
 def bm_config(**kw):

@@ -4,16 +4,21 @@ from hypothesis import given, settings, strategies as st
 
 from besovlab import (
     BesovParams,
+    DisjointFamily,
     DyadicSet,
     Grid,
     SampledPath,
     StochasticMeasureSample,
-    increments_of,
-    measure_of,
+    WeightSequence,
     path_of,
-    sample_from_path,
+    randomize_signs,
 )
+from besovlab.criterion import dyadic_pyramid
 from besovlab.errors import ParameterError, ResolutionError
+from besovlab.lemma import signed_sum_via_sets
+from oracles import increments_of, measure_of, ref_cells, union
+
+EMPTY = DyadicSet(0, ())
 
 
 def small_sample(increments, a=0.0, b=1.0):
@@ -21,11 +26,15 @@ def small_sample(increments, a=0.0, b=1.0):
     return StochasticMeasureSample(Grid(a, b, J), np.asarray(increments, float))
 
 
+def measure(sample, A):
+    """mu(A) by the library: the signed sum of one level with weight 1, A as
+    the (+1)-union and nothing as the (-1)-union."""
+    return signed_sum_via_sets(sample, WeightSequence((1.0,)), [A], [EMPTY])
+
+
 class TestGrid:
     def test_endpoints_exact(self):
         g = Grid(0.1, 0.3, 5)
-        assert g.point(0) == 0.1
-        assert g.point(g.n_cells) == 0.3
         assert g.points()[0] == 0.1 and g.points()[-1] == 0.3
 
     def test_spacing(self):
@@ -48,30 +57,18 @@ class TestDyadicSets:
         assert left_half.at_level(3).ks.tolist() == [1, 2, 3, 4]
 
     def test_normal_form_sorted_disjoint(self):
-        s = DyadicSet(2, (3,)).union(DyadicSet(1, (1,)))
+        # randomize_signs returns each union in normal form at the level's resolution
+        family = DisjointFamily([(DyadicSet(2, (3,)), DyadicSet(1, (1,)))])
+        (s,), _ = randomize_signs(family, [[1, 1]])
         assert s.level == 2
         assert s.ks.tolist() == [1, 2, 3]
 
-    def test_union_dedupes_overlap(self):
-        a = DyadicSet(1, (1,))
-        b = DyadicSet(2, (2,))
-        assert not a.is_disjoint_from(b)
-        assert a.union(b).ks.tolist() == [1, 2]
-
     def test_full_partition_disjoint(self):
-        cells = [DyadicSet(3, (k,)) for k in range(1, 9)]
-        for i in range(8):
-            for j in range(i + 1, 8):
-                assert cells[i].is_disjoint_from(cells[j])
+        cells = tuple(DyadicSet(3, (k,)) for k in range(1, 9))
+        assert DisjointFamily([cells]).levels == (cells,)
 
 
 REF_LEVEL = 8
-
-
-def ref_cells(level, ks, at=REF_LEVEL):
-    """Reference: the level-`at` cell indices covered by cells ks at `level`, as a Python set."""
-    f = 2 ** (at - level)
-    return {(k - 1) * f + j for k in ks for j in range(1, f + 1)}
 
 
 @st.composite
@@ -102,11 +99,7 @@ class TestDyadicSetAgainstReference:
     @settings(max_examples=300, deadline=None)
     def test_union_disjoint_eq(self, raw_a, raw_b):
         A, B = DyadicSet(*raw_a), DyadicSet(*raw_b)
-        ref_a, ref_b = ref_cells(*raw_a), ref_cells(*raw_b)
-        union = A.union(B)
-        assert union.level == max(raw_a[0], raw_b[0])
-        assert ref_cells(union.level, union.ks.tolist()) == ref_a | ref_b
-        assert A.is_disjoint_from(B) == (not ref_a & ref_b)
+        ref_a, ref_b = ref_cells(*raw_a, REF_LEVEL), ref_cells(*raw_b, REF_LEVEL)
         assert (A == B) == (ref_a == ref_b)
         assert A == DyadicSet(REF_LEVEL, sorted(ref_a))
 
@@ -116,7 +109,8 @@ class TestDyadicSetAgainstReference:
         # integer increments: every sum is exact, whatever its order
         inc = np.random.default_rng(seed).integers(-1000, 1000, 2**REF_LEVEL).astype(float)
         s = small_sample(inc)
-        assert measure_of(s, DyadicSet(*raw)) == sum(inc[c - 1] for c in ref_cells(*raw))
+        expected = sum(inc[c - 1] for c in ref_cells(*raw, REF_LEVEL))
+        assert measure(s, DyadicSet(*raw)) == expected
 
     @pytest.mark.parametrize(
         "level, ks", [(-1, ()), (2, (1, 1)), (2, (0,)), (2, (5,)), (2, (1.5,))]
@@ -129,23 +123,23 @@ class TestDyadicSetAgainstReference:
 class TestMeasureOf:
     def test_full_interval_telescopes(self):
         s = small_sample([1.0, 2.0, 3.0, 4.0])
-        assert measure_of(s, DyadicSet.full()) == 10.0
+        assert measure(s, DyadicSet(0, (1,))) == 10.0
 
     def test_empty_set(self):
         s = small_sample([1.0, 2.0, 3.0, 4.0])
-        assert measure_of(s, DyadicSet.empty()) == 0.0
+        assert measure(s, EMPTY) == 0.0
 
     def test_left_half(self):
         # brute force: children increments 1 + 2
         s = small_sample([1.0, 2.0, 3.0, 4.0])
         left = DyadicSet(1, (1,))
-        assert measure_of(s, left) == 3.0
+        assert measure(s, left) == 3.0
 
     def test_resolution_error(self):
         s = small_sample([1.0, 2.0, 3.0, 4.0])
         deep = DyadicSet(5, (1,))
         with pytest.raises(ResolutionError):
-            measure_of(s, deep)
+            measure(s, deep)
 
     @given(st.integers(0, 2**60 - 1))
     @settings(max_examples=30, deadline=None)
@@ -155,8 +149,8 @@ class TestMeasureOf:
         ks = rng.permutation(16) + 1
         A = DyadicSet(4, tuple(int(k) for k in ks[:5]))
         B = DyadicSet(4, tuple(int(k) for k in ks[5:11]))
-        lhs = measure_of(s, A.union(B))
-        rhs = measure_of(s, A) + measure_of(s, B)
+        lhs = measure(s, union(A, B))
+        rhs = measure(s, A) + measure(s, B)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-14)
 
 
@@ -173,15 +167,15 @@ class TestPathOf:
         # sums of these increments are exactly representable
         inc = np.array([3.0, -1.5, 0.25, 8.0, -0.125, 2.0, 1.0, -4.0])
         s = small_sample(inc)
-        back = sample_from_path(path_of(s))
-        assert np.array_equal(back.increments, inc)
+        back = np.diff(path_of(s).values)
+        assert np.array_equal(back, inc)
 
     @given(st.integers(0, 2**60 - 1))
     @settings(max_examples=20, deadline=None)
     def test_round_trip_gaussian(self, seed):
         inc = np.random.default_rng(seed).standard_normal(64)
-        back = sample_from_path(path_of(small_sample(inc)))
-        np.testing.assert_allclose(back.increments, inc, rtol=1e-12, atol=1e-15)
+        back = np.diff(path_of(small_sample(inc)).values)
+        np.testing.assert_allclose(back, inc, rtol=1e-12, atol=1e-15)
 
     def test_telescoping_at_every_grid_point(self):
         rng = np.random.default_rng(7)
@@ -195,16 +189,20 @@ class TestPathOf:
 
 
 class TestIncrementsOf:
+    """Level-n increments come from one source, `criterion.dyadic_pyramid`."""
+
     def test_constant_path_zero(self):
         g = Grid(0.0, 1.0, 4)
         path = SampledPath(g, np.full(17, 3.5))
+        levels = dict(dyadic_pyramid(np.diff(path.values), 0))
+        assert sorted(levels) == list(range(5))
         for n in range(5):
-            assert np.all(increments_of(path, n) == 0.0)
+            assert levels[n].shape == (2**n,) and np.all(levels[n] == 0.0)
 
     def test_linear_path(self):
         g = Grid(0.0, 1.0, 5)
         path = SampledPath(g, g.points())
-        inc = increments_of(path, 3)
+        inc = dict(dyadic_pyramid(np.diff(path.values)))[3]
         np.testing.assert_allclose(inc, np.full(8, 1 / 8), rtol=1e-14)
 
     @given(st.integers(0, 2**60 - 1))
@@ -213,18 +211,15 @@ class TestIncrementsOf:
         rng = np.random.default_rng(seed)
         g = Grid(0.0, 1.0, 6)
         path = SampledPath(g, rng.standard_normal(65))
+        levels = dict(dyadic_pyramid(np.diff(path.values), 0))
         for n in range(6):
-            coarse = increments_of(path, n)
-            fine = increments_of(path, n + 1)
+            coarse, fine = levels[n], levels[n + 1]
             np.testing.assert_allclose(
                 coarse, fine[0::2] + fine[1::2], rtol=1e-12, atol=1e-15
             )
-
-    def test_too_deep(self):
-        g = Grid(0.0, 1.0, 3)
-        path = SampledPath(g, np.zeros(9))
-        with pytest.raises(ResolutionError):
-            increments_of(path, 4)
+            # the path's own level-n increments, up to the rounding of the
+            # 2^(6-n) O(1) differences the pyramid adds up
+            np.testing.assert_allclose(coarse, increments_of(path, n), rtol=1e-12, atol=1e-13)
 
 
 class TestBesovParams:

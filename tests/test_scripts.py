@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def load_script(name):
@@ -34,3 +35,13 @@ def test_bm_exponent_spread_prints_measured_and_predicted(capsys):
     for _, _, _, sd, predicted_sd in rows:
         # at 4000 replicates the sample sd has a relative standard error of 1.1 %
         assert sd == pytest.approx(predicted_sd, rel=0.05)
+
+
+def test_besov_oracle_matches_committed_fixture():
+    got = load_script("make_besov_oracle").oracle()
+    frozen = json.loads((FIXTURES / "besov_ramp_oracle.json").read_text())
+    for key in ("alpha", "p", "q", "truncation_floor"):
+        assert got[key] == frozen[key]
+    for key in ("seminorm_truncated", "lp_norm"):
+        assert got[key] == pytest.approx(frozen[key], rel=1e-12, abs=0.0)
+    assert got["quadrature_error_bound"] < 1e-12
