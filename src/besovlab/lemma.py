@@ -19,9 +19,15 @@ whenever `levels` is read.  `randomize_signs` maps each level's signs onto
 its labels and returns each union as one index-array `DyadicSet`.
 
 The exact Paley-Zygmund check enumerates the two halves of lambda
-separately, 2^ceil(m/2) and 2^floor(m/2) signed sums, and counts the hits
-over their outer sum in blocks; lambda is first scaled by a power of two so
-that tiny or huge coefficients neither under- nor overflow.
+separately, 2^ceil(m/2) and 2^floor(m/2) signed sums, sorts the second half
+once and counts the hits of every first-half sum by bisection (the two-list
+method of Horowitz and Sahni, J. ACM 21, 1974), in O(2^{m/2} m) instead of
+the 2^m of the outer sum; lambda is first scaled by a power of two so that
+tiny or huge coefficients neither under- nor overflow.
+
+The boundedness probe draws one ordered sample of distinct cells per
+replicate and gives each family size a prefix of it, so the sizes share
+common random numbers while each keeps its exact law.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from .paths import MAX_RESOLUTION, DyadicSet, StochasticMeasureSample
 PZ_THRESHOLD_FACTOR = 0.25
 PZ_PROBABILITY_BOUND = 0.125
 EXACT_ENUM_LIMIT = 20
-PZ_BLOCK_SUMS = 1 << 16  # pattern sums per block: 512 KiB of floats
+PZ_BLOCK_SUMS = 1 << 16  # signs per Monte Carlo block: 512 KiB of floats
 
 
 @dataclass(frozen=True)
@@ -192,25 +198,29 @@ def _signed_sums(lam: np.ndarray) -> np.ndarray:
 def _count_pz_hits(lam: np.ndarray, threshold: float) -> int:
     """Number of the 2^m sign patterns with (sum lambda_i eps_i)^2 >= threshold.
 
-    Split-half enumeration: each pattern's sum is hi + lo, with hi one of the
-    2^ceil(m/2) signed sums of the first half of lambda and lo one of the
-    2^floor(m/2) of the second.  The outer sum is formed in blocks of rows
-    of at most PZ_BLOCK_SUMS entries, so memory stays bounded.
+    Split-half count: each pattern's sum is h + l, with h one of the
+    2^ceil(m/2) signed sums of the first half of lambda and l one of the
+    2^floor(m/2) of the second, sorted once.  For fixed h the rounded sum
+    s = fl(h + l) is non-decreasing in l, and fl(s * s) is monotone in |s|,
+    so the hits with s < 0 are a prefix of the sorted l and those with
+    s >= 0 a suffix.  One bisection over every h at once finds the end of
+    the prefix and the start of the suffix on the float predicate
+    fl(s * s) >= threshold itself, so the count is exactly that of the full
+    outer sum, in O(2^{m/2} m) time and O(2^{m/2}) memory.
     """
     half = (len(lam) + 1) // 2
-    hi, lo = _signed_sums(lam[:half]), _signed_sums(lam[half:])
-    rows = max(1, PZ_BLOCK_SUMS // len(lo))
-    # one buffer for every block: a fresh block per iteration left long-running
-    # processes with about 1 MiB more peak RSS
-    buf = np.empty((min(rows, len(hi)), len(lo)))
-    hits = 0
-    for start in range(0, len(hi), rows):
-        block = hi[start : start + rows, None]
-        sums = buf[: len(block)]
-        np.add(block, lo, out=sums)
-        np.multiply(sums, sums, out=sums)
-        hits += int(np.count_nonzero(sums >= threshold))
-    return hits
+    hi, lo = _signed_sums(lam[:half]), np.sort(_signed_sums(lam[half:]))
+    # pos[0] counts the leading l whose sums are hits below 0, pos[1] the
+    # leading l whose sums are below 0 or misses; halving steps over
+    # len(lo) = 2^k, then a last step of 1, reach every count from 0 to len(lo)
+    prefix = np.array([[True], [False]])
+    pos = np.zeros((2, len(hi)), dtype=np.intp)
+    k = len(lo).bit_length() - 1
+    for step in [1 << j for j in reversed(range(k))] + [1]:
+        s = hi + lo[pos + (step - 1)]
+        hit, neg = s * s >= threshold, s < 0
+        pos += step * np.where(prefix, neg & hit, neg | ~hit)
+    return int(np.sum(pos[0]) + np.sum(len(lo) - pos[1]))
 
 
 @dataclass(frozen=True)
@@ -334,12 +344,19 @@ def boundedness_probe(
     """Empirical quantile of |sum_k c_k mu(A_k)| over random disjoint families.
 
     For each replicate one measure sample is drawn; for each family size n,
-    a family of n disjoint groups of finest-level cells is sampled (covering
-    about half the interval, so family sizes are comparable) together with
-    coefficients |c_k| <= 1.  Uniform boundedness across sizes is the
-    property under test.  All randomness derives from `generator.seed`:
-    replicate r draws its sample from [seed, r, 1] and its families and
-    coefficients from [seed, r].
+    a family of n disjoint groups of `group` finest-level cells (covering
+    about half the interval, so family sizes are comparable) is taken
+    together with coefficients c_k uniform on [-1, 1].  Uniform boundedness
+    across sizes is the property under test.
+
+    Each replicate draws one ordered sample of distinct cells, as many as
+    the largest n * group; size n takes its first n * group cells as n
+    consecutive groups.  A prefix of a uniform ordered sample is itself one,
+    so each size's statistic keeps its exact law, and the sizes share
+    common random numbers.  All randomness derives from `generator.seed`:
+    replicate r draws its sample from [seed, r, 1], and its cells and then
+    each size's coefficients, in the order of `family_sizes`, from
+    [seed, r].  A repeated size is refused.
     """
     if not (0.0 < quantile < 1.0):
         raise ParameterError(f"quantile must be in (0, 1), got {quantile}")
@@ -348,23 +365,27 @@ def boundedness_probe(
     if len(family_sizes) == 0:
         raise ParameterError("need at least one family size")
     n_cells = generator.grid.n_cells
+    seen = set()
     for n in family_sizes:
         if n < 1:
             raise ParameterError(f"family sizes must be at least 1, got {n}")
         if n > n_cells:
             raise ResolutionError(f"family size {n} exceeds {n_cells} finest cells")
+        if n in seen:
+            raise ParameterError(f"family size {n} is repeated")
+        seen.add(n)
+    groups = [max(1, n_cells // (2 * n)) for n in family_sizes]
+    need = max(n * group for n, group in zip(family_sizes, groups))
     draw = generator.block_sampler()
-    sums = {n: np.empty(replicates) for n in family_sizes}
+    sums = np.empty((len(family_sizes), replicates))
     for r in range(replicates):
         rng = np.random.default_rng([generator.seed, r])
         inc = draw([[generator.seed, r, 1]])[0]
-        for n in family_sizes:
-            group = max(1, n_cells // (2 * n))
-            total = min(n * group, n_cells)
-            cells = rng.choice(n_cells, size=total, replace=False)
+        picked = inc[rng.choice(n_cells, size=need, replace=False)]
+        for i, (n, group) in enumerate(zip(family_sizes, groups)):
             coeffs = rng.uniform(-1.0, 1.0, size=n)
-            picked = inc[cells].reshape(n, -1).sum(axis=1)
-            sums[n][r] = abs(float(np.dot(coeffs, picked)))
+            measures = picked[: n * group].reshape(n, group).sum(axis=1)
+            sums[i, r] = abs(float(np.dot(coeffs, measures)))
     return [
-        ProbeRow(int(n), float(np.quantile(sums[n], quantile))) for n in family_sizes
+        ProbeRow(int(n), float(np.quantile(row, quantile))) for n, row in zip(family_sizes, sums)
     ]

@@ -5,6 +5,11 @@ of the library: dyadic sets become Python sets of cell indices, and level-n
 increments come from a strided difference of the path.  `raw_level_sum` and
 `level_term` are thin wrappers over `criterion.level_sums`, so tests that
 use them still exercise the library's one level-sum path.
+
+`count_pz_hits_outer` and `probe_sums_per_size` are the lemma module's
+earlier algorithms, kept as references for the ones that replaced them: the
+Paley-Zygmund count over the full outer sum of the two halves' signed sums,
+and the boundedness probe with one cell draw per family size.
 """
 
 import math
@@ -12,6 +17,7 @@ import math
 import numpy as np
 
 from besovlab.criterion import level_sums
+from besovlab.lemma import PZ_BLOCK_SUMS, _signed_sums
 from besovlab.paths import DyadicSet
 
 
@@ -53,3 +59,34 @@ def raw_level_sum(path, n, p):
 def level_term(path, n, alpha, p):
     """T_n = 2^{n(alpha p - 1)} R_n, the level-n term of `kamont_series`."""
     return 2.0 ** (n * (alpha * p - 1.0)) * raw_level_sum(path, n, p)
+
+
+def count_pz_hits_outer(lam, threshold):
+    """Patterns with fl(fl(hi + lo)^2) >= threshold, over the whole outer sum
+    of the two halves' signed sums, in row blocks of at most PZ_BLOCK_SUMS."""
+    half = (len(lam) + 1) // 2
+    hi, lo = _signed_sums(lam[:half]), _signed_sums(lam[half:])
+    rows = max(1, PZ_BLOCK_SUMS // len(lo))
+    hits = 0
+    for start in range(0, len(hi), rows):
+        sums = hi[start : start + rows, None] + lo
+        hits += int(np.count_nonzero(sums * sums >= threshold))
+    return hits
+
+
+def probe_sums_per_size(generator, family_sizes, replicates):
+    """{n: the replicates' |sum_k c_k mu(A_k)|}, drawing every size's cells
+    with its own `choice` from the replicate's [seed, r] stream, then its
+    coefficients."""
+    n_cells = generator.grid.n_cells
+    draw = generator.block_sampler()
+    sums = {n: np.empty(replicates) for n in family_sizes}
+    for r in range(replicates):
+        rng = np.random.default_rng([generator.seed, r])
+        inc = draw([[generator.seed, r, 1]])[0]
+        for n in family_sizes:
+            group = max(1, n_cells // (2 * n))
+            cells = rng.choice(n_cells, size=n * group, replace=False)
+            coeffs = rng.uniform(-1.0, 1.0, size=n)
+            sums[n][r] = abs(float(np.dot(coeffs, inc[cells].reshape(n, group).sum(axis=1))))
+    return sums

@@ -534,6 +534,7 @@ class TestLemmaCmd:
             (["--probe", "--sizes", "-3"], "family sizes"),
             (["--pz-mc", "1,1", "--samples", "0"], "Monte Carlo sample"),
             (["--probe", "--sizes", ","], "family size"),
+            (["--probe", "--sizes", "4,4,16"], "family size 4 is repeated"),
         ],
     )
     def test_bad_input_is_a_usage_error(self, capsys, argv, message):

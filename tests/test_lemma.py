@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from besovlab import (
     DisjointFamily,
@@ -28,7 +28,13 @@ from besovlab.lemma import (
     signed_sum_via_sets,
 )
 from besovlab.paths import DyadicSet, StochasticMeasureSample
-from oracles import is_disjoint, measure_of, union
+from oracles import (
+    count_pz_hits_outer,
+    is_disjoint,
+    measure_of,
+    probe_sums_per_size,
+    union,
+)
 
 
 def random_disjoint_level(rng, max_level):
@@ -197,6 +203,20 @@ class TestLemmaStatistic:
             )
 
 
+@st.composite
+def _pz_coefficients(draw):
+    """1 to 14 finite floats, some repeated and some 0, possibly scaled by 2^+-1000.
+
+    Unscaled entries are at most 1e300 and scaled ones at most 16 * 2^1000,
+    so a sum of 14 stays finite while its square may overflow.
+    """
+    scale = draw(st.sampled_from([0, -1000, 1000]))
+    values = st.floats(-16.0, 16.0) if scale else st.floats(-1e300, 1e300)
+    pool = draw(st.lists(values, min_size=1, max_size=4)) + [0.0]
+    lam = draw(st.lists(st.sampled_from(pool) | values, min_size=1, max_size=14))
+    return np.ldexp(np.array(lam), scale)
+
+
 class TestPaleyZygmund:
     def test_single_coefficient(self):
         res = paley_zygmund_check([1.0])
@@ -216,7 +236,6 @@ class TestPaleyZygmund:
         assert res.passed
 
     def test_exact_spans_several_blocks(self):
-        # 2^17 patterns: the enumeration crosses a block boundary
         m = 17
         hits = sum(math.comb(m, k) for k in range(m + 1) if 4 * (m - 2 * k) ** 2 >= m)
         assert paley_zygmund_check([0.7] * m).probability == hits / 2**m
@@ -238,6 +257,21 @@ class TestPaleyZygmund:
         threshold = 0.25 * float(np.dot(lam, lam))
         assert _count_pz_hits(np.array(lam, dtype=float), threshold) == hits
         assert Fraction(paley_zygmund_check(lam).probability) == Fraction(hits, 2 ** len(lam))
+
+    @given(_pz_coefficients())
+    @example(np.zeros(1))
+    @example(np.zeros(14))
+    @settings(max_examples=300, deadline=None)
+    def test_sorted_count_matches_outer_sum(self, lam):
+        # ordinary floats: the sums and squares round, and may underflow or
+        # overflow; the sorted count sees the same float predicate as the
+        # outer sum.  All-zero lambda: threshold 0, so every pattern hits.
+        with np.errstate(over="ignore", under="ignore"):
+            threshold = 0.25 * float(np.dot(lam, lam))
+            hits, expected = _count_pz_hits(lam, threshold), count_pz_hits_outer(lam, threshold)
+        assert hits == expected
+        if not lam.any():
+            assert hits == 2 ** len(lam)
 
     @given(
         # entries of 0 or at least 1e-3: scaled by 2^-1000 they stay normal floats
@@ -424,6 +458,31 @@ class TestBoundednessProbe:
         with pytest.raises(ParameterError):
             boundedness_probe(spec, [4, size], replicates=10, quantile=0.9)
 
+    def test_repeated_family_size(self):
+        # sums are kept per size: a repeat would overwrite the earlier one's
+        spec = GeneratorSpec("bm", Grid(0.0, 1.0, 8), seed=3)
+        with pytest.raises(ParameterError, match="family size 4 is repeated"):
+            boundedness_probe(spec, [4, 4, 16], replicates=50, quantile=0.9)
+
+    def test_shared_draw_keeps_each_size_law(self):
+        # The probe against the per-size draws of the reference, on an
+        # independent seed.  Two-sample DKW inequality for n = m >= 458 (Wei
+        # and Dudley, Statist. Probab. Lett. 82, 2012):
+        # P[sup |F_n - G_n| >= eps] <= 2 exp(-n eps^2), so eps = sqrt(ln(2 / alpha) / n)
+        # at alpha = 1e-4, plus 1/n for the interpolated quantile.
+        reps, sizes = 2000, [4, 16, 64]
+        probe = GeneratorSpec("fbm", Grid(0.0, 1.0, 8), seed=21, H=0.75)
+        reference = probe_sums_per_size(
+            GeneratorSpec("fbm", Grid(0.0, 1.0, 8), seed=22, H=0.75), sizes, reps
+        )
+        eps = math.sqrt(math.log(2 / 1e-4) / reps) + 1 / reps
+        for q in np.arange(1, 10) / 10:
+            for row in boundedness_probe(probe, sizes, reps, q):
+                ref = np.sort(reference[row.family_size])
+                below = np.searchsorted(ref, row.quantile, side="left") / reps
+                upto = np.searchsorted(ref, row.quantile, side="right") / reps
+                assert below - eps <= q <= upto + eps, (row, q, below, upto)
+
     def test_empty_family_sizes(self):
         spec = GeneratorSpec("bm", Grid(0.0, 1.0, 8), seed=0)
         with pytest.raises(ParameterError, match="family size"):
@@ -452,13 +511,15 @@ class TestBoundednessProbe:
         spec = GeneratorSpec("fbm", Grid(0.0, 1.0, 8), seed=5, H=0.7)
         rows = boundedness_probe(spec, [4, 16], replicates=20, quantile=0.9)
         assert len(calls) == 1
-        # reference: one `spec.sample` per replicate, as the probe used to draw
+        # reference: one `spec.sample` per replicate and one ordered draw of
+        # 128 cells, of which size n takes the first n * (256 // (2 n))
         sums = {n: [] for n in (4, 16)}
         for r in range(20):
             rng = np.random.default_rng([spec.seed, r])
             inc = spec.sample(seed=[spec.seed, r, 1]).increments
+            cells = rng.choice(256, size=128, replace=False)
             for n in (4, 16):
-                cells = rng.choice(256, size=n * (256 // (2 * n)), replace=False)
                 coeffs = rng.uniform(-1.0, 1.0, size=n)
-                sums[n].append(abs(float(np.dot(coeffs, inc[cells].reshape(n, -1).sum(axis=1)))))
+                picked = inc[cells[: n * (256 // (2 * n))]]
+                sums[n].append(abs(float(np.dot(coeffs, picked.reshape(n, -1).sum(axis=1)))))
         assert [r.quantile for r in rows] == [float(np.quantile(sums[n], 0.9)) for n in (4, 16)]
