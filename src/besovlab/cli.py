@@ -301,29 +301,24 @@ def _cmd_lemma(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="besovlab",
-        description="Simulate stochastic-measure paths and test their Besov regularity.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _generator_flags(p, **process):
+    """The flags `_generator_from_args` reads; `process` is required= or default=."""
+    p.add_argument("--process", choices=GeneratorSpec.KINDS, **process)
+    p.add_argument("--a", type=float, default=0.0)
+    p.add_argument("--b", type=float, default=1.0)
+    p.add_argument("--J", type=int, default=12)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--H", type=float, default=None)
+    p.add_argument("--weight", type=str, default=None)
 
-    def add_generator_flags(p, **process):
-        """The flags `_generator_from_args` reads; `process` is required= or default=."""
-        p.add_argument("--process", choices=GeneratorSpec.KINDS, **process)
-        p.add_argument("--a", type=float, default=0.0)
-        p.add_argument("--b", type=float, default=1.0)
-        p.add_argument("--J", type=int, default=12)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--H", type=float, default=None)
-        p.add_argument("--weight", type=str, default=None)
 
-    gen = sub.add_parser("generate", help="generate a path as CSV plus sidecar JSON")
-    add_generator_flags(gen, required=True)
+def _generate_flags(gen):
+    _generator_flags(gen, required=True)
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=_cmd_generate)
 
-    dy = sub.add_parser("dyadic", help="dyadic level series and verdict for a CSV path")
+
+def _dyadic_flags(dy):
     dy.add_argument("--input", required=True)
     dy.add_argument("--alpha", type=float, required=True)
     dy.add_argument("--p", type=float, default=2.0)
@@ -332,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     dy.add_argument("--format", choices=["json", "csv"], default="json")
     dy.set_defaults(func=_cmd_dyadic)
 
-    be = sub.add_parser("besov", help="Besov norm report for a CSV path")
+
+def _besov_flags(be):
     be.add_argument("--input", required=True)
     be.add_argument("--alpha", type=float, required=True)
     be.add_argument("--p", type=float, default=2.0)
@@ -341,19 +337,21 @@ def build_parser() -> argparse.ArgumentParser:
     be.add_argument("--out", default=None)
     be.set_defaults(func=_cmd_besov)
 
-    sw = sub.add_parser("sweep", help="run an alpha sweep from a JSON config")
+
+def _sweep_flags(sw):
     sw.add_argument("--config", required=True)
     sw.add_argument("--out-dir", required=True)
     sw.add_argument("--workers", type=int, default=None)
     sw.set_defaults(func=_cmd_sweep)
 
-    lm = sub.add_parser("lemma", help="Paley-Zygmund checks, lemma statistic, probe")
+
+def _lemma_flags(lm):
     lm.add_argument("--pz-exact", type=str, default=None)
     lm.add_argument("--pz-mc", type=str, default=None)
     lm.add_argument("--samples", type=int, default=100_000)
     lm.add_argument("--statistic", action="store_true")
     lm.add_argument("--probe", action="store_true")
-    add_generator_flags(lm, default=GeneratorSpec.KINDS[0])
+    _generator_flags(lm, default=GeneratorSpec.KINDS[0])
     lm.add_argument("--alpha", type=float, default=0.4)
     lm.add_argument("--p", type=float, default=2.0)
     lm.add_argument("--N", type=int, default=10)
@@ -362,11 +360,42 @@ def build_parser() -> argparse.ArgumentParser:
     lm.add_argument("--quantile", type=float, default=0.99)
     lm.set_defaults(func=_cmd_lemma)
 
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of `command` alone if it names one.
+
+    A command line that starts with a subcommand is parsed by it and the top
+    level alone, so `main` builds that subcommand only: building every
+    parser cost most of a short command.  Its metavar spells the usage line
+    of the full tree, which the top level prints with an unrecognized
+    argument; the full tree keeps argparse's own metavar, so that its errors
+    name the `command` argument.
+    """
+    subcommands = {  # name -> (help, adds its flags to its parser)
+        "generate": ("generate a path as CSV plus sidecar JSON", _generate_flags),
+        "dyadic": ("dyadic level series and verdict for a CSV path", _dyadic_flags),
+        "besov": ("Besov norm report for a CSV path", _besov_flags),
+        "sweep": ("run an alpha sweep from a JSON config", _sweep_flags),
+        "lemma": ("Paley-Zygmund checks, lemma statistic, probe", _lemma_flags),
+    }
+    parser = argparse.ArgumentParser(
+        prog="besovlab",
+        description="Simulate stochastic-measure paths and test their Besov regularity.",
+    )
+    if command in subcommands:
+        names, metavar = [command], "{" + ",".join(subcommands) + "}"
+    else:
+        names, metavar = list(subcommands), None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, add_flags = subcommands[name]
+        add_flags(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

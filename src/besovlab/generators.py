@@ -26,14 +26,22 @@ uses fewer normals of the seed's stream, so it is equal to the summed
 finest draw in law, not bit for bit; at level J both are the same draw.
 
 A sweep's replicate rows are made here too: `level_sum_rows(n_levels, p)`
-returns `rows(seeds)`, the raw level sums R_1..R_{n_levels} of each seed,
-drawn in stacks of about _STACK_FLOATS floats.  A stack is one block draw
-at level n_levels summed by one `level_sums` pyramid, unless p = 2 and the
-kind's row carries a p = 2 level-sum law.  Only BM has one: by the Haar
-(Levy-Ciesielski) decomposition R_n = (b - a) 2^-n S_n, where S_0 ~ chi2_1
-and S_n = S_{n-1} + chi2_{2^(n-1)}, all independent, so n_levels + 1
-chi-square draws replace 2^n_levels normals.  It is exact in law for all
-the sums jointly.
+returns `rows(start, stop)`, the raw level sums R_1..R_{n_levels} of
+replicates start..stop-1 of the spec's seed, so this module owns the map
+from replicate to stream: per replicate for cells, per stack for the law.
+Replicate i of a kind that draws cells is the block draw of seed
+[seed, i] at level n_levels, summed by `level_sums` in stacks of about
+_STACK_FLOATS floats.  At p = 2 a kind's row may carry a level-sum law
+instead.  Only BM has one: by the Haar (Levy-Ciesielski) decomposition
+R_n = (b - a) 2^-n S_n, where S_0 ~ chi2_1 and S_n = S_{n-1} +
+chi2_{2^(n-1)}, all independent, so n_levels + 1 chi-square draws replace
+2^n_levels normals.  It is exact in law for all the sums jointly.  The
+law's draws are keyed by stacks of _LAW_STACK replicates, not by
+replicate: replicate i is row i mod _LAW_STACK of stack i div _LAW_STACK,
+one chi-square call on stream [seed, k, 2].  The Generator fills the
+stack in C order, so a row never depends on how many rows follow it, and
+a block that ends inside a stack draws only the stack's prefix: the rows
+do not depend on block bounds either.
 
 fGn has one path, the Davies-Harte circulant embedding: O(N log N) per
 draw for every H in (0, 1).  The embedding is nonnegative in exact
@@ -119,6 +127,7 @@ class WeightFn:
 
 
 BlockSampler = Callable[[Sequence], np.ndarray]  # seeds -> one row per seed, as drawn alone
+RowSampler = Callable[[int, int], np.ndarray]  # (start, stop) -> rows of replicates start..stop-1
 
 
 def _rows(seeds: Sequence, width: int, fill: Callable) -> np.ndarray:
@@ -140,20 +149,33 @@ def _bm_sampler(grid: Grid, H: None) -> BlockSampler:
     return _scaled(math.sqrt(grid.dx), lambda seeds: _rows(seeds, grid.n_cells, normal))
 
 
-def _bm_p2_law(grid: Grid, n_levels: int) -> BlockSampler:
-    """`draw(seeds)` -> BM's raw level sums R_1..R_{n_levels} at p = 2, from their joint law.
+def _bm_p2_law(grid: Grid, n_levels: int, seed: int) -> RowSampler:
+    """`rows(start, stop)` -> BM's raw level sums R_1..R_{n_levels} at p = 2 of
+    replicates start..stop-1, from their joint law.
 
     Two adjacent level-(n+1) cells u, v sum to their level-n parent, and
     u - v ~ N(0, 2^-n (b - a)) is independent of it and of every coarser
     cell, so R_{n+1} = (R_n + (u - v)^2 summed over the 2^n pairs) / 2.
     Hence R_n = (b - a) 2^-n S_n with S_0 ~ chi2_1 and S_n = S_{n-1} +
     chi2_{2^(n-1)}, all independent: n_levels + 1 chi-square draws, not
-    2^n_levels normals.
+    2^n_levels normals.  Stack k is one (rows, n_levels + 1) chi-square draw
+    on stream [seed, k, 2], which no other draw uses; only the rows up to
+    `stop` are drawn, and those before `start` are dropped.
     """
     df = np.concatenate([[1.0], 2.0 ** np.arange(n_levels)])
     scale = (grid.b - grid.a) * 2.0 ** -np.arange(1.0, n_levels + 1)
-    chi2 = lambda rng, row: np.copyto(row, rng.chisquare(df))
-    return lambda seeds: np.cumsum(_rows(seeds, n_levels + 1, chi2), axis=1)[:, 1:] * scale
+
+    def rows(start: int, stop: int) -> np.ndarray:
+        out = np.empty((stop - start, n_levels))
+        for k in range(start // _LAW_STACK, -(-stop // _LAW_STACK)):
+            lo, hi = k * _LAW_STACK, min((k + 1) * _LAW_STACK, stop)
+            chi2 = np.random.default_rng([seed, k, 2]).chisquare(df, (hi - lo, n_levels + 1))
+            first = max(start, lo)
+            out[first - start : hi - start] = np.cumsum(chi2[first - lo :], axis=1)[:, 1:]
+        out *= scale
+        return out
+
+    return rows
 
 
 def _block_rms(g: np.ndarray, width: int) -> np.ndarray:
@@ -286,17 +308,21 @@ class _Kind(NamedTuple):
     # the weight); otherwise the finest draw is summed down to that level
     coarse: bool
     floats: int  # floats a draw holds per cell
-    # (grid, n_levels) -> draw(seeds) of the raw level sums at p = 2 from their exact
-    # joint law, or None: the sweep sums drawn cells
-    p2_law: Optional[Callable[[Grid, int], BlockSampler]] = None
+    # (grid, n_levels, seed) -> rows(start, stop) of the raw level sums at p = 2 from
+    # their exact joint law, or None: the sweep sums drawn cells
+    p2_law: Optional[Callable[[Grid, int, int], RowSampler]] = None
 
 
-# a level-sum law row costs as much as 2^8 drawn cells: on a shared 2-core host a
-# 2-worker pool paid from about 1500 law rows on, and from about 2^19 cells on
-_LAW_CELLS = 1 << 8
-# floats a stack of replicates holds: 16 rows of 2^12 cells, or 4 fGn rows with
-# their spectra (a law row counts as its draw_size); a larger stack gains little
-# and raises the peak memory of a sweep
+# a level-sum law row counts as one drawn cell, so a law sweep starts a pool from
+# 2^19 rows on: on a shared 2-core host a 2-worker pool lost to one block at every
+# law sweep measured (12 levels; 36 vs 9 ms at 5000 rows, 865 vs 689 ms at 400 000)
+_LAW_CELLS = 1
+# replicates a BM p = 2 law stack draws from one stream: changing it changes every
+# BM p = 2 report, since it decides which stream and row each replicate comes from
+_LAW_STACK = 256
+# floats a stack of drawn-cell replicates holds: 16 rows of 2^12 cells, or 4 fGn
+# rows with their spectra; a larger stack gains little and raises the peak memory
+# of a sweep
 _STACK_FLOATS = 1 << 16
 
 # The first row is the CLI's default process.
@@ -336,6 +362,8 @@ class GeneratorSpec:
             raise ParameterError(f"{self.kind} requires H in ({lo:g}, {hi:g}), got {self.H}")
         if not row.weighted and self.weight is not None:
             raise ConfigurationError(f"{self.kind} generator takes no weight")
+        if self.seed < 0:  # numpy's seed sequences take no negative entropy
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
     def _level(self, level: Optional[int]) -> int:
         level = self.grid.J if level is None else level
@@ -343,26 +371,28 @@ class GeneratorSpec:
             raise ResolutionError(f"level {level} is outside the grid's levels 1..J={self.grid.J}")
         return level
 
-    def level_sum_rows(self, n_levels: int, p: float) -> BlockSampler:
-        """`rows(seeds)` -> (len(seeds), n_levels): the raw level sums R_1..R_{n_levels}
-        at exponent p, row i from seeds[i] alone, in stacks of about _STACK_FLOATS floats.
+    def level_sum_rows(self, n_levels: int, p: float) -> RowSampler:
+        """`rows(start, stop)` -> (stop - start, n_levels): the raw level sums
+        R_1..R_{n_levels} at exponent p of replicates start..stop-1 of the
+        spec's seed; no row depends on `start` or `stop`.
 
-        `bm` at p = 2 draws them from their exact joint law, equal in law to
-        the level sums of a `block_sampler(n_levels)` draw, not bit for bit;
-        every other kind and p sums that draw with `level_sums`.
+        `bm` at p = 2 draws them from their exact joint law in stacks of
+        _LAW_STACK replicates, equal in law to the level sums of a
+        `block_sampler(n_levels)` draw, not bit for bit.  Every other kind and
+        p sums that draw of seed [seed, i] with `level_sums`, in stacks of
+        about _STACK_FLOATS floats.
         """
         row = _KINDS[self.kind]
         if row.p2_law is not None and p == 2.0:
-            draw = row.p2_law(self.grid, self._level(n_levels))
-        else:
-            cells = self.block_sampler(n_levels)
-            draw = lambda seeds: level_sums(cells(seeds), n_levels, p)
+            return row.p2_law(self.grid, self._level(n_levels), self.seed)
+        cells = self.block_sampler(n_levels)
         stack = max(1, _STACK_FLOATS // (self.draw_size(n_levels, p) * row.floats))
 
-        def rows(seeds: Sequence) -> np.ndarray:
-            out = np.empty((len(seeds), n_levels))
-            for lo in range(0, len(seeds), stack):
-                out[lo : lo + stack] = draw(seeds[lo : lo + stack])
+        def rows(start: int, stop: int) -> np.ndarray:
+            out = np.empty((stop - start, n_levels))
+            for lo in range(start, stop, stack):
+                seeds = [[self.seed, i] for i in range(lo, min(lo + stack, stop))]
+                out[lo - start : lo - start + len(seeds)] = level_sums(cells(seeds), n_levels, p)
             return out
 
         return rows
@@ -387,8 +417,8 @@ class GeneratorSpec:
         return draw if grid.J == level else _summed_to(level, draw)
 
     def draw_size(self, level: int, p: float) -> int:
-        """Cells a sweep at `level` and exponent p draws per seed; a level-sum law
-        row counts as _LAW_CELLS, the cells that cost as much to draw and sum."""
+        """Cells a sweep at `level` and exponent p draws per replicate; a level-sum
+        law row counts as _LAW_CELLS, set by where a worker pool pays for it."""
         if _KINDS[self.kind].p2_law is not None and p == 2.0:
             return _LAW_CELLS
         return 1 << (self._level(level) if _KINDS[self.kind].coarse else self.grid.J)

@@ -1,20 +1,20 @@
 """Monte Carlo orchestration: alpha sweeps and persistent reports.
 
-Per-replicate RNG streams are derived from (master seed, replicate index),
-so results are independent of worker count and scheduling.  The replicates
-run as contiguous blocks, one per worker process, at most one per CPU and
-per _POOL_CELLS cells drawn (a single block runs in-process).  Each worker
-receives the config once, builds the generator's replicate rows once
-(`GeneratorSpec.level_sum_rows`, which owns how a row is drawn and how
-many rows a stack holds) and returns only the raw level sums of its block,
-one row of n_levels per replicate.  The fit reads levels 1..n_levels only,
-so each replicate is drawn at level n_levels, or for Brownian motion at
-p = 2 from the exact joint law of its level sums.  Every row is
-bit-identical to its replicate drawn alone, so rows never depend on block
-bounds.  This module splits the replicates into blocks, checks that every
-row is finite and folds them: one tail fit per replicate gives its raw
-exponent s (`criterion.tail_exponent`), and each alpha's verdict counts and
-median slope s + alpha p - 1 are one pass over the replicates, so `workers`
+A replicate's level sums are a function of (master seed, replicate index)
+alone, so results are independent of worker count and scheduling.  The
+replicates run as contiguous blocks, one per worker process, at most one
+per CPU and per _POOL_CELLS cells drawn (a single block runs in-process).
+Each worker receives the config once and returns the raw level sums of its
+block, one row of n_levels per replicate, from
+`GeneratorSpec.level_sum_rows`, which owns how a row is drawn, which stream
+it comes from (per replicate for cells, per stack for the law) and how many
+rows a stack holds.  The fit reads levels 1..n_levels only, so each
+replicate is drawn at level n_levels, or for Brownian motion at p = 2 from
+the exact joint law of its level sums.  No row depends on block bounds.
+This module splits the replicates into blocks, checks that every row is
+finite and folds them: one tail fit per replicate gives its raw exponent s
+(`criterion.tail_exponent`), and each alpha's verdict counts and median
+slope s + alpha p - 1 are one pass over the replicates, so `workers`
 changes the wall time, not the report.
 The median slope is affine in alpha, so the critical alpha is its zero
 (1 - median s)/p, reported when it lies in (first alpha, last alpha].
@@ -154,20 +154,10 @@ def _json_float(x: float):
     return x if math.isfinite(x) else None
 
 
-def replicate_seed(master_seed: int, index: int) -> list[int]:
-    """Seed material for replicate `index`; schedule-independent by design."""
-    return [int(master_seed), int(index)]
-
-
 def _replicate_block(args) -> np.ndarray:
-    """Worker task: raw level sums (before the alpha prefactor) of replicates start..stop-1.
-
-    Row i depends only on (master seed, start + i), never on the block bounds.
-    """
+    """Worker task: raw level sums (before the alpha prefactor) of replicates start..stop-1."""
     config, start, stop = args
-    spec = config.generator
-    rows = spec.level_sum_rows(config.n_levels, config.p)
-    return rows([replicate_seed(spec.seed, i) for i in range(start, stop)])
+    return config.generator.level_sum_rows(config.n_levels, config.p)(start, stop)
 
 
 def _raw_level_sums(config: ExperimentConfig) -> np.ndarray:

@@ -235,7 +235,7 @@ def paley_zygmund_check(
     lambdas: Sequence[float],
     mode: str = "exact",
     samples: int = 100_000,
-    seed=0,
+    seed: int = 0,
 ) -> PZResult:
     """P[(sum lambda_i eps_i)^2 >= 1/4 sum lambda_i^2] over uniform signs.
 
@@ -262,6 +262,8 @@ def paley_zygmund_check(
     if mode == "monte-carlo":
         if samples < 1:
             raise ParameterError(f"need at least one Monte Carlo sample, got {samples}")
+        if seed < 0:  # numpy's seed sequences take no negative entropy
+            raise ParameterError(f"seed must be >= 0, got {seed}")
         rng = np.random.default_rng(seed)
         # row blocks of PZ_BLOCK_SUMS signs draw the same bits as one
         # (samples, m) draw, in memory independent of `samples`

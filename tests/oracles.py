@@ -6,6 +6,9 @@ increments come from a strided difference of the path.  `raw_level_sum` and
 `level_term` are thin wrappers over `criterion.level_sums`, so tests that
 use them still exercise the library's one level-sum path.
 
+`bm_p2_law_rows` spells out the stream layout of Brownian motion's p = 2
+level-sum law, drawing every stack whole.
+
 `count_pz_hits_outer` and `probe_sums_per_size` are the lemma module's
 earlier algorithms, kept as references for the ones that replaced them: the
 Paley-Zygmund count over the full outer sum of the two halves' signed sums,
@@ -59,6 +62,18 @@ def raw_level_sum(path, n, p):
 def level_term(path, n, alpha, p):
     """T_n = 2^{n(alpha p - 1)} R_n, the level-n term of `kamont_series`."""
     return 2.0 ** (n * (alpha * p - 1.0)) * raw_level_sum(path, n, p)
+
+
+def bm_p2_law_rows(spec, n_levels, stop):
+    """Rows 0..stop-1 of BM's p = 2 level-sum law: stack k is a whole
+    (256, n_levels + 1) chi-square draw, df 1, 1, 2, 4, ..., on stream
+    [seed, k, 2], and R_n = (b - a) 2^-n times the cumulative sum S_n."""
+    df = [1.0] + [2.0**k for k in range(n_levels)]
+    stacks = [np.random.default_rng([spec.seed, k, 2]).chisquare(df, (256, n_levels + 1))
+              for k in range(-(-stop // 256))]
+    S = np.cumsum(np.concatenate(stacks or [np.empty((0, n_levels + 1))]), axis=1)
+    scale = (spec.grid.b - spec.grid.a) * 2.0 ** -np.arange(1.0, n_levels + 1)
+    return S[:stop, 1:] * scale
 
 
 def count_pz_hits_outer(lam, threshold):

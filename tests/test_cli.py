@@ -16,7 +16,7 @@ from besovlab import (
     kamont_series,
     path_of,
 )
-from besovlab import generators
+from besovlab import cli, generators
 from besovlab.cli import (
     CSV_CHUNK_ROWS,
     EXIT_DATA,
@@ -116,6 +116,15 @@ class TestGenerate:
         )
         assert code == EXIT_USAGE
         assert message in err and not out.exists()
+
+    def test_negative_seed_refused(self, tmp_path, capsys):
+        # numpy's seed sequences take no negative entropy: a usage error, not a traceback
+        out = tmp_path / "bm.csv"
+        code, stdout, err = run(capsys, "generate", "--process", "bm", "--J", "6",
+                                "--seed", "-1", "--out", str(out))
+        assert (code, stdout) == (EXIT_USAGE, "")
+        assert err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
 
     def test_usage_error(self, capsys):
         code, _, _ = run(capsys, "generate", "--process", "nope", "--out", "x")
@@ -417,11 +426,12 @@ class TestSweepCmd:
             {"replicates": 2.5},
             {"workers": True},
             {"generator": {"kind": "martingale", "a": 0.0, "b": 1.0, "J": 8, "weight": 5}},
+            {"generator": {"kind": "bm", "a": 0.0, "b": 1.0, "J": 8, "seed": -3}},
         ],
         ids=["alpha-not-number", "alpha-grid-scalar", "J-not-integer", "generator-list",
              "p-null", "n-levels-negative", "n-levels-1", "n-levels-2", "top-level-list",
              "J-fraction", "seed-bool", "p-bool", "n-levels-fraction", "replicates-fraction",
-             "workers-bool", "weight-not-string"],
+             "workers-bool", "weight-not-string", "seed-negative"],
     )
     def test_malformed_config_is_usage_error(self, tmp_path, capsys, change):
         config = {
@@ -535,6 +545,8 @@ class TestLemmaCmd:
             (["--pz-mc", "1,1", "--samples", "0"], "Monte Carlo sample"),
             (["--probe", "--sizes", ","], "family size"),
             (["--probe", "--sizes", "4,4,16"], "family size 4 is repeated"),
+            (["--probe", "--seed", "-2"], "seed must be >= 0, got -2"),
+            (["--pz-mc", "1,1", "--seed", "-1"], "seed must be >= 0, got -1"),
         ],
     )
     def test_bad_input_is_a_usage_error(self, capsys, argv, message):
@@ -563,6 +575,30 @@ class TestLemmaCmd:
         sample = GeneratorSpec("bm", Grid(0.0, 1.0, 20), seed=6).sample()
         ref = kamont_series(path_of(sample), 20, 0.4, 2.0).partial_sums[-1]
         assert float(rows[-1].split(",")[1]) == pytest.approx(ref, rel=1e-12)
+
+
+class TestParser:
+    ARGV = [
+        [], ["-h"], ["frobnicate"], ["gen"],
+        *([command, "-h"] for command in ("generate", "dyadic", "besov", "sweep", "lemma")),
+        ["generate", "--out", "x.csv"],  # --process is required
+        ["dyadic", "--alpha", "0.5"],  # --input is required
+        ["generate", "--process", "brownian", "--out", "x.csv"],
+        ["dyadic", "--input", "x.csv", "--alpha", "0.5", "--format", "xml"],
+        ["generate", "--process", "bm", "--out", "x.csv", "--bogus"],  # the top level's error
+        ["lemma", "--seed", "one"],
+        ["-h", "sweep"],
+    ]
+
+    @pytest.mark.parametrize("argv", ARGV, ids=" ".join)
+    def test_one_subcommand_parses_as_the_full_tree(self, capsys, monkeypatch, argv):
+        # main builds only the subcommand argv names; help, usage errors and exit
+        # codes are byte for byte those of the parser of every subcommand
+        got = run(capsys, *argv)
+        full = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+        assert got == run(capsys, *argv)
+        assert got[0] in (EXIT_OK, EXIT_USAGE) and (got[1] or got[2])
 
 
 def reference_read(source: Path) -> tuple[np.ndarray, np.ndarray]:

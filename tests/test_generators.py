@@ -20,7 +20,7 @@ from besovlab.cli import build_parser
 from besovlab.errors import ConfigurationError, ParameterError, ResolutionError
 from besovlab import generators
 from besovlab.generators import _KINDS, _fgn_autocov, _fgn_circulant, _fgn_embedding
-from oracles import increments_of
+from oracles import bm_p2_law_rows, increments_of
 
 
 def _fgn_hosking(N: int, H: float, rng: np.random.Generator) -> np.ndarray:
@@ -387,21 +387,21 @@ class TestBlockDraw:
         for row, seed in zip(block, seeds):
             assert int_rows(row) == int_rows(draw([seed])[0])
 
-    @given(st.integers(6, 14), st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=17))
+    @given(st.integers(6, 14), st.integers(0, 2**32 - 1), st.integers(0, 700),
+           st.integers(0, 700))
     @settings(max_examples=30, deadline=None)
-    def test_law_rows_are_the_single_draws(self, n_levels, roots):
-        # each row is R_n = (b - a) 2^-n S_n on its own stream, as drawn one seed at a time
-        spec = GeneratorSpec("bm", Grid(-1.0, 2.0, 14))
+    def test_law_rows_are_the_single_draws(self, n_levels, seed, a, b):
+        # replicate i is row i mod 256 of the chi-square stack i div 256 on stream
+        # [seed, i div 256, 2], in any block [start, stop) and drawn alone
+        start, stop = sorted((a, b))
+        spec = GeneratorSpec("bm", Grid(-1.0, 2.0, 14), seed=seed)
         law = spec.level_sum_rows(n_levels, 2.0)
-        seeds = [[root, i] for i, root in enumerate(roots)]
-        block = law(seeds)
-        assert block.shape == (len(seeds), n_levels)
-        df = [1.0] + [2.0**k for k in range(n_levels)]
-        scale = 3.0 * 2.0 ** -np.arange(1.0, n_levels + 1)
-        for row, seed in zip(block, seeds):
-            assert int_rows(row) == int_rows(law([seed])[0])
-            want = np.cumsum(np.random.default_rng(seed).chisquare(df))[1:] * scale
-            assert int_rows(row) == int_rows(want)
+        block = law(start, stop)
+        assert block.shape == (stop - start, n_levels)
+        want = bm_p2_law_rows(spec, n_levels, stop)[start:]
+        assert int_rows(block) == int_rows(want)
+        for i in {start, (start + stop) // 2, stop - 1} if stop > start else ():
+            assert int_rows(law(i, i + 1)[0]) == int_rows(want[i - start])
 
     @pytest.mark.parametrize("H", sorted(FBM_DIGESTS))
     def test_fbm_sample_keeps_its_bits(self, H):

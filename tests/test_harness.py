@@ -30,7 +30,7 @@ from besovlab.errors import ConfigurationError, ParameterError
 from besovlab import generators, harness
 from besovlab.harness import _fold, _raw_level_sums
 from besovlab.paths import StochasticMeasureSample, path_of
-from oracles import raw_level_sum
+from oracles import bm_p2_law_rows, raw_level_sum
 
 
 def bm_config(**kw):
@@ -269,12 +269,13 @@ class TestWorkerBlocks:
         assert pools_started == pools
         assert raw.tobytes() == _raw_level_sums(dataclasses.replace(cfg, workers=1)).tobytes()
 
-    @pytest.mark.parametrize("replicates, pools", [(1000, []), (5000, [2])])
+    @pytest.mark.parametrize("replicates, pools", [(2**19 - 1, []), (2**19, [2])])
     def test_law_sweep_pools_by_work(self, pools_started, monkeypatch, replicates, pools):
-        # a BM p = 2 replicate costs 2^8 cells: 1000 fill one block, 5000 pay for a pool
+        # a BM p = 2 replicate counts as one cell: a pool lost to one block at every
+        # law sweep measured, so only 2^19 replicates pay for a second block
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        cfg = bm_config(generator=GeneratorSpec("bm", Grid(0.0, 1.0, 14), seed=4),
-                        n_levels=12, replicates=replicates, workers=2)
+        cfg = bm_config(generator=GeneratorSpec("bm", Grid(0.0, 1.0, 8), seed=4),
+                        n_levels=6, replicates=replicates, workers=2)
         raw = _raw_level_sums(cfg)
         assert pools_started == pools
         assert raw.tobytes() == _raw_level_sums(dataclasses.replace(cfg, workers=1)).tobytes()
@@ -301,18 +302,51 @@ class TestWorkerBlocks:
     @pytest.mark.usefixtures("split_by_workers")
     @pytest.mark.parametrize("workers", [1, 2])
     def test_bm_p2_rows_are_the_level_sum_law(self, workers, monkeypatch):
-        # row i is R_n = (b - a) 2^-n S_n on stream [seed, i], S_0 ~ chi2_1 and
-        # S_n = S_{n-1} + chi2_{2^(n-1)}, and no cell is drawn or summed
+        # row i is R_n = (b - a) 2^-n S_n, S_0 ~ chi2_1 and S_n = S_{n-1} +
+        # chi2_{2^(n-1)}, from row i mod 256 of the stack on stream [seed, i div 256, 2];
+        # no cell is drawn or summed.  Two workers split at 150, inside stack 0.
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(generators, "level_sums", None)
         spec = GeneratorSpec("bm", Grid(-1.0, 2.0, 12), seed=29)
-        cfg = bm_config(generator=spec, n_levels=9, replicates=7, workers=workers)
+        cfg = bm_config(generator=spec, n_levels=9, replicates=300, workers=workers)
         raw = _raw_level_sums(cfg)
-        df = [1.0] + [2.0 ** k for k in range(9)]
-        scale = 3.0 * 2.0 ** -np.arange(1.0, 10.0)
-        for i, row in enumerate(raw):
-            want = np.cumsum(np.random.default_rng([29, i]).chisquare(df))[1:] * scale
-            assert row.view(np.int64).tolist() == want.view(np.int64).tolist()
+        assert raw.view(np.int64).tolist() == bm_p2_law_rows(spec, 9, 300).view(np.int64).tolist()
+
+    @pytest.mark.usefixtures("split_by_workers")
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_law_rows_independent_of_stack_straddling_bounds(self, pools_started, monkeypatch,
+                                                             workers):
+        # blocks that end inside a stack draw its prefix, and blocks that start
+        # inside one drop the rows before them: the bytes of one block either way
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        spec = GeneratorSpec("bm", Grid(0.0, 1.0, 10), seed=31)
+        rows = spec.level_sum_rows(8, 2.0)
+        whole = rows(0, 700)
+        pieces = [rows(lo, hi) for lo, hi in [(0, 255), (255, 257), (257, 700)]]
+        assert np.concatenate(pieces).tobytes() == whole.tobytes()
+        # and the sweep's own blocks: [0, 350) + [350, 700), [0, 233) + [233, 466) + ...
+        raw = _raw_level_sums(bm_config(generator=spec, replicates=700, workers=workers))
+        assert pools_started == ([workers] if workers > 1 else [])
+        assert raw.tobytes() == whole.tobytes()
+
+    @pytest.mark.usefixtures("split_by_workers")
+    @pytest.mark.parametrize("replicates, workers", [(1, 1), (256, 1), (257, 1), (1000, 1),
+                                                     (1000, 2), (1000, 3), (700, 3)])
+    def test_law_sweep_builds_a_generator_per_stack(self, pools_started, monkeypatch,
+                                                    replicates, workers):
+        # one Generator per stack of 256 replicates, not one per replicate; a block
+        # boundary inside a stack makes both blocks draw from it: one more at most
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        built = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed=None: built.append(seed) or default_rng(seed))
+        spec = GeneratorSpec("bm", Grid(0.0, 1.0, 14), seed=4)
+        _raw_level_sums(bm_config(generator=spec, n_levels=12, replicates=replicates,
+                                  workers=workers))
+        stacks = -(-replicates // 256)
+        assert stacks <= len(built) <= stacks + workers - 1
+        assert {tuple(seed) for seed in built} == {(4, k, 2) for k in range(stacks)}
 
     @pytest.mark.usefixtures("split_by_workers")
     def test_wfbm_rows_are_the_fine_draw_summed(self):
@@ -410,9 +444,11 @@ class TestSweepDigests:
     # sha256 of to_csv() + repr(critical_alpha) of a 200-replicate sweep at J = 10
     # and 8 levels, taken before the replicate rows moved into
     # GeneratorSpec.level_sum_rows: a refactor of the draws, the stacks, the
-    # blocks or the fold keeps every report bit for bit
+    # blocks or the fold keeps every report bit for bit.  ("bm", 2.0) was taken
+    # again when the law's streams went from one per replicate to one per
+    # stack of _LAW_STACK replicates.
     DIGESTS = {
-        ("bm", 2.0): "7a538aa7424beff0de4f9a0ac5adeaa103232e70eb30976e107d0af0e0280485",
+        ("bm", 2.0): "2f0f84949b6341ead51955ba7a94e865a9f262051c15eab316e7766b06b462a8",
         ("bm", 3.0): "30072d21f15525aefe1a6bb5f6c92c414fb0e61b9797a00a18f1a101463669db",
         ("martingale", 2.0): "dc4f3ff1fd9f02ed51c3c15f0b9b6303f9a690eaa238a4f01d1f6f0147148b6a",
         ("fbm", 2.0): "cf56a888416a56fe30fa894656066b67fda96c3e1c3e8306c5bba1e70d70949b",

@@ -6,7 +6,9 @@ gates compare the law of the per-replicate tail exponent s from both draws,
 and for Brownian motion at p = 2 against the delta-method prediction.  BM
 at p = 2 draws its level sums from their exact joint law instead of drawing
 cells (`GeneratorSpec.level_sum_rows`); the KS gate compares them with real
-cells, and a moment gate checks their means and covariances.
+cells, a moment gate checks their means and covariances, and a third gate
+checks that neighbouring replicates, which share a stack's stream, are
+uncorrelated.
 """
 
 import math
@@ -126,3 +128,18 @@ def test_bm_p2_level_sum_moments():
     cov = 18.0 * 2.0 ** -np.maximum.outer(ns, ns)
     err = np.abs(products.mean(axis=0) - cov)
     assert np.all(err <= 4.0 * products.std(axis=0, ddof=1) / math.sqrt(replicates))
+
+
+def test_bm_p2_neighbouring_replicates_uncorrelated():
+    # replicates i and i + 1 come from one chi-square stack (or, at i = 256 k - 1,
+    # from two streams): at every level Cov(R_n of i, R_n of i + 1) = 0 within
+    # four standard errors, over all neighbours and over the stack boundaries alone
+    n_levels, replicates = 12, 20000
+    spec = GeneratorSpec("bm", Grid(0.0, 1.0, n_levels), seed=5)
+    dev = _raw_level_sums(ExperimentConfig(spec, 2.0, (0.5,), n_levels, replicates)) - 1.0
+    products = dev[:-1] * dev[1:]
+    boundary = products[255::256]
+    assert len(boundary) == replicates // 256
+    for pairs in (products, boundary):
+        se = pairs.std(axis=0, ddof=1) / math.sqrt(len(pairs))
+        assert np.all(np.abs(pairs.mean(axis=0)) <= 4.0 * se)
