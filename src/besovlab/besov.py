@@ -14,11 +14,11 @@ the smallest octave of the t-grid and feed the tail fit.
 Every other p uses 5-node Gauss-Legendre quadrature per cell.  A cell's
 node values, each scaled by W_i^(1/p) for its weight W_i, sit side by side
 in one flat table (`_node_values`), so the quadrature of |g|^p over any run
-of cells is one kernel, `_power_sum`: the sum of |entries|^p of a
-contiguous slice.  Integer p up to 64 take that power without pow, by
-repeated squaring and one dot.  The L_p norm sums the kernel over blocks
-of the path's own table (`_cell_power_integral`, which also holds the p = 2 closed
-form above).  The shift norms build the table of the mean-centred path
+of cells is the sum of |entries|^p of a contiguous slice, taken by
+`criterion._power_sums` as the dyadic level sums are (integer p without
+pow).  The L_p norm sums it over blocks of the path's own table
+(`_cell_power_integral`, which also holds the p = 2 closed form above).
+The shift norms build the table of the mean-centred path
 once, and for shift m the node values of its difference are one
 subtraction of two windows of it: O(max_shift N) in all, refused above
 max_shift N = 4^GENERAL_P_MAX_J.  Tables are built in blocks of at most
@@ -38,7 +38,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ParameterError, ResolutionError, SizeError
+from .criterion import _check_p, _power_sums
+from .errors import ResolutionError, SizeError
 from .paths import BesovParams, SampledPath
 
 POINTS_PER_OCTAVE = 64
@@ -51,8 +52,6 @@ DIRECT_SHIFTS = 64
 GENERAL_P_MAX_J = 14
 # cells per block of Gauss-node values: a full table at J <= GENERAL_P_MAX_J is one block
 _BLOCK_CELLS = 2**GENERAL_P_MAX_J
-# integer p above this take np.power: from about 64 on, repeated squaring is no faster
-_SQUARING_MAX_P = 64
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(5)
 # mapped from [-1, 1] to [0, 1]
 _S = 0.5 * (_GAUSS_NODES + 1.0)
@@ -85,7 +84,7 @@ def _p2_cell_sum(g: np.ndarray) -> float:
 def _cell_power_integral(g: np.ndarray, p: float) -> float:
     """sum_k of the integral over s in [0, 1] of |g_k (1 - s) + g_{k+1} s|^p.
 
-    p = 2 is the closed form `_p2_cell_sum`.  Other p sum `_power_sum` over
+    p = 2 is the closed form `_p2_cell_sum`.  Other p sum `_power_sums` over
     the weighted Gauss-node values (`_node_values`) of blocks of at most
     _BLOCK_CELLS cells, so memory stays bounded at any length.  One buffer
     of 10 min(L, _BLOCK_CELLS) floats holds a block's node values and one
@@ -100,7 +99,7 @@ def _cell_power_integral(g: np.ndarray, p: float) -> float:
     for k0 in range(0, L, _BLOCK_CELLS):
         w = min(_BLOCK_CELLS, L - k0)
         x = _node_values(g[k0 : k0 + w + 1], p, nodes, tmp)
-        total += _power_sum(x, p, tmp)
+        total += float(_power_sums(x, p, x, tmp[: len(x)]))
     return total
 
 
@@ -121,55 +120,6 @@ def _node_values(g: np.ndarray, p: float, out: np.ndarray, tmp: np.ndarray) -> n
         np.multiply(g[:-1], wl, out=left)
         np.add(left, np.multiply(g[1:], wr, out=right), out=cells[:, i])
     return out[: 5 * L]
-
-
-def _power_sum(x: np.ndarray, p: float, tmp: np.ndarray) -> float:
-    """Sum of |x|^p over a 1-d array; x and tmp (at least as long) are overwritten.
-
-    Integer p up to _SQUARING_MAX_P take no pow: even p is dot(y, y) with
-    y = x^(p/2), odd p is dot(|x|, x^(p-1)), and the powers are taken by
-    repeated squaring.  Other p use np.power.  NaN and inf propagate.  The
-    dot is einsum's, not BLAS's: OpenBLAS threads a dot of more than 10^4
-    entries, and waking its threads once per shift costs more than the
-    product itself.
-    """
-    n = int(p)
-    if n != p or n > _SQUARING_MAX_P:
-        np.abs(x, out=x)
-        return float(np.power(x, p, out=x).sum())
-    if n == 1:
-        return float(np.abs(x, out=x).sum())
-    if n % 2 == 0:
-        y = _int_power(x, n // 2)
-        return float(np.einsum("i,i->", y, y))
-    sq = np.multiply(x, x, out=tmp[: len(x)])
-    np.abs(x, out=x)
-    return float(np.einsum("i,i->", x, _int_power(sq, (n - 1) // 2)))
-
-
-def _int_power(x: np.ndarray, n: int) -> np.ndarray:
-    """x^n for an integer n >= 1 by repeated squaring of x in place.
-
-    Returns x itself when n is a power of two, else a new array.
-    """
-    result = None
-    while n > 1:
-        if n & 1:
-            if result is None:
-                result = x.copy()
-            else:
-                result *= x
-        np.multiply(x, x, out=x)
-        n >>= 1
-    if result is None:
-        return x
-    result *= x
-    return result
-
-
-def _check_p(p: float):
-    if not (math.isfinite(p) and p >= 1.0):
-        raise ParameterError(f"p must be finite and >= 1, got {p}")
 
 
 def lp_norm(path: SampledPath, p: float) -> float:
@@ -226,7 +176,7 @@ def _general_p_shift_sums(v: np.ndarray, p: float, M: int) -> np.ndarray:
             if L <= 0:
                 break
             x = np.subtract(T[: 5 * L], T[5 * m : 5 * (m + L)], out=diff[: 5 * L])
-            out[m - 1] += _power_sum(x, p, tmp)
+            out[m - 1] += _power_sums(x, p, x, tmp[: len(x)])
     return out
 
 

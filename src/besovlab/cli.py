@@ -401,7 +401,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        # every non-finite result is refused below, so NumPy's warnings would only repeat it
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except (ParameterError, ConfigurationError, SizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -4,12 +4,14 @@ The level term at (alpha, p) is
 
     T_n = 2^{n (alpha p - 1)} R_n,    R_n = sum_k |level-n dyadic increment|^p,
 
-and the verdict comes from the slope of log2 T_n against n over the tail
-half of the computed levels.  One least-squares fit of log2 R_n, whose
-levels above _ZERO_FLOOR do not depend on alpha, gives the exponent s; the
-slope at alpha is then exactly s + alpha p - 1, so a path's critical
-exponent is (1 - s)/p.  A tail with no positive R_n has slope -inf; one
-with a single positive level reads 0.0, inconclusive at every alpha.
+where R_n, like besov's cell integrals of |.|^p, is summed by `_power_sums`
+(integer p up to 64 by repeated squaring, not pow).  The verdict comes from
+the slope of log2 T_n against n over the tail half of the computed levels.
+One least-squares fit of log2 R_n, whose levels above _ZERO_FLOOR do not
+depend on alpha, gives the exponent s; the slope at alpha is then exactly
+s + alpha p - 1, so a path's critical exponent is (1 - s)/p.  A tail with
+no positive R_n has slope -inf; one with a single positive level reads 0.0,
+inconclusive at every alpha.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from .paths import SampledPath
 SLOPE_THRESHOLD = 0.05  # |slope| below this is Inconclusive
 MIN_LEVELS = 6
 _ZERO_FLOOR = 1e-250  # raw level sums at or below this count as zero in the fit
+# integer p above this take np.power: from about 64 on, repeated squaring is no faster
+_SQUARING_MAX_P = 64
 
 
 class Verdict(str, Enum):
@@ -58,9 +62,7 @@ class LevelSeriesReport:
         }
 
 
-def _check_exponents(alpha: float, p: float):
-    if not (0.0 < alpha < 1.0):
-        raise ParameterError(f"alpha must be in (0, 1), got {alpha}")
+def _check_p(p: float):
     if not (math.isfinite(p) and p >= 1.0):
         raise ParameterError(f"p must be finite and >= 1, got {p}")
 
@@ -71,19 +73,57 @@ def dyadic_pyramid(cells: np.ndarray, coarsest: int = 1) -> Iterator[tuple[int, 
     `cells` holds the 2^J finest increments along its last axis (one path,
     or a stack of paths).  A pairwise pyramid: level n - 1 is the sum of
     adjacent level-n cells, so all levels cost O(N) together and no
-    cumulative path is formed.
+    cumulative path is formed.  Level n - 1 is formed before level n is
+    yielded, so a consumer may overwrite every yielded level but the input.
     """
     n = cells.shape[-1].bit_length() - 1
     while True:
+        coarser = cells[..., 0::2] + cells[..., 1::2] if n > coarsest else None
         yield n, cells
-        if n <= coarsest:
+        if coarser is None:
             return
-        cells = cells[..., 0::2] + cells[..., 1::2]
-        n -= 1
+        cells, n = coarser, n - 1
 
 
-# |x|^p at p = 1 and 2 without the general pow loop, bit-identical to it
-_EXACT_POWERS = {1.0: np.abs, 2.0: np.square}
+def _power_sums(x: np.ndarray, p: float, out=None, tmp=None):
+    """Sum of |x|^p along the last axis of a 1-d or 2-d x; NaN and inf propagate.
+
+    The first pass, |x| or x^2, goes to `out`, and odd integer p >= 3 square
+    x into `tmp`: both have x's shape and are allocated when None, and x is
+    only read unless it is `out`.  p = 1 and 2 sum |x| and x^2, bit-identical
+    to pow.  Other integer p up to _SQUARING_MAX_P square repeatedly and sum
+    one einsum dot, dot(y, y) with y = x^(p/2) or dot(|x|, x^(p-1)); other p
+    use np.power.  Not BLAS's dot: OpenBLAS threads one of more than 10^4
+    entries, and waking its threads per Besov shift costs more than the
+    product.  A 2-d einsum sums rows of more than 8192 entries in chunks, so
+    those take a 1-d call each and every row rounds as it does alone.
+    """
+    n = int(p)
+    if n != p or n == 1 or n > _SQUARING_MAX_P:
+        y = np.abs(x, out=out)
+        return (y if p == 1 else np.power(y, p, out=y)).sum(axis=-1)
+    if n == 2:
+        return np.square(x, out=out).sum(axis=-1)
+    if n % 2 == 0:
+        a = b = _int_power(x, n // 2, out)
+    else:
+        sq = np.multiply(x, x, out=tmp)
+        a, b = np.abs(x, out=out), _int_power(sq, (n - 1) // 2, sq)
+    if a.ndim == 1 or a.shape[-1] <= 8192:
+        return np.einsum("...i,...i->...", a, b)
+    return np.array([np.einsum("i,i->", u, v) for u, v in zip(a, b)])
+
+
+def _int_power(x: np.ndarray, n: int, out) -> np.ndarray:
+    """x^n, n >= 1, by repeated squaring into `out` (x's shape, None or x itself):
+    x itself at n = 1, `out` at a power of two, else a new array."""
+    result = None
+    while n > 1:
+        if n & 1:
+            result = x.copy() if result is None else np.multiply(result, x, out=result)
+        x = out = np.multiply(x, x, out=out)
+        n >>= 1
+    return x if result is None else np.multiply(result, x, out=result)
 
 
 def level_sums(increments, n_levels: int, p: float) -> np.ndarray:
@@ -92,7 +132,8 @@ def level_sums(increments, n_levels: int, p: float) -> np.ndarray:
     `increments` is one path's 2^J increments, giving n_levels sums, or an
     (R, 2^J) stack of R paths, giving (R, n_levels); each row's sums are
     bit-identical to the call on that row alone.  The level-n increments
-    come from `dyadic_pyramid`, O(N) for all levels.
+    come from `dyadic_pyramid`, O(N) for all levels, and each level below
+    J takes its first power pass in place.
     """
     x = np.asarray(increments, dtype=float)
     N = x.shape[-1] if x.ndim else 0
@@ -106,11 +147,11 @@ def level_sums(increments, n_levels: int, p: float) -> np.ndarray:
         raise ResolutionError(f"level {n_levels} exceeds grid resolution J={J}")
     if n_levels < 1:
         raise ParameterError(f"need at least one level, got {n_levels}")
-    power = _EXACT_POWERS.get(p)
+    _check_p(p)
     out = np.empty(x.shape[:-1] + (n_levels,))
     for n, cells in dyadic_pyramid(x):
         if n <= n_levels:
-            out[..., n - 1] = np.sum(power(cells) if power else np.abs(cells) ** p, axis=-1)
+            out[..., n - 1] = _power_sums(cells, p, None if n == J else cells)
     return out
 
 
@@ -199,7 +240,9 @@ def verdict_code(slopes):
 
 def series_from_raw(raw_sums, alpha: float, p: float) -> LevelSeriesReport:
     """Assemble the report from precomputed raw level sums for n = 1..N."""
-    _check_exponents(alpha, p)
+    if not (0.0 < alpha < 1.0):
+        raise ParameterError(f"alpha must be in (0, 1), got {alpha}")
+    _check_p(p)
     N = len(raw_sums)
     if N < MIN_LEVELS:
         raise ParameterError(f"need at least {MIN_LEVELS} levels, got {N}")

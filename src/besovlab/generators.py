@@ -313,8 +313,8 @@ class _Kind(NamedTuple):
     p2_law: Optional[Callable[[Grid, int, int], RowSampler]] = None
 
 
-# a level-sum law row counts as one drawn cell, so a law sweep starts a pool from
-# 2^19 rows on: on a shared 2-core host a 2-worker pool lost to one block at every
+# a level-sum law row counts as one drawn float, so a law sweep starts a pool from
+# 2^20 rows on: on a shared 2-core host a 2-worker pool lost to one block at every
 # law sweep measured (12 levels; 36 vs 9 ms at 5000 rows, 865 vs 689 ms at 400 000)
 _LAW_CELLS = 1
 # replicates a BM p = 2 law stack draws from one stream: changing it changes every
@@ -386,7 +386,7 @@ class GeneratorSpec:
         if row.p2_law is not None and p == 2.0:
             return row.p2_law(self.grid, self._level(n_levels), self.seed)
         cells = self.block_sampler(n_levels)
-        stack = max(1, _STACK_FLOATS // (self.draw_size(n_levels, p) * row.floats))
+        stack = max(1, _STACK_FLOATS // self.draw_size(n_levels, p))
 
         def rows(start: int, stop: int) -> np.ndarray:
             out = np.empty((stop - start, n_levels))
@@ -417,11 +417,13 @@ class GeneratorSpec:
         return draw if grid.J == level else _summed_to(level, draw)
 
     def draw_size(self, level: int, p: float) -> int:
-        """Cells a sweep at `level` and exponent p draws per replicate; a level-sum
-        law row counts as _LAW_CELLS, set by where a worker pool pays for it."""
-        if _KINDS[self.kind].p2_law is not None and p == 2.0:
+        """Floats a sweep at `level` and exponent p draws per replicate, cells times
+        `floats`; a level-sum law row counts as _LAW_CELLS, set by where a worker
+        pool pays for it."""
+        row = _KINDS[self.kind]
+        if row.p2_law is not None and p == 2.0:
             return _LAW_CELLS
-        return 1 << (self._level(level) if _KINDS[self.kind].coarse else self.grid.J)
+        return row.floats << (self._level(level) if row.coarse else self.grid.J)
 
     def sample(self, seed=None) -> StochasticMeasureSample:
         """Draw one realization; seed overrides the spec's own seed."""

@@ -3,7 +3,7 @@
 A replicate's level sums are a function of (master seed, replicate index)
 alone, so results are independent of worker count and scheduling.  The
 replicates run as contiguous blocks, one per worker process, at most one
-per CPU and per _POOL_CELLS cells drawn (a single block runs in-process).
+per CPU and per _POOL_FLOATS floats drawn (a single block runs in-process).
 Each worker receives the config once and returns the raw level sums of its
 block, one row of n_levels per replicate, from
 `GeneratorSpec.level_sum_rows`, which owns how a row is drawn, which stream
@@ -40,10 +40,10 @@ from .errors import ConfigurationError, ParameterError, config_number
 from .generators import GeneratorSpec
 
 SCHEMA_VERSION = 1
-# cells drawn per worker block (`GeneratorSpec.draw_size`): on a shared 2-core
-# host a 2-worker pool lost to one block at 100 BM p = 3 replicates of 2^12
-# cells and won from 200 on, so a second block pays from about 2^19 cells
-_POOL_CELLS = 1 << 18
+# floats drawn per worker block (`GeneratorSpec.draw_size`): on a shared 2-core host a
+# 2-worker pool lost to one block up to 200 BM p = 3 or martingale replicates of 2^12
+# floats and won from 256, so a second block pays from 2^20 (fBm: from about 2^21)
+_POOL_FLOATS = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -165,12 +165,12 @@ def _raw_level_sums(config: ExperimentConfig) -> np.ndarray:
 
     The block count is capped at the CPU count, so a large `workers` starts
     no more processes than can run at once, and at one block per
-    _POOL_CELLS cells drawn, so a cheap sweep starts no pool; no report
+    _POOL_FLOATS floats drawn, so a cheap sweep starts no pool; no report
     depends on it.
     """
     work = config.replicates * config.generator.draw_size(config.n_levels, config.p)
     n_blocks = min(config.workers, config.replicates, os.cpu_count() or 1,
-                   max(1, work // _POOL_CELLS))
+                   max(1, work // _POOL_FLOATS))
     bounds = [config.replicates * k // n_blocks for k in range(n_blocks + 1)]
     payloads = [(config, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     if n_blocks == 1:

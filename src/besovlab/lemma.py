@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .criterion import dyadic_pyramid
+from .criterion import _power_sums, dyadic_pyramid
 from .errors import ConfigurationError, ParameterError, ResolutionError, SizeError
 from .generators import GeneratorSpec
 from .paths import MAX_RESOLUTION, DyadicSet, StochasticMeasureSample
@@ -180,7 +180,7 @@ def lemma_statistic(
                 level.labels + 1, weights=cells[level.resolution], minlength=level.n_sets + 1
             )[1:]
             a = weights.values[i]
-            level_sums[i] = a * a * np.sum(measures * measures)
+            level_sums[i] = a * a * _power_sums(measures, 2.0, measures)
         partial = np.cumsum(level_sums)
     if not np.all(np.isfinite(partial)):
         raise FloatingPointError("the lemma statistic is not finite")

@@ -4,7 +4,8 @@
 of the library: dyadic sets become Python sets of cell indices, and level-n
 increments come from a strided difference of the path.  `raw_level_sum` and
 `level_term` are thin wrappers over `criterion.level_sums`, so tests that
-use them still exercise the library's one level-sum path.
+use them still exercise the library's one level-sum path, and
+`level_sums_by_pow` is that path with pow in place of repeated squaring.
 
 `bm_p2_law_rows` spells out the stream layout of Brownian motion's p = 2
 level-sum law, drawing every stack whole.
@@ -19,7 +20,7 @@ import math
 
 import numpy as np
 
-from besovlab.criterion import level_sums
+from besovlab.criterion import dyadic_pyramid, level_sums
 from besovlab.lemma import PZ_BLOCK_SUMS, _signed_sums
 from besovlab.paths import DyadicSet
 
@@ -62,6 +63,16 @@ def raw_level_sum(path, n, p):
 def level_term(path, n, alpha, p):
     """T_n = 2^{n(alpha p - 1)} R_n, the level-n term of `kamont_series`."""
     return 2.0 ** (n * (alpha * p - 1.0)) * raw_level_sum(path, n, p)
+
+
+def level_sums_by_pow(increments, n_levels, p):
+    """`criterion.level_sums` with every power taken by pow: sum_k |c_k|^p
+    over the level-n cells of `dyadic_pyramid`, one path or a stack."""
+    out = np.empty(np.shape(increments)[:-1] + (n_levels,))
+    for n, cells in dyadic_pyramid(np.asarray(increments, dtype=float)):
+        if n <= n_levels:
+            out[..., n - 1] = np.sum(np.abs(cells) ** p, axis=-1)
+    return out
 
 
 def bm_p2_law_rows(spec, n_levels, stop):

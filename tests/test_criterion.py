@@ -14,7 +14,7 @@ from besovlab import (
 )
 from besovlab.criterion import fit_tail_slope, level_sums, series_from_raw
 from besovlab.errors import ParameterError, ResolutionError
-from oracles import increments_of, raw_level_sum
+from oracles import increments_of, level_sums_by_pow, raw_level_sum
 
 
 def ramp(J):
@@ -276,9 +276,10 @@ class TestLevelSums:
         with pytest.raises(ParameterError):
             level_sums(np.zeros(16), 0, 2.0)
 
-    @pytest.mark.parametrize("p", [1.0, 2.0])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 2.5, 65.0])
     def test_exact_powers_equal_pow(self, p):
-        # |x| and x^2 in place of the pow loop: bit-identical, across subnormals,
+        # |x| and x^2 in place of the pow loop, and pow itself at non-integer p and
+        # integer p above the squaring range: bit-identical, across subnormals,
         # squares that underflow and squares that overflow to inf
         rng = np.random.default_rng(8)
         y = rng.standard_normal(1 << 16) * np.exp(rng.uniform(-400.0, 400.0, 1 << 16))
@@ -294,12 +295,50 @@ class TestLevelSums:
         assert ((a > 0.0) & (a < np.finfo(float).tiny)).any()  # subnormal inputs
         assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
-    @pytest.mark.parametrize("p", [2.0, 3.0, 1.5])
-    @pytest.mark.parametrize("rows, J, n_levels", [(1, 6, 6), (5, 8, 6), (16, 12, 12), (3, 10, 7)])
+    @pytest.mark.parametrize("p", [2.0, 3.0, 1.5, 4.0, 5.0])
+    @pytest.mark.parametrize(
+        "rows, J, n_levels", [(1, 6, 6), (5, 8, 6), (16, 12, 12), (3, 10, 7), (2, 14, 14)]
+    )
     def test_stack_rows_equal_one_row_calls(self, p, rows, J, n_levels):
+        # (2, 14, 14): rows longer than the 8192 entries a 2-d einsum sums in one chunk
         spec = GeneratorSpec("fbm", Grid(0.0, 1.0, J), H=0.7)
         stack = np.stack([spec.block_sampler()([[4, i]])[0] for i in range(rows)])
         got = level_sums(stack, n_levels, p)
         assert got.shape == (rows, n_levels)
         for row, x in zip(got, stack):
             assert row.view(np.int64).tolist() == level_sums(x, n_levels, p).view(np.int64).tolist()
+
+    @pytest.mark.parametrize("p", [3.0, 4.0, 5.0, 7.0, 64.0])
+    def test_integer_powers_match_pow(self, p):
+        # repeated squaring and a dot in place of pow: within 1e-13 relative over
+        # zero, subnormal and huge increments (big^p stays finite at every level)
+        rng = np.random.default_rng(19)
+        N = 1 << 10
+        big = 2.0 ** (900.0 / p) / N
+        x = rng.standard_normal((5, N))
+        x[0, ::3] = 0.0
+        x[1, ::4] = rng.choice([5e-324, -2.5e-310, 2.2250738585072014e-308], N // 4)
+        x[2, ::16] *= big
+        x[3, ::2] = rng.choice([0.0, 5e-324, big, -big], N // 2)
+        x[4] = rng.choice([0.0, 5e-324, -1e-310], N)  # every power underflows to 0
+        got = level_sums(x, 10, p)
+        np.testing.assert_allclose(got, level_sums_by_pow(x, 10, p), rtol=1e-13, atol=0.0)
+        assert (got[:4] > 0.0).all() and (got[4] == 0.0).all()
+        # inf, NaN, inf - inf at a coarser level, and a power that overflows
+        y = np.ones((4, N))
+        y[0, 5], y[1, 9], y[2, :2], y[3, 7] = np.inf, np.nan, (np.inf, -np.inf), 2.0 ** (1100.0 / p)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = level_sums(y, 10, p), level_sums_by_pow(y, 10, p)
+        assert (~np.isfinite(want)).any(axis=1).all()
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0, 65.0])
+    def test_input_unchanged(self, p):
+        # the first power pass of a level below J runs in place: never on the input
+        x = GeneratorSpec("bm", Grid(0.0, 1.0, 10), seed=2).block_sampler()([[2, i] for i in range(3)])
+        before = x.tobytes()
+        x.flags.writeable = False
+        for increments in (x, x[1]):
+            level_sums(increments, 10, p)
+            level_sums(increments, 7, p)
+        assert x.tobytes() == before

@@ -216,7 +216,7 @@ def assert_rows_are_fine_draws(raw, cfg):
 @pytest.fixture
 def split_by_workers(monkeypatch):
     """One block per worker however small the work, so the splits are exercised."""
-    monkeypatch.setattr(harness, "_POOL_CELLS", 1)
+    monkeypatch.setattr(harness, "_POOL_FLOATS", 1)
 
 
 @pytest.fixture
@@ -260,25 +260,26 @@ class TestWorkerBlocks:
 
     @pytest.mark.parametrize("cpus, pools", [(3, [3]), (None, [])])
     def test_pool_capped_at_cpu_count(self, pools_started, monkeypatch, cpus, pools):
-        # 5000 x 2^8 cells drawn: work for 4 blocks, capped at 3 CPUs
+        # 10000 x 2^8 floats drawn: work for 4 blocks, capped at 3 CPUs
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         cfg = bm_config(generator=GeneratorSpec("bm", Grid(0.0, 1.0, 8), seed=4), p=3.0,
-                        n_levels=8, replicates=5000, workers=5000)
-        assert cfg.replicates * 2**8 >= 4 * harness._POOL_CELLS
+                        n_levels=8, replicates=10000, workers=10000)
+        assert cfg.replicates * 2**8 >= 4 * harness._POOL_FLOATS
         raw = _raw_level_sums(cfg)
         assert pools_started == pools
         assert raw.tobytes() == _raw_level_sums(dataclasses.replace(cfg, workers=1)).tobytes()
 
-    @pytest.mark.parametrize("replicates, pools", [(2**19 - 1, []), (2**19, [2])])
+    @pytest.mark.parametrize("replicates, pools", [(2**20 - 1, []), (2**20, [2])])
     def test_law_sweep_pools_by_work(self, pools_started, monkeypatch, replicates, pools):
-        # a BM p = 2 replicate counts as one cell: a pool lost to one block at every
-        # law sweep measured, so only 2^19 replicates pay for a second block
+        # a BM p = 2 replicate counts as one float: a pool lost to one block at every
+        # law sweep measured, so only 2^20 replicates pay for a second block
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         cfg = bm_config(generator=GeneratorSpec("bm", Grid(0.0, 1.0, 8), seed=4),
                         n_levels=6, replicates=replicates, workers=2)
         raw = _raw_level_sums(cfg)
         assert pools_started == pools
-        assert raw.tobytes() == _raw_level_sums(dataclasses.replace(cfg, workers=1)).tobytes()
+        one_block = _raw_level_sums(dataclasses.replace(cfg, workers=1))
+        assert np.array_equal(raw.view(np.int64), one_block.view(np.int64))  # bits, no copies
 
     @pytest.mark.usefixtures("split_by_workers")
     def test_row_is_the_replicate_own_draw(self):
@@ -446,10 +447,13 @@ class TestSweepDigests:
     # GeneratorSpec.level_sum_rows: a refactor of the draws, the stacks, the
     # blocks or the fold keeps every report bit for bit.  ("bm", 2.0) was taken
     # again when the law's streams went from one per replicate to one per
-    # stack of _LAW_STACK replicates.
+    # stack of _LAW_STACK replicates.  ("bm", 3.0) was taken again when integer
+    # p from 3 to 64 went from pow to repeated squaring and a dot: its level sums
+    # moved in the last bits (within 1e-13 of pow), and two median slopes and the
+    # critical alpha in their last digit.
     DIGESTS = {
         ("bm", 2.0): "2f0f84949b6341ead51955ba7a94e865a9f262051c15eab316e7766b06b462a8",
-        ("bm", 3.0): "30072d21f15525aefe1a6bb5f6c92c414fb0e61b9797a00a18f1a101463669db",
+        ("bm", 3.0): "929e3cb932e1d4a8ad924aa2d8a7bb15e26577937e661b7f7ed5a7151d6d62de",
         ("martingale", 2.0): "dc4f3ff1fd9f02ed51c3c15f0b9b6303f9a690eaa238a4f01d1f6f0147148b6a",
         ("fbm", 2.0): "cf56a888416a56fe30fa894656066b67fda96c3e1c3e8306c5bba1e70d70949b",
         ("wfbm", 2.0): "684f8e5637a880f17e5754802d2990881c357c1226ee5e76daccf84b7aa01540",
