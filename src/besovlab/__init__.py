@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .paths import (
     BesovParams,
-    DyadicSet,
     Grid,
     SampledPath,
     StochasticMeasureSample,
@@ -24,7 +23,6 @@ from .lemma import (
     boundedness_probe,
     lemma_statistic,
     paley_zygmund_check,
-    randomize_signs,
 )
 from .harness import (
     ExperimentConfig,

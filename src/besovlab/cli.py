@@ -273,12 +273,12 @@ def _cmd_lemma(args) -> int:
         did_something = True
     if args.statistic:
         if args.N > args.J:
-            # checked before full_dyadic allocates its 2^(N+1) labels
+            # checked before the sample's 2^J cells are drawn
             raise ResolutionError(
                 f"family depth N={args.N} exceeds the sample's dyadic resolution J={args.J}"
             )
-        sample = _generator_from_args(args).sample()
         weights = WeightSequence.geometric(args.alpha, args.p, args.N)
+        sample = _generator_from_args(args).sample()
         family = DisjointFamily.full_dyadic(args.N)
         partial = lemma_statistic(sample, weights, family)
         print("n,partial_sum")

@@ -1,22 +1,16 @@
-"""Weighted quadratic statistic, Paley-Zygmund check, sign randomization,
-and the boundedness-in-probability probe.
+"""Weighted quadratic statistic, Paley-Zygmund check, and the
+boundedness-in-probability probe.
 
 The central object is the partial sum
 
     S_N = sum_{n<=N} a_n^2 sum_k mu(D_{kn})^2
 
 over per-level families of pairwise-disjoint dyadic sets, with summable
-positive weights a_n.
-
-A `DisjointFamily` stores each level as one integer label array over the
-cells at that level's common dyadic resolution: the index of the set that
-holds the cell, or -1 for a cell in no set.  The measures of all sets of a
-level are then one `np.bincount` over the cell measures, which come from the
-same pairwise pyramid as `criterion.level_sums`; a full dyadic family needs
-no per-cell objects, and its statistic at p = 2 is the Kamont partial sum.
-The family keeps no `DyadicSet`s: its sets are rebuilt from the labels
-whenever `levels` is read.  `randomize_signs` maps each level's signs onto
-its labels and returns each union as one index-array `DyadicSet`.
+positive weights a_n.  On the full dyadic family, where level n holds the
+2^n dyadic cells, sum_k mu(D_{kn})^2 is the p = 2 level sum R_n of
+`criterion.level_sums`, so S_N is a weighted cumulative sum of R_n; with
+the weights of `WeightSequence.geometric` at p = 2 it is the Kamont partial
+sum.
 
 The exact Paley-Zygmund check enumerates the two halves of lambda
 separately, 2^ceil(m/2) and 2^floor(m/2) signed sums, sorts the second half
@@ -38,10 +32,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .criterion import _power_sums, dyadic_pyramid
-from .errors import ConfigurationError, ParameterError, ResolutionError, SizeError
+from .criterion import _check_p, level_sums
+from .errors import ParameterError, ResolutionError, SizeError
 from .generators import GeneratorSpec
-from .paths import MAX_RESOLUTION, DyadicSet, StochasticMeasureSample
+from .paths import MAX_RESOLUTION, StochasticMeasureSample
 
 PZ_THRESHOLD_FACTOR = 0.25
 PZ_PROBABILITY_BOUND = 0.125
@@ -56,8 +50,8 @@ class WeightSequence:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        if any(v <= 0 for v in self.values):
-            raise ParameterError("weights must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in self.values):
+            raise ParameterError("weights must be positive and finite")
 
     def __len__(self) -> int:
         return len(self.values)
@@ -68,6 +62,9 @@ class WeightSequence:
 
         Summable iff alpha p < 1.
         """
+        if not 0.0 < alpha < 1.0:
+            raise ParameterError(f"alpha must be in (0, 1), got {alpha}")
+        _check_p(p)
         if N < 1:
             raise ParameterError("need at least one weight")
         ns = np.arange(1, N + 1)
@@ -76,78 +73,21 @@ class WeightSequence:
 
 
 @dataclass(frozen=True)
-class _LabelLevel:
-    """One level of a family: labels[j] is the set holding cell j + 1 at `resolution`, or -1."""
-
-    resolution: int
-    labels: np.ndarray
-    n_sets: int
-
-    def sets(self) -> tuple[DyadicSet, ...]:
-        order = np.argsort(self.labels, kind="stable")
-        bounds = np.searchsorted(self.labels[order], np.arange(self.n_sets + 1))
-        return tuple(
-            DyadicSet(self.resolution, order[lo:hi] + 1)
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-        )
-
-
-def _label_level(n: int, sets: tuple[DyadicSet, ...]) -> _LabelLevel:
-    """Label the cells of one level's sets; raises if two sets share a cell."""
-    members = [(i, s) for i, s in enumerate(sets) if not s.is_empty()]
-    resolution = max((s.level for _, s in members), default=0)
-    if resolution > MAX_RESOLUTION:
-        raise ResolutionError(
-            f"set at level {resolution} exceeds the resolution bound {MAX_RESOLUTION}"
-        )
-    labels = np.full(1 << resolution, -1, dtype=np.intp)
-    if members:
-        blocks = [s.at_level(resolution).ks - 1 for _, s in members]
-        cells = np.concatenate(blocks)
-        if np.bincount(cells, minlength=len(labels)).max() > 1:
-            raise ConfigurationError(f"sets at level {n} are not disjoint")
-        labels[cells] = np.repeat([i for i, _ in members], [b.size for b in blocks])
-    return _LabelLevel(resolution, labels, len(sets))
-
-
 class DisjointFamily:
-    """Per-level families of pairwise-disjoint dyadic sets; index i is level i+1.
+    """The full dyadic family to `depth`: level n is the partition into the 2^n cells."""
 
-    Only the label arrays are stored: each level is one label array over the
-    cells at its common dyadic resolution (the finest level among its sets),
-    so the measures of all sets of a level are one `np.bincount`.  `levels`
-    rebuilds the family from the labels on every access, each set at its
-    level's resolution, so it equals the given sets as sets of cells.
-    """
+    depth: int
 
-    def __init__(self, levels: Sequence[Sequence[DyadicSet]]):
-        self._labels = tuple(
-            _label_level(n, tuple(sets)) for n, sets in enumerate(levels, start=1)
-        )
+    def __post_init__(self):
+        if not 1 <= self.depth <= MAX_RESOLUTION:
+            raise ResolutionError(
+                f"depth must be in [1, {MAX_RESOLUTION}], got {self.depth}"
+            )
 
     @classmethod
     def full_dyadic(cls, depth: int) -> "DisjointFamily":
         """Level n holds the full partition into the 2^n dyadic cells."""
-        if depth > MAX_RESOLUTION:
-            raise ResolutionError(
-                f"depth {depth} exceeds the resolution bound {MAX_RESOLUTION}"
-            )
-        family = cls(())
-        family._labels = tuple(
-            _LabelLevel(n, np.arange(1 << n), 1 << n) for n in range(1, depth + 1)
-        )
-        return family
-
-    @property
-    def levels(self) -> tuple[tuple[DyadicSet, ...], ...]:
-        return tuple(level.sets() for level in self._labels)
-
-    @property
-    def depth(self) -> int:
-        return len(self._labels)
-
-    def max_resolution(self) -> int:
-        return max((level.resolution for level in self._labels), default=0)
+        return cls(depth)
 
 
 def lemma_statistic(
@@ -157,31 +97,18 @@ def lemma_statistic(
 ) -> np.ndarray:
     """Partial sums S_n of the weighted quadratic statistic, n = 1..depth.
 
-    The cells of each level's resolution come from the pairwise pyramid of
-    the sample's increments, and each set's measure is one bincount over the
-    level's labels, so a full dyadic family costs O(N) in the grid size.
+    On the full dyadic family sum_k mu(D_{kn})^2 is the p = 2 level sum R_n,
+    so S_n is one weighted cumulative sum of `criterion.level_sums`, O(N)
+    in the grid size.
     """
-    if len(weights) < family.depth:
-        raise ParameterError(
-            f"need {family.depth} weights, got {len(weights)}"
-        )
-    if family.max_resolution() > sample.grid.J:
+    depth = family.depth
+    if len(weights) < depth:
+        raise ParameterError(f"need {depth} weights, got {len(weights)}")
+    if depth > sample.grid.J:
         raise ResolutionError("family exceeds the sample's dyadic resolution")
-    needed = {level.resolution for level in family._labels}
-    cells = {
-        n: c
-        for n, c in dyadic_pyramid(sample.increments, min(needed, default=sample.grid.J))
-        if n in needed
-    }
-    level_sums = np.empty(family.depth)
+    a = np.asarray(weights.values[:depth])
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, level in enumerate(family._labels):
-            measures = np.bincount(
-                level.labels + 1, weights=cells[level.resolution], minlength=level.n_sets + 1
-            )[1:]
-            a = weights.values[i]
-            level_sums[i] = a * a * _power_sums(measures, 2.0, measures)
-        partial = np.cumsum(level_sums)
+        partial = np.cumsum(a * a * level_sums(sample.increments, depth, 2.0))
     if not np.all(np.isfinite(partial)):
         raise FloatingPointError("the lemma statistic is not finite")
     return partial
@@ -277,58 +204,6 @@ def paley_zygmund_check(
         passed = prob >= PZ_PROBABILITY_BOUND - 3.0 * stderr
         return PZResult(prob, PZ_PROBABILITY_BOUND, passed, stderr)
     raise ParameterError(f"unknown mode {mode!r}")
-
-
-def randomize_signs(
-    family: DisjointFamily,
-    signs: Sequence[Sequence[int]],
-) -> tuple[list[DyadicSet], list[DyadicSet]]:
-    """Split each level of the family into a (+1)-union B_n and (-1)-union C_n.
-
-    `signs[n-1][k-1]` is +-1 for the k-th set at level n.  The identity
-
-        sum_n a_n (mu(B_n) - mu(C_n)) = sum_{n,k} a_n eps_{kn} mu(D_{kn})
-
-    then holds exactly for every sample.
-    """
-    if len(signs) < family.depth:
-        raise ConfigurationError("missing sign assignments for some levels")
-    B: list[DyadicSet] = []
-    C: list[DyadicSet] = []
-    for i, level in enumerate(family._labels):
-        row = np.asarray(signs[i][: level.n_sets])
-        if len(row) < level.n_sets:
-            raise ConfigurationError(f"missing sign at level {i + 1}")
-        bad = (row != 1) & (row != -1)
-        if np.any(bad):
-            raise ConfigurationError(f"signs must be +-1, got {row[bad][0]}")
-        # label -1 picks the appended 0: cells in no set join neither union
-        signed = np.append(row, 0)[level.labels]
-        B.append(DyadicSet(level.resolution, np.flatnonzero(signed == 1) + 1))
-        C.append(DyadicSet(level.resolution, np.flatnonzero(signed == -1) + 1))
-    return B, C
-
-
-def signed_sum_via_sets(
-    sample: StochasticMeasureSample,
-    weights: WeightSequence,
-    B: Sequence[DyadicSet],
-    C: Sequence[DyadicSet],
-) -> float:
-    """sum_n a_n (mu(B_n) - mu(C_n)) for the randomized-sign construction.
-
-    Each finest cell gets the sum of +a_n (B_n) and -a_n (C_n) over the sets
-    holding it; the fsum of its products with the increments is exactly rounded.
-    """
-    J, w = sample.grid.J, np.zeros(sample.grid.n_cells)
-    for a, b, c in zip(weights.values, B, C):
-        for sign, s in ((a, b), (-a, c)):
-            if s.is_empty():
-                continue
-            if s.level > J:
-                raise ResolutionError(f"set at level {s.level} exceeds sample resolution J={J}")
-            w[s.at_level(J).ks - 1] += sign  # a set's cells are distinct
-    return math.fsum((w * sample.increments).tolist())
 
 
 @dataclass(frozen=True)

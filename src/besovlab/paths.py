@@ -78,54 +78,6 @@ class SampledPath:
             raise ParameterError("path values must be finite")
 
 
-@dataclass(frozen=True, eq=False)
-class DyadicSet:
-    """Finite union of dyadic cells, kept in normal form.
-
-    Normal form: all cells at the one common level `level`, given by their
-    1-based indices `ks`, a sorted, distinct, read-only int64 array; cell k
-    is (a + (k-1) 2^{-level}(b-a), a + k 2^{-level}(b-a)].  A single cell is
-    `DyadicSet(n, (k,))`.  Two sets are equal when they cover the same cells.
-    """
-
-    level: int
-    ks: np.ndarray
-
-    def __post_init__(self):
-        if self.level < 0:
-            raise ParameterError("level must be >= 0")
-        ks = np.asarray(self.ks)
-        if ks.size and ks.dtype.kind not in "iu":
-            raise ParameterError("cell indices must be integers")
-        ks = np.sort(ks.astype(np.int64, copy=False))
-        if np.any(ks[1:] == ks[:-1]):
-            raise ParameterError("duplicate cell index in normal form")
-        if ks.size and not (1 <= ks[0] and ks[-1] <= (1 << self.level)):
-            raise ParameterError("cell index out of range")
-        ks.flags.writeable = False
-        object.__setattr__(self, "ks", ks)
-
-    def is_empty(self) -> bool:
-        return self.ks.size == 0
-
-    def at_level(self, level: int) -> "DyadicSet":
-        if level < self.level:
-            raise ParameterError("cannot coarsen a dyadic set")
-        if level == self.level:
-            return self
-        d = level - self.level
-        ks = ((self.ks - 1)[:, None] << d) + np.arange(1, (1 << d) + 1)
-        return DyadicSet(level, ks.ravel())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DyadicSet):
-            return NotImplemented
-        level = max(self.level, other.level)
-        return np.array_equal(self.at_level(level).ks, other.at_level(level).ks)
-
-    __hash__ = None
-
-
 @dataclass(frozen=True)
 class StochasticMeasureSample:
     """One realization of an additive measure on the finest dyadic algebra."""

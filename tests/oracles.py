@@ -1,11 +1,12 @@
 """Test-side references shared by more than one test file.
 
-`measure_of`, `union`, `is_disjoint` and `increments_of` are independent
-of the library: dyadic sets become Python sets of cell indices, and level-n
-increments come from a strided difference of the path.  `raw_level_sum` and
-`level_term` are thin wrappers over `criterion.level_sums`, so tests that
-use them still exercise the library's one level-sum path, and
-`level_sums_by_pow` is that path with pow in place of repeated squaring.
+`measure_of` and `increments_of` are independent of the library: a union
+of dyadic cells is measured by an exactly rounded sum over the finest
+increments it covers, and level-n increments come from a strided difference
+of the path.  `raw_level_sum` and `level_term` are thin wrappers over
+`criterion.level_sums`, so tests that use them still exercise the library's
+one level-sum path, and `level_sums_by_pow` is that path with pow in place
+of repeated squaring.
 
 `bm_p2_law_rows` spells out the stream layout of Brownian motion's p = 2
 level-sum law, drawing every stack whole.
@@ -22,32 +23,13 @@ import numpy as np
 
 from besovlab.criterion import dyadic_pyramid, level_sums
 from besovlab.lemma import PZ_BLOCK_SUMS, _signed_sums
-from besovlab.paths import DyadicSet
 
 
-def ref_cells(level, ks, at):
-    """The level-`at` cell indices covered by cells ks at `level`, as a Python set."""
-    f = 2 ** (at - level)
-    return {(k - 1) * f + j for k in ks for j in range(1, f + 1)}
-
-
-def _cells(A, at):
-    return ref_cells(A.level, A.ks.tolist(), at)
-
-
-def measure_of(sample, A):
-    """mu(A): the exactly rounded sum of the finest increments of A's cells."""
-    return math.fsum(sample.increments[c - 1] for c in _cells(A, sample.grid.J))
-
-
-def union(A, B):
-    level = max(A.level, B.level)
-    return DyadicSet(level, sorted(_cells(A, level) | _cells(B, level)))
-
-
-def is_disjoint(A, B):
-    level = max(A.level, B.level)
-    return not _cells(A, level) & _cells(B, level)
+def measure_of(sample, level, ks):
+    """mu of the level-`level` cells ks (1-based, distinct): the exactly
+    rounded sum of the finest increments they cover."""
+    f = 1 << (sample.grid.J - level)
+    return math.fsum(x for k in ks for x in sample.increments[(k - 1) * f : k * f].tolist())
 
 
 def increments_of(path, n):

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from besovlab import (
-    DisjointFamily,
     GeneratorSpec,
     Grid,
     SampledPath,
@@ -552,6 +551,10 @@ class TestLemmaCmd:
             (["--probe", "--sizes", "4,4,16"], "family size 4 is repeated"),
             (["--probe", "--seed", "-2"], "seed must be >= 0, got -2"),
             (["--pz-mc", "1,1", "--seed", "-1"], "seed must be >= 0, got -1"),
+            (["--statistic", "--N", "6", "--alpha", "nan"], "alpha must be in (0, 1)"),
+            (["--statistic", "--N", "6", "--alpha", "1.5"], "alpha must be in (0, 1)"),
+            (["--statistic", "--N", "6", "--p", "nan"], "p must be finite and >= 1"),
+            (["--statistic", "--N", "6", "--p", "0.5"], "p must be finite and >= 1"),
         ],
     )
     def test_bad_input_is_a_usage_error(self, capsys, argv, message):
@@ -559,12 +562,12 @@ class TestLemmaCmd:
         assert code == EXIT_USAGE
         assert out == "" and message in err
 
-    def test_statistic_checks_depth_before_building_family(self, capsys, monkeypatch):
-        # N = 24 would allocate 2^25 labels before the resolution check
-        def unreachable(depth):
-            raise AssertionError("full_dyadic was called")
+    def test_statistic_checks_depth_before_drawing_sample(self, capsys, monkeypatch):
+        # N > J is refused before the sample's 2^J cells are drawn
+        def unreachable(self, *args):
+            raise AssertionError("the sample was drawn")
 
-        monkeypatch.setattr(DisjointFamily, "full_dyadic", unreachable)
+        monkeypatch.setattr(GeneratorSpec, "sample", unreachable)
         code, out, err = run(capsys, "lemma", "--statistic", "--N", "24", "--J", "10")
         assert code == EXIT_DATA
         assert out == "" and "resolution" in err

@@ -272,14 +272,16 @@ class TestWorkerBlocks:
     @pytest.mark.parametrize("replicates, pools", [(2**20 - 1, []), (2**20, [2])])
     def test_law_sweep_pools_by_work(self, pools_started, monkeypatch, replicates, pools):
         # a BM p = 2 replicate counts as one float: a pool lost to one block at every
-        # law sweep measured, so only 2^20 replicates pay for a second block
+        # law sweep measured, so only 2^20 replicates pay for a second block; the rows
+        # are stubbed, since only the pool decision is under test here (the split's
+        # bits are checked by test_law_rows_independent_of_stack_straddling_bounds)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(harness, "_replicate_block",
+                            lambda args: np.zeros((args[2] - args[1], args[0].n_levels)))
         cfg = bm_config(generator=GeneratorSpec("bm", Grid(0.0, 1.0, 8), seed=4),
                         n_levels=6, replicates=replicates, workers=2)
-        raw = _raw_level_sums(cfg)
+        assert _raw_level_sums(cfg).shape == (replicates, 6)
         assert pools_started == pools
-        one_block = _raw_level_sums(dataclasses.replace(cfg, workers=1))
-        assert np.array_equal(raw.view(np.int64), one_block.view(np.int64))  # bits, no copies
 
     @pytest.mark.usefixtures("split_by_workers")
     def test_row_is_the_replicate_own_draw(self):

@@ -17,51 +17,12 @@ from besovlab import (
     lemma_statistic,
     paley_zygmund_check,
     path_of,
-    randomize_signs,
 )
 from besovlab import generators
-from besovlab.errors import ConfigurationError, ParameterError, SizeError
-from besovlab.lemma import (
-    PZ_BLOCK_SUMS,
-    PZ_THRESHOLD_FACTOR,
-    _count_pz_hits,
-    signed_sum_via_sets,
-)
-from besovlab.paths import DyadicSet, StochasticMeasureSample
-from oracles import (
-    count_pz_hits_outer,
-    is_disjoint,
-    measure_of,
-    probe_sums_per_size,
-    union,
-)
-
-
-def random_disjoint_level(rng, max_level):
-    """Disjoint sets at mixed levels: a random dyadic tree whose leaves join
-    a random set or none; some sets stay empty."""
-    n_sets = int(rng.integers(1, 6))
-    members = [DyadicSet(0, ()) for _ in range(n_sets)]
-    stack = [(0, 1)]
-    while stack:
-        n, k = stack.pop()
-        if n < max_level and rng.random() < 0.6:
-            stack += [(n + 1, 2 * k - 1), (n + 1, 2 * k)]
-        elif rng.random() < 0.7:
-            i = int(rng.integers(n_sets))
-            members[i] = union(members[i], DyadicSet(n, (k,)))
-    return tuple(members)
-
-
-def random_level(rng, max_level):
-    """Random sets at random levels, overlapping or not."""
-    sets = []
-    for _ in range(int(rng.integers(1, 5))):
-        level = int(rng.integers(0, max_level + 1))
-        size = int(rng.integers(0, min(3, 1 << level) + 1))
-        ks = rng.choice(1 << level, size=size, replace=False) + 1
-        sets.append(DyadicSet(level, tuple(int(k) for k in ks)))
-    return tuple(sets)
+from besovlab.errors import ParameterError, ResolutionError, SizeError
+from besovlab.lemma import PZ_BLOCK_SUMS, PZ_THRESHOLD_FACTOR, _count_pz_hits
+from besovlab.paths import MAX_RESOLUTION, StochasticMeasureSample
+from oracles import count_pz_hits_outer, measure_of, probe_sums_per_size
 
 
 class TestWeightSequence:
@@ -73,54 +34,20 @@ class TestWeightSequence:
         with pytest.raises(ParameterError):
             WeightSequence((1.0, 0.0))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_finite_required(self, bad):
+        with pytest.raises(ParameterError):
+            WeightSequence((1.0, bad))
+
 
 class TestDisjointFamily:
     def test_full_dyadic_shape(self):
-        fam = DisjointFamily.full_dyadic(4)
-        assert fam.depth == 4
-        assert [len(level) for level in fam.levels] == [2, 4, 8, 16]
-        assert fam.max_resolution() == 4
+        assert DisjointFamily.full_dyadic(4).depth == 4
 
-    def test_rejects_overlap(self):
-        half = DyadicSet(1, (1,))
-        quarter = DyadicSet(2, (2,))
-        with pytest.raises(ConfigurationError):
-            DisjointFamily(((half, quarter),))
-
-    def test_full_dyadic_levels_built_on_demand(self):
-        fam = DisjointFamily.full_dyadic(5)
-        assert fam.levels == tuple(
-            tuple(DyadicSet(n, (k,)) for k in range(1, 2**n + 1))
-            for n in range(1, 6)
-        )
-
-    def test_full_dyadic_creates_no_sets(self, monkeypatch):
-        def refuse(self):
-            raise AssertionError("a DyadicSet was created")
-
-        monkeypatch.setattr(DyadicSet, "__post_init__", refuse)
-        fam = DisjointFamily.full_dyadic(20)
-        assert fam.depth == 20 and fam.max_resolution() == 20
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=200, deadline=None)
-    def test_rejects_overlap_iff_sets_intersect(self, seed):
-        rng = np.random.default_rng(seed)
-        levels = [random_level(rng, 5) for _ in range(int(rng.integers(1, 4)))]
-        disjoint = all(
-            is_disjoint(a, b)
-            for sets in levels
-            for a, b in itertools.combinations(sets, 2)
-        )
-        if disjoint:
-            fam = DisjointFamily(levels)
-            assert fam.levels == tuple(levels)
-            assert fam.max_resolution() == max(
-                (s.level for sets in levels for s in sets if not s.is_empty()), default=0
-            )
-        else:
-            with pytest.raises(ConfigurationError):
-                DisjointFamily(levels)
+    @pytest.mark.parametrize("depth", [0, -1, MAX_RESOLUTION + 1])
+    def test_refuses_depth_outside_resolution_bounds(self, depth):
+        with pytest.raises(ResolutionError):
+            DisjointFamily.full_dyadic(depth)
 
 
 class TestLemmaStatistic:
@@ -179,18 +106,23 @@ class TestLemmaStatistic:
             series = kamont_series(path_of(sample), 10, alpha, 2.0)
             np.testing.assert_allclose(stat, series.partial_sums, rtol=1e-12)
 
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=100, deadline=None)
-    def test_mixed_level_families_match_per_set_reference(self, seed):
-        rng = np.random.default_rng(seed)
-        J = 8
-        sample = GeneratorSpec("bm", Grid(0.0, 1.0, J)).sample(seed)
-        levels = [random_disjoint_level(rng, J) for _ in range(int(rng.integers(1, 5)))]
-        weights = WeightSequence.geometric(0.4, 2.0, len(levels))
-        got = lemma_statistic(sample, weights, DisjointFamily(levels))
+    @given(
+        st.sampled_from([
+            ("bm", None), ("fbm", 0.3), ("fbm", 0.75), ("martingale", None),
+            ("wfbm", 0.75), ("linear", None),
+        ]),
+        st.integers(1, 9).flatmap(lambda J: st.tuples(st.just(J), st.integers(1, J))),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_full_dyadic_matches_per_cell_reference(self, kind_h, J_N, seed):
+        (kind, H), (J, N) = kind_h, J_N
+        sample = GeneratorSpec(kind, Grid(0.0, 1.0, J), H=H).sample(seed)
+        weights = WeightSequence.geometric(0.4, 2.0, N)
+        got = lemma_statistic(sample, weights, DisjointFamily.full_dyadic(N))
         expected = np.cumsum([
-            a * a * math.fsum(measure_of(sample, s) ** 2 for s in sets)
-            for a, sets in zip(weights.values, levels)
+            a * a * math.fsum(measure_of(sample, n, [k]) ** 2 for k in range(1, 2**n + 1))
+            for n, a in enumerate(weights.values, start=1)
         ])
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
 
@@ -344,92 +276,6 @@ class TestPaleyZygmund:
     @settings(max_examples=100, deadline=None)
     def test_bound_holds_random(self, lam):
         assert paley_zygmund_check(lam).passed
-
-
-class TestRandomizeSigns:
-    def test_all_plus(self):
-        fam = DisjointFamily.full_dyadic(3)
-        signs = [[1] * len(level) for level in fam.levels]
-        B, C = randomize_signs(fam, signs)
-        for n, b in enumerate(B, start=1):
-            assert b.ks.tolist() == list(range(1, (1 << b.level) + 1)) or len(b.ks) == 2**n
-        assert all(c.is_empty() for c in C)
-
-    def test_all_minus(self):
-        fam = DisjointFamily.full_dyadic(3)
-        signs = [[-1] * len(level) for level in fam.levels]
-        B, C = randomize_signs(fam, signs)
-        assert all(b.is_empty() for b in B)
-        assert all(not c.is_empty() for c in C)
-
-    def test_missing_sign(self):
-        fam = DisjointFamily.full_dyadic(3)
-        with pytest.raises(ConfigurationError):
-            randomize_signs(fam, [[1, 1], [1] * 4, [1] * 7])
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=20, deadline=None)
-    def test_signed_sum_identity(self, seed):
-        # sum_n a_n (mu(B_n) - mu(C_n)) == sum_{n,k} a_n eps_{kn} mu(D_{kn})
-        rng = np.random.default_rng(seed)
-        g = Grid(0.0, 1.0, 8)
-        sample = GeneratorSpec("bm", g).sample(seed)
-        fam = DisjointFamily.full_dyadic(6)
-        weights = WeightSequence.geometric(0.4, 2.0, 6)
-        signs = [
-            [int(s) for s in rng.choice([-1, 1], size=len(level))]
-            for level in fam.levels
-        ]
-        B, C = randomize_signs(fam, signs)
-        lhs = signed_sum_via_sets(sample, weights, B, C)
-        rhs = math.fsum(
-            weights.values[i] * eps * measure_of(sample, s)
-            for i, level in enumerate(fam.levels)
-            for s, eps in zip(level, signs[i])
-        )
-        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
-
-    def test_signed_sum_is_correctly_rounded(self):
-        # bit for bit the fsum over finest cells of w_k x_k, where w_k adds the
-        # +-a_n of the sets holding cell k level by level: no BLAS reduction order
-        rng = np.random.default_rng(11)
-        J, fam = 10, DisjointFamily.full_dyadic(8)
-        sample = GeneratorSpec("bm", Grid(0.0, 1.0, J)).sample(11)
-        weights = WeightSequence.geometric(0.4, 2.0, 8)
-        signs = [[int(s) for s in rng.choice([-1, 1], size=len(level))] for level in fam.levels]
-        B, C = randomize_signs(fam, signs)
-        w, cells = np.zeros(1 << J), np.arange(1 << J)
-        for a, b, c in zip(weights.values, B, C):
-            inside = [np.isin((cells >> (J - s.level)) + 1, s.ks) for s in (b, c)]
-            w += a * (inside[0].astype(float) - inside[1])
-        expected = math.fsum((w * sample.increments).tolist())
-        assert signed_sum_via_sets(sample, weights, B, C).hex() == expected.hex()
-
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=100, deadline=None)
-    def test_unions_match_set_algebra(self, seed):
-        rng = np.random.default_rng(seed)
-        sample = GeneratorSpec("bm", Grid(0.0, 1.0, 8)).sample(seed)
-        levels = [random_disjoint_level(rng, 8) for _ in range(int(rng.integers(1, 4)))]
-        signs = [[int(e) for e in rng.choice([-1, 1], size=len(sets))] for sets in levels]
-        B, C = randomize_signs(DisjointFamily(levels), signs)
-        for sets, row, b, c in zip(levels, signs, B, C):
-            ref_b, ref_c = DyadicSet(0, ()), DyadicSet(0, ())
-            for s, eps in zip(sets, row):
-                if eps == 1:
-                    ref_b = union(ref_b, s)
-                else:
-                    ref_c = union(ref_c, s)
-            for got, ref in ((b, ref_b), (c, ref_c)):
-                level = max(got.level, ref.level)
-                assert got.at_level(level) == ref.at_level(level)
-                assert measure_of(sample, got) == measure_of(sample, ref)
-
-    def test_rejects_bad_sign(self):
-        fam = DisjointFamily.full_dyadic(2)
-        with pytest.raises(ConfigurationError):
-            randomize_signs(fam, [[1, -1], [1, 0, 1, -1]])
 
 
 class TestBoundednessProbe:
