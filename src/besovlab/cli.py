@@ -341,7 +341,9 @@ def _besov_flags(be):
 def _sweep_flags(sw):
     sw.add_argument("--config", required=True)
     sw.add_argument("--out-dir", required=True)
-    sw.add_argument("--workers", type=int, default=None)
+    sw.add_argument("--workers", type=int, default=None,
+                    help="threads that run the replicate blocks, capped at the CPU count "
+                         "(default: the config's workers)")
     sw.set_defaults(func=_cmd_sweep)
 
 

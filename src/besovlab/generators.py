@@ -313,10 +313,6 @@ class _Kind(NamedTuple):
     p2_law: Optional[Callable[[Grid, int, int], RowSampler]] = None
 
 
-# a level-sum law row counts as one drawn float, so a law sweep starts a pool from
-# 2^20 rows on: on a shared 2-core host a 2-worker pool lost to one block at every
-# law sweep measured (12 levels; 36 vs 9 ms at 5000 rows, 865 vs 689 ms at 400 000)
-_LAW_CELLS = 1
 # replicates a BM p = 2 law stack draws from one stream: changing it changes every
 # BM p = 2 report, since it decides which stream and row each replicate comes from
 _LAW_STACK = 256
@@ -386,7 +382,8 @@ class GeneratorSpec:
         if row.p2_law is not None and p == 2.0:
             return row.p2_law(self.grid, self._level(n_levels), self.seed)
         cells = self.block_sampler(n_levels)
-        stack = max(1, _STACK_FLOATS // self.draw_size(n_levels, p))
+        floats = row.floats << (n_levels if row.coarse else self.grid.J)  # a replicate's draw
+        stack = max(1, _STACK_FLOATS // floats)
 
         def rows(start: int, stop: int) -> np.ndarray:
             out = np.empty((stop - start, n_levels))
@@ -415,15 +412,6 @@ class GeneratorSpec:
                 weights = _block_rms(weights, 1 << (fine.J - level))
             draw = _scaled(weights, draw)
         return draw if grid.J == level else _summed_to(level, draw)
-
-    def draw_size(self, level: int, p: float) -> int:
-        """Floats a sweep at `level` and exponent p draws per replicate, cells times
-        `floats`; a level-sum law row counts as _LAW_CELLS, set by where a worker
-        pool pays for it."""
-        row = _KINDS[self.kind]
-        if row.p2_law is not None and p == 2.0:
-            return _LAW_CELLS
-        return row.floats << (self._level(level) if row.coarse else self.grid.J)
 
     def sample(self, seed=None) -> StochasticMeasureSample:
         """Draw one realization; seed overrides the spec's own seed."""

@@ -2,15 +2,16 @@
 
 A replicate's level sums are a function of (master seed, replicate index)
 alone, so results are independent of worker count and scheduling.  The
-replicates run as contiguous blocks, one per worker process, at most one
-per CPU and per _POOL_FLOATS floats drawn (a single block runs in-process).
-Each worker receives the config once and returns the raw level sums of its
-block, one row of n_levels per replicate, from
-`GeneratorSpec.level_sum_rows`, which owns how a row is drawn, which stream
-it comes from (per replicate for cells, per stack for the law) and how many
-rows a stack holds.  The fit reads levels 1..n_levels only, so each
-replicate is drawn at level n_levels, or for Brownian motion at p = 2 from
-the exact joint law of its level sums.  No row depends on block bounds.
+replicates run as contiguous blocks, at most `workers` and one per CPU, on
+threads of one process (a single block runs in the calling thread); NumPy
+releases the GIL in the draws, FFTs and level sums that make up a block.
+Every block calls the same `rows(start, stop)` from
+`GeneratorSpec.level_sum_rows`, built once per sweep, which owns how a row
+is drawn, which stream it comes from (per replicate for cells, per stack
+for the law) and how many rows a stack holds.  The fit reads levels
+1..n_levels only, so each replicate is drawn at level n_levels, or for
+Brownian motion at p = 2 from the exact joint law of its level sums.  No
+row depends on block bounds.
 This module splits the replicates into blocks, checks that every row is
 finite and folds them: one tail fit per replicate gives its raw exponent s
 (`criterion.tail_exponent`), and each alpha's verdict counts and median
@@ -22,13 +23,14 @@ The median slope is affine in alpha, so the critical alpha is its zero
 
 from __future__ import annotations
 
+import contextvars
 import csv
 import io
 import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple, dataclass
 from typing import Optional
 
@@ -40,10 +42,6 @@ from .errors import ConfigurationError, ParameterError, config_number
 from .generators import GeneratorSpec
 
 SCHEMA_VERSION = 1
-# floats drawn per worker block (`GeneratorSpec.draw_size`): on a shared 2-core host a
-# 2-worker pool lost to one block up to 200 BM p = 3 or martingale replicates of 2^12
-# floats and won from 256, so a second block pays from 2^20 (fBm: from about 2^21)
-_POOL_FLOATS = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -154,30 +152,24 @@ def _json_float(x: float):
     return x if math.isfinite(x) else None
 
 
-def _replicate_block(args) -> np.ndarray:
-    """Worker task: raw level sums (before the alpha prefactor) of replicates start..stop-1."""
-    config, start, stop = args
-    return config.generator.level_sum_rows(config.n_levels, config.p)(start, stop)
-
-
 def _raw_level_sums(config: ExperimentConfig) -> np.ndarray:
-    """(replicates, n_levels) raw level sums, one contiguous block per worker.
+    """(replicates, n_levels) raw level sums, one contiguous block per thread.
 
-    The block count is capped at the CPU count, so a large `workers` starts
-    no more processes than can run at once, and at one block per
-    _POOL_FLOATS floats drawn, so a cheap sweep starts no pool; no report
-    depends on it.
+    The block count is min(workers, replicates, CPU count), so a large
+    `workers` starts no more threads than can run at once; no report
+    depends on it.  Each block runs in its own copy of the caller's context,
+    so the threads keep the caller's `np.errstate`.
     """
-    work = config.replicates * config.generator.draw_size(config.n_levels, config.p)
-    n_blocks = min(config.workers, config.replicates, os.cpu_count() or 1,
-                   max(1, work // _POOL_FLOATS))
-    bounds = [config.replicates * k // n_blocks for k in range(n_blocks + 1)]
-    payloads = [(config, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    rows = config.generator.level_sum_rows(config.n_levels, config.p)
+    n_blocks = min(config.workers, config.replicates, os.cpu_count() or 1)
     if n_blocks == 1:
-        raw = _replicate_block(payloads[0])
+        raw = rows(0, config.replicates)
     else:
-        with ProcessPoolExecutor(max_workers=n_blocks) as pool:
-            raw = np.concatenate(list(pool.map(_replicate_block, payloads)))
+        bounds = [config.replicates * k // n_blocks for k in range(n_blocks + 1)]
+        with ThreadPoolExecutor(max_workers=n_blocks) as pool:
+            blocks = [pool.submit(contextvars.copy_context().run, rows, lo, hi)
+                      for lo, hi in zip(bounds, bounds[1:])]
+            raw = np.concatenate([block.result() for block in blocks])
     # a non-finite increment reaches every coarser level, so this covers the increments too
     bad = np.flatnonzero(~np.isfinite(raw).all(axis=1))
     if bad.size:

@@ -1,8 +1,8 @@
 """Dyadic grids, sampled paths, and additive measure samples.
 
 Everything here is immutable after construction and safe to share across
-worker processes.  A measure sample stores increments at the finest level
-only; coarser levels come from `criterion.dyadic_pyramid`, so refinement
+threads.  A measure sample stores increments at the finest level only;
+coarser levels come from `criterion.dyadic_pyramid`, so refinement
 consistency holds by construction.
 """
 

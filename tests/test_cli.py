@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import re
 import tracemalloc
 from pathlib import Path
@@ -463,6 +464,24 @@ class TestSweepCmd:
         code, _, err = run(capsys, "sweep", "--config", str(cfg), "--out-dir", str(tmp_path),
                            "--workers", "0")
         assert code == EXIT_USAGE and "workers" in err
+
+    def test_overflow_error_alike_at_any_workers(self, tmp_path, capsys, monkeypatch):
+        # the blocks' threads keep main's np.errstate: no overflow warning from a
+        # thread (an error under this suite's warning filter) reaches stderr
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        config = {
+            "generator": {"kind": "martingale", "a": 0.0, "b": 1.0, "J": 8, "seed": 1,
+                          "weight": "constant:1e300"},
+            "p": 2.0, "alpha_grid": [0.3, 0.5], "n_levels": 6, "replicates": 4,
+        }
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        results = [run(capsys, "sweep", "--config", str(cfg), "--out-dir", str(tmp_path),
+                       "--workers", workers) for workers in ("1", "2")]
+        code, out, err = results[0]
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "non-finite" in err
+        assert results[1] == results[0]
 
 
 class TestLemmaCmd:

@@ -3,7 +3,9 @@ import hashlib
 import json
 import math
 import os
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -164,7 +166,6 @@ class TestAlphaSweep:
         slopes = [row.median_slope for row in report.rows]
         assert all(b >= a - 1e-12 for a, b in zip(slopes, slopes[1:]))
 
-    @pytest.mark.usefixtures("split_by_workers")
     def test_worker_counts_agree(self):
         cfg1 = bm_config(replicates=6, workers=1)
         cfg4 = bm_config(replicates=6, workers=4)
@@ -214,35 +215,20 @@ def assert_rows_are_fine_draws(raw, cfg):
 
 
 @pytest.fixture
-def split_by_workers(monkeypatch):
-    """One block per worker however small the work, so the splits are exercised."""
-    monkeypatch.setattr(harness, "_POOL_FLOATS", 1)
-
-
-@pytest.fixture
 def pools_started(monkeypatch):
-    """The sizes of the process pools a sweep starts; the pool runs in-process."""
+    """The sizes of the thread pools a sweep starts; the pools run their threads."""
     started = []
 
-    class InProcessPool:  # records the pool size and starts no process
+    class RecordedPool(ThreadPoolExecutor):
         def __init__(self, max_workers):
             started.append(max_workers)
+            super().__init__(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, payloads):
-            return map(fn, payloads)
-
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordedPool)
     return started
 
 
 class TestWorkerBlocks:
-    @pytest.mark.usefixtures("split_by_workers")
     @pytest.mark.parametrize("kind", sorted(SPLIT_SPECS))
     @pytest.mark.parametrize("replicates, worker_counts", [(7, (1, 2, 3)), (2, (1, 4))])
     def test_rows_independent_of_split(self, kind, replicates, worker_counts, monkeypatch):
@@ -258,32 +244,30 @@ class TestWorkerBlocks:
         reports = [run_alpha_sweep(cfg) for cfg in configs]
         assert all(r.rows == reports[0].rows for r in reports)
 
+    @pytest.mark.parametrize("kind", sorted(SPLIT_SPECS))
+    def test_many_threads_switching_often_keep_the_bits(self, kind, monkeypatch):
+        # 8 blocks on any machine, the interpreter switching threads as often as it
+        # can: the blocks share only the sweep's read-only sampler state
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        cfg = bm_config(generator=SPLIT_SPECS[kind], replicates=40, workers=8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            eight = _raw_level_sums(cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert eight.tobytes() == _raw_level_sums(dataclasses.replace(cfg, workers=1)).tobytes()
+
     @pytest.mark.parametrize("cpus, pools", [(3, [3]), (None, [])])
     def test_pool_capped_at_cpu_count(self, pools_started, monkeypatch, cpus, pools):
-        # 10000 x 2^8 floats drawn: work for 4 blocks, capped at 3 CPUs
+        # 10000 workers run as 3 blocks on 3 CPUs, and as one where the count is unknown
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         cfg = bm_config(generator=GeneratorSpec("bm", Grid(0.0, 1.0, 8), seed=4), p=3.0,
                         n_levels=8, replicates=10000, workers=10000)
-        assert cfg.replicates * 2**8 >= 4 * harness._POOL_FLOATS
         raw = _raw_level_sums(cfg)
         assert pools_started == pools
         assert raw.tobytes() == _raw_level_sums(dataclasses.replace(cfg, workers=1)).tobytes()
 
-    @pytest.mark.parametrize("replicates, pools", [(2**20 - 1, []), (2**20, [2])])
-    def test_law_sweep_pools_by_work(self, pools_started, monkeypatch, replicates, pools):
-        # a BM p = 2 replicate counts as one float: a pool lost to one block at every
-        # law sweep measured, so only 2^20 replicates pay for a second block; the rows
-        # are stubbed, since only the pool decision is under test here (the split's
-        # bits are checked by test_law_rows_independent_of_stack_straddling_bounds)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(harness, "_replicate_block",
-                            lambda args: np.zeros((args[2] - args[1], args[0].n_levels)))
-        cfg = bm_config(generator=GeneratorSpec("bm", Grid(0.0, 1.0, 8), seed=4),
-                        n_levels=6, replicates=replicates, workers=2)
-        assert _raw_level_sums(cfg).shape == (replicates, 6)
-        assert pools_started == pools
-
-    @pytest.mark.usefixtures("split_by_workers")
     def test_row_is_the_replicate_own_draw(self):
         # each replicate is drawn at level n_levels from its own [seed, index] stream
         cfg = bm_config(generator=SPLIT_SPECS["fbm"], replicates=3, workers=2)
@@ -292,6 +276,17 @@ class TestWorkerBlocks:
         for i in range(3):
             expected = level_sums(draw([[cfg.generator.seed, i]])[0], cfg.n_levels, cfg.p)
             np.testing.assert_allclose(raw[i], expected, rtol=1e-12, atol=0.0)
+
+    def test_fgn_embedding_once_per_sweep(self, pools_started, monkeypatch):
+        # both blocks call the one `rows` built for the sweep, so they share its embedding
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        calls = []
+        embedding = generators._fgn_embedding
+        monkeypatch.setattr(generators, "_fgn_embedding",
+                            lambda N, H: calls.append((N, H)) or embedding(N, H))
+        _raw_level_sums(bm_config(generator=SPLIT_SPECS["fbm"], replicates=6, workers=2))
+        assert pools_started == [2]
+        assert calls == [(2**8, 0.7)]
 
     @pytest.mark.parametrize("kind", GeneratorSpec.KINDS)
     def test_rows_at_full_resolution_are_the_fine_draw(self, kind):
@@ -302,7 +297,6 @@ class TestWorkerBlocks:
         cfg = bm_config(generator=spec, p=p, n_levels=8, replicates=5)
         assert_rows_are_fine_draws(_raw_level_sums(cfg), cfg)
 
-    @pytest.mark.usefixtures("split_by_workers")
     @pytest.mark.parametrize("workers", [1, 2])
     def test_bm_p2_rows_are_the_level_sum_law(self, workers, monkeypatch):
         # row i is R_n = (b - a) 2^-n S_n, S_0 ~ chi2_1 and S_n = S_{n-1} +
@@ -315,7 +309,6 @@ class TestWorkerBlocks:
         raw = _raw_level_sums(cfg)
         assert raw.view(np.int64).tolist() == bm_p2_law_rows(spec, 9, 300).view(np.int64).tolist()
 
-    @pytest.mark.usefixtures("split_by_workers")
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_law_rows_independent_of_stack_straddling_bounds(self, pools_started, monkeypatch,
                                                              workers):
@@ -332,7 +325,6 @@ class TestWorkerBlocks:
         assert pools_started == ([workers] if workers > 1 else [])
         assert raw.tobytes() == whole.tobytes()
 
-    @pytest.mark.usefixtures("split_by_workers")
     @pytest.mark.parametrize("replicates, workers", [(1, 1), (256, 1), (257, 1), (1000, 1),
                                                      (1000, 2), (1000, 3), (700, 3)])
     def test_law_sweep_builds_a_generator_per_stack(self, pools_started, monkeypatch,
@@ -351,7 +343,6 @@ class TestWorkerBlocks:
         assert stacks <= len(built) <= stacks + workers - 1
         assert {tuple(seed) for seed in built} == {(4, k, 2) for k in range(stacks)}
 
-    @pytest.mark.usefixtures("split_by_workers")
     def test_wfbm_rows_are_the_fine_draw_summed(self):
         # weighted fBm has no coarse law: it draws all 2^J cells and sums them down
         spec = spec_of_kind("wfbm", Grid(0.0, 1.0, 11))
@@ -400,7 +391,6 @@ class TestWorkerBlocks:
         one_by_one = [level_sums(draw([[102, i]])[0], 12, 2.0) for i in range(9)]
         assert raw.tobytes() == np.array(one_by_one).tobytes()
 
-    @pytest.mark.usefixtures("split_by_workers")
     @pytest.mark.parametrize("kind", sorted(SPLIT_SPECS))
     def test_two_workers_split_stacks_bit_identically(self, kind, monkeypatch):
         # 37 replicates: stacks of 16 + 16 + 5 in one worker, 16 + 2 and 16 + 3 in two
@@ -412,7 +402,6 @@ class TestWorkerBlocks:
         two = _raw_level_sums(dataclasses.replace(cfg, workers=2))
         assert one.view(np.int64).tolist() == two.view(np.int64).tolist()
 
-    @pytest.mark.usefixtures("split_by_workers")
     @pytest.mark.parametrize("workers", [1, 2])
     def test_overflowing_level_sums_refused(self, workers):
         cfg = bm_config(
@@ -462,7 +451,6 @@ class TestSweepDigests:
         ("linear", 2.0): "99f296281fde194b1d6d1bfcc65c2c10ece036fcdf3bd2182ad0eab3b9c88c94",
     }
 
-    @pytest.mark.usefixtures("split_by_workers")
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("kind, p", sorted(DIGESTS))
     def test_report_keeps_its_bits(self, kind, p, workers):
