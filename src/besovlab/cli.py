@@ -92,7 +92,7 @@ def read_series_csv(source: Path) -> tuple[np.ndarray, np.ndarray]:
     times, values = table.T.copy()
     if len(times) < 2:
         raise DataError(f"{source}: need at least two samples")
-    if not np.all(np.diff(times) > 0):
+    if not np.all(times[1:] > times[:-1]):  # no difference, which overflows past the double range
         raise DataError(f"{source}: times must be strictly increasing")
     return times, values
 

@@ -167,36 +167,48 @@ def fit_tail_slope(values) -> float | np.ndarray:
     series is identically zero on the tail and the slope is -inf, and a
     single positive level gives 0.0.  `values` is one series (returns a
     float) or an (R, N) array of R series (returns R slopes).
+
+    When every tail level is positive, as in every BM and fBm row, the rows
+    share their weights, so the weights, their mean level and sxx are one
+    1-d computation, broadcast over the rows; otherwise each row masks its
+    own.  The products and row sums are the same either way, bit for bit.
     """
     values = np.asarray(values, dtype=float)
-    rows = np.atleast_2d(values)
+    slopes, _ = _tail_fit(np.atleast_2d(values))
+    return float(slopes[0]) if values.ndim == 1 else slopes
+
+
+def _tail_fit(rows: np.ndarray):
+    """(slopes, positive tail levels) of (R, N) rows, as `fit_tail_slope` fits them;
+    the count is one int when every tail level is positive, else one per row."""
     N = rows.shape[-1]
     start = N - math.ceil(N / 2)
     tail = rows[:, start:]
     ns = np.arange(start + 1, N + 1, dtype=float)
     pos = tail > _ZERO_FLOOR
-    n_pos = pos.sum(axis=1)
-    w = np.where(pos, 2.0 ** (ns - ns[-1]), 0.0)  # relative to the last level: no overflow
-    y = np.log2(tail, out=np.zeros_like(tail), where=pos)
+    w = 2.0 ** (ns - ns[-1])  # relative to the last level: no overflow
+    if pos.all():
+        n_pos, y = len(ns), np.log2(tail)
+    else:
+        n_pos, w = pos.sum(axis=1), np.where(pos, w, 0.0)
+        y = np.log2(tail, out=np.zeros_like(tail), where=pos)
     # rows with fewer than two positive levels divide by zero and are replaced
     # below; an infinite value makes the slope NaN, which reads as inconclusive
     with np.errstate(divide="ignore", invalid="ignore"):
-        w /= w.sum(axis=1, keepdims=True)
-        xb = np.sum(w * ns, axis=1)
-        yb = np.sum(w * y, axis=1)
-        dx = ns - xb[:, None]
-        sxx = np.sum(w * dx * dx, axis=1)
-        sxy = np.sum(w * dx * (y - yb[:, None]), axis=1)
+        w = w / w.sum(axis=-1, keepdims=True)
+        dx = ns - np.sum(w * ns, axis=-1, keepdims=True)
+        sxx = np.sum(w * dx * dx, axis=-1)
+        yb = np.sum(w * y, axis=1, keepdims=True)
+        sxy = np.sum(w * dx * (y - yb), axis=1)
         slopes = np.where(n_pos > 1, sxy / sxx, np.where(n_pos == 1, 0.0, -math.inf))
-    return float(slopes[0]) if values.ndim == 1 else slopes
+    return slopes, n_pos
 
 
 def tail_exponent(raw_rows) -> tuple[np.ndarray, np.ndarray]:
     """(s, one_level) per row of (R, N) raw level sums: s is `fit_tail_slope`
     of the row, and one_level marks a tail with one positive level."""
-    rows = np.asarray(raw_rows, dtype=float)
-    tail = rows[:, rows.shape[1] // 2 :]  # the last ceil(N/2) levels, as fitted
-    return fit_tail_slope(rows), np.count_nonzero(tail > _ZERO_FLOOR, axis=1) == 1
+    s, n_pos = _tail_fit(np.asarray(raw_rows, dtype=float))
+    return s, np.full(s.shape, n_pos == 1)
 
 
 def predicted_exponent_law(spec, n_levels: int, p: float) -> tuple[float, float]:

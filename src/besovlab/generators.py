@@ -26,8 +26,9 @@ uses fewer normals of the seed's stream, so it is equal to the summed
 finest draw in law, not bit for bit; at level J both are the same draw.
 
 A sweep's replicate rows are made here too: `level_sum_rows(n_levels, p)`
-returns `rows(start, stop)`, the raw level sums R_1..R_{n_levels} of
-replicates start..stop-1 of the spec's seed, so this module owns the map
+returns `rows(out, start)`, which writes the raw level sums R_1..R_{n_levels}
+of replicates start, start + 1, ... of the spec's seed into the rows of the
+caller's array `out`, so this module owns the map
 from replicate to stream: per replicate for cells, per stack for the law.
 Replicate i of a kind that draws cells is the block draw of seed
 [seed, i] at level n_levels, summed by `level_sums` in stacks of about
@@ -127,7 +128,7 @@ class WeightFn:
 
 
 BlockSampler = Callable[[Sequence], np.ndarray]  # seeds -> one row per seed, as drawn alone
-RowSampler = Callable[[int, int], np.ndarray]  # (start, stop) -> rows of replicates start..stop-1
+RowSampler = Callable[[np.ndarray, int], None]  # (out, start): row j of out <- replicate start + j
 
 
 def _rows(seeds: Sequence, width: int, fill: Callable) -> np.ndarray:
@@ -150,8 +151,8 @@ def _bm_sampler(grid: Grid, H: None) -> BlockSampler:
 
 
 def _bm_p2_law(grid: Grid, n_levels: int, seed: int) -> RowSampler:
-    """`rows(start, stop)` -> BM's raw level sums R_1..R_{n_levels} at p = 2 of
-    replicates start..stop-1, from their joint law.
+    """`rows(out, start)` writes BM's raw level sums R_1..R_{n_levels} at p = 2
+    of replicates start..start + len(out) - 1 into out, from their joint law.
 
     Two adjacent level-(n+1) cells u, v sum to their level-n parent, and
     u - v ~ N(0, 2^-n (b - a)) is independent of it and of every coarser
@@ -165,15 +166,14 @@ def _bm_p2_law(grid: Grid, n_levels: int, seed: int) -> RowSampler:
     df = np.concatenate([[1.0], 2.0 ** np.arange(n_levels)])
     scale = (grid.b - grid.a) * 2.0 ** -np.arange(1.0, n_levels + 1)
 
-    def rows(start: int, stop: int) -> np.ndarray:
-        out = np.empty((stop - start, n_levels))
+    def rows(out: np.ndarray, start: int):
+        stop = start + len(out)
         for k in range(start // _LAW_STACK, -(-stop // _LAW_STACK)):
             lo, hi = k * _LAW_STACK, min((k + 1) * _LAW_STACK, stop)
             chi2 = np.random.default_rng([seed, k, 2]).chisquare(df, (hi - lo, n_levels + 1))
             first = max(start, lo)
             out[first - start : hi - start] = np.cumsum(chi2[first - lo :], axis=1)[:, 1:]
         out *= scale
-        return out
 
     return rows
 
@@ -308,7 +308,7 @@ class _Kind(NamedTuple):
     # the weight); otherwise the finest draw is summed down to that level
     coarse: bool
     floats: int  # floats a draw holds per cell
-    # (grid, n_levels, seed) -> rows(start, stop) of the raw level sums at p = 2 from
+    # (grid, n_levels, seed) -> rows(out, start) of the raw level sums at p = 2 from
     # their exact joint law, or None: the sweep sums drawn cells
     p2_law: Optional[Callable[[Grid, int, int], RowSampler]] = None
 
@@ -368,9 +368,9 @@ class GeneratorSpec:
         return level
 
     def level_sum_rows(self, n_levels: int, p: float) -> RowSampler:
-        """`rows(start, stop)` -> (stop - start, n_levels): the raw level sums
-        R_1..R_{n_levels} at exponent p of replicates start..stop-1 of the
-        spec's seed; no row depends on `start` or `stop`.
+        """`rows(out, start)` writes into the (k, n_levels) array `out` the raw
+        level sums R_1..R_{n_levels} at exponent p of replicates
+        start..start + k - 1 of the spec's seed; no row depends on `start` or k.
 
         `bm` at p = 2 draws them from their exact joint law in stacks of
         _LAW_STACK replicates, equal in law to the level sums of a
@@ -385,12 +385,11 @@ class GeneratorSpec:
         floats = row.floats << (n_levels if row.coarse else self.grid.J)  # a replicate's draw
         stack = max(1, _STACK_FLOATS // floats)
 
-        def rows(start: int, stop: int) -> np.ndarray:
-            out = np.empty((stop - start, n_levels))
+        def rows(out: np.ndarray, start: int):
+            stop = start + len(out)
             for lo in range(start, stop, stack):
                 seeds = [[self.seed, i] for i in range(lo, min(lo + stack, stop))]
                 out[lo - start : lo - start + len(seeds)] = level_sums(cells(seeds), n_levels, p)
-            return out
 
         return rows
 

@@ -5,18 +5,21 @@ alone, so results are independent of worker count and scheduling.  The
 replicates run as contiguous blocks, at most `workers` and one per CPU, on
 threads of one process (a single block runs in the calling thread); NumPy
 releases the GIL in the draws, FFTs and level sums that make up a block.
-Every block calls the same `rows(start, stop)` from
+Every block calls the same `rows(out, start)` from
 `GeneratorSpec.level_sum_rows`, built once per sweep, which owns how a row
 is drawn, which stream it comes from (per replicate for cells, per stack
-for the law) and how many rows a stack holds.  The fit reads levels
-1..n_levels only, so each replicate is drawn at level n_levels, or for
-Brownian motion at p = 2 from the exact joint law of its level sums.  No
-row depends on block bounds.
+for the law) and how many rows a stack holds, and writes its rows into the
+block's slice of the sweep's one (replicates, n_levels) array.  The fit
+reads levels 1..n_levels only, so each replicate is drawn at level
+n_levels, or for Brownian motion at p = 2 from the exact joint law of its
+level sums.  No row depends on block bounds.
 This module splits the replicates into blocks, checks that every row is
 finite and folds them: one tail fit per replicate gives its raw exponent s
-(`criterion.tail_exponent`), and each alpha's verdict counts and median
-slope s + alpha p - 1 are one pass over the replicates, so `workers`
-changes the wall time, not the report.
+(`criterion.tail_exponent`), and the fitted s are sorted once.  Each
+alpha's verdict counts and median slope s + alpha p - 1 are then read off
+that sorted array by bisection, O(log replicates) an alpha, so a long
+alpha grid costs little more than a short one, and `workers` changes the
+wall time, not the report.
 The median slope is affine in alpha, so the critical alpha is its zero
 (1 - median s)/p, reported when it lies in (first alpha, last alpha].
 """
@@ -37,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .criterion import MIN_LEVELS, slope_at, tail_exponent, verdict_code
+from .criterion import MIN_LEVELS, SLOPE_THRESHOLD, tail_exponent
 from .errors import ConfigurationError, ParameterError, config_number
 from .generators import GeneratorSpec
 
@@ -153,7 +156,8 @@ def _json_float(x: float):
 
 
 def _raw_level_sums(config: ExperimentConfig) -> np.ndarray:
-    """(replicates, n_levels) raw level sums, one contiguous block per thread.
+    """(replicates, n_levels) raw level sums, one contiguous block of rows per
+    thread, each written in place into its own slice of the one array.
 
     The block count is min(workers, replicates, CPU count), so a large
     `workers` starts no more threads than can run at once; no report
@@ -161,18 +165,19 @@ def _raw_level_sums(config: ExperimentConfig) -> np.ndarray:
     so the threads keep the caller's `np.errstate`.
     """
     rows = config.generator.level_sum_rows(config.n_levels, config.p)
+    raw = np.empty((config.replicates, config.n_levels))
     n_blocks = min(config.workers, config.replicates, os.cpu_count() or 1)
+    bounds = [config.replicates * k // n_blocks for k in range(n_blocks + 1)]
+    blocks = [(raw[lo:hi], lo) for lo, hi in zip(bounds, bounds[1:])]
     if n_blocks == 1:
-        raw = rows(0, config.replicates)
+        rows(*blocks[0])
     else:
-        bounds = [config.replicates * k // n_blocks for k in range(n_blocks + 1)]
         with ThreadPoolExecutor(max_workers=n_blocks) as pool:
-            blocks = [pool.submit(contextvars.copy_context().run, rows, lo, hi)
-                      for lo, hi in zip(bounds, bounds[1:])]
-            raw = np.concatenate([block.result() for block in blocks])
+            for done in [pool.submit(contextvars.copy_context().run, rows, *b) for b in blocks]:
+                done.result()
     # a non-finite increment reaches every coarser level, so this covers the increments too
-    bad = np.flatnonzero(~np.isfinite(raw).all(axis=1))
-    if bad.size:
+    if not np.isfinite(raw).all():
+        bad = np.flatnonzero(~np.isfinite(raw).all(axis=1))
         raise ParameterError(
             f"replicate {bad[0]} has non-finite level sums ({bad.size} of "
             f"{config.replicates} replicates); the measure overflows double precision"
@@ -183,32 +188,60 @@ def _raw_level_sums(config: ExperimentConfig) -> np.ndarray:
 def run_alpha_sweep(config: ExperimentConfig) -> ExperimentReport:
     """Per-alpha verdict fractions and median slopes over all replicates."""
     t0 = time.perf_counter()
-    rows, critical = _fold(_raw_level_sums(config), config.alpha_grid, config.p)
+    s, one_level = tail_exponent(_raw_level_sums(config))
+    rows, critical = _fold(s, one_level, config.alpha_grid, config.p)
     return ExperimentReport(config, rows, critical, time.perf_counter() - t0)
 
 
-def _fold(raw: np.ndarray, alpha_grid: tuple[float, ...], p: float):
-    """(rows, critical alpha) from (replicates, n_levels) raw level sums.
+def _fold(s: np.ndarray, one_level: np.ndarray, alpha_grid: tuple[float, ...], p: float):
+    """(rows, critical alpha) from the replicates' `tail_exponent` (s, one_level).
 
-    One tail fit per replicate gives its exponent s; each row shifts it to
-    its alpha in O(replicates) work, and no per-alpha fit is made.
+    Replicate i's slope at alpha is fl(s_i + (alpha p - 1)), or 0.0 for a
+    one-level tail, so every row is a read of the fitted s sorted once (NaN
+    last).  The rounded sum is non-decreasing in s_i, so the replicates
+    below -SLOPE_THRESHOLD, below 0 and at or below SLOPE_THRESHOLD are
+    prefixes of the sorted s, each found by bisection on that rounded
+    predicate; a NaN slope is inconclusive.  The median is the middle order
+    statistic, or the mean of the two middle ones, as `np.median` takes
+    it, with the one-level rows' 0.0 merged in after the negative slopes;
+    a NaN anywhere makes it NaN.  Each alpha costs O(log R) after the sort.
     """
-    s, one_level = tail_exponent(raw)
-    R = len(raw)
-    rows = []
-    for alpha in alpha_grid:
-        slopes = slope_at(s, one_level, alpha, p)
-        converges, inconclusive, diverges = np.bincount(verdict_code(slopes), minlength=3).tolist()
-        rows.append(
-            AlphaRow(
-                alpha=alpha,
-                median_slope=float(np.median(slopes)),
-                frac_converges=converges / R,
-                frac_diverges=diverges / R,
-                frac_inconclusive=inconclusive / R,
-            )
-        )
+    R, zeros = len(s), int(np.count_nonzero(one_level))
+    n = R - zeros
+    # sorted, then NaN up to the next power of two: a NaN slope is below no
+    # bound, so no bisection step reads past the end
+    fitted = np.full(1 << n.bit_length(), math.nan)
+    fitted[:n] = np.sort(s[~one_level])
+    m = n - int(np.count_nonzero(np.isnan(fitted[:n])))  # the slopes that are not NaN
+    shift = np.asarray(alpha_grid) * p - 1.0
+    # per alpha, the number of leading slopes below -T, below 0 and at or below T,
+    # as one flat array: small ufunc calls cost less without broadcasting
+    bounds = np.repeat([-SLOPE_THRESHOLD, 0.0, np.nextafter(SLOPE_THRESHOLD, math.inf)],
+                       len(shift))
+    shifts = np.tile(shift, 3)
+    below = np.zeros(len(bounds), dtype=np.intp)
+    for step in [1 << j for j in reversed(range(n.bit_length()))]:
+        below += step * (fitted.take(below + (step - 1)) + shifts < bounds)
+    converges, negative, not_above = below.reshape(3, -1)
+    diverges = m - not_above
+
+    def order_stat(k):  # the k-th smallest slope of each alpha, the zeros merged in
+        i = np.where(k < negative, k, np.maximum(k - zeros, 0))
+        return np.where((negative <= k) & (k < negative + zeros), 0.0, fitted.take(i) + shift)
+
+    medians = np.full(len(shift), math.nan) if m < n else _middle(order_stat, R)
+    rows = tuple(
+        AlphaRow(alpha=alpha, median_slope=median, frac_converges=c / R,
+                 frac_diverges=d / R, frac_inconclusive=(R - c - d) / R)
+        for alpha, median, c, d in zip(alpha_grid, medians.tolist(), converges.tolist(),
+                                       diverges.tolist())
+    )
     # the median slope crosses 0 where alpha = (1 - median s)/p; single-level rows have no s
-    fitted = s[~one_level]
-    critical = (1.0 - float(np.median(fitted))) / p if fitted.size else math.nan
-    return tuple(rows), critical if alpha_grid[0] < critical <= alpha_grid[-1] else None
+    critical = (1.0 - float(_middle(fitted.take, n))) / p if m == n > 0 else math.nan
+    return rows, critical if alpha_grid[0] < critical <= alpha_grid[-1] else None
+
+
+def _middle(at, n: int):
+    """The median of n sorted values, the k-th of which is at(k), as `np.median`
+    takes it: the middle one, or the mean of the two middle ones."""
+    return at(n // 2) if n % 2 else (at(n // 2 - 1) + at(n // 2)) / 2.0

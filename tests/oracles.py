@@ -14,14 +14,17 @@ level-sum law, drawing every stack whole.
 `count_pz_hits_outer` and `probe_sums_per_size` are the lemma module's
 earlier algorithms, kept as references for the ones that replaced them: the
 Paley-Zygmund count over the full outer sum of the two halves' signed sums,
-and the boundedness probe with one cell draw per family size.
+and the boundedness probe with one cell draw per family size.  Likewise
+`fold_per_alpha` is the sweep fold that the sorted-exponent fold replaced:
+every alpha's slopes, verdict codes and `np.median` over all replicates.
 """
 
 import math
 
 import numpy as np
 
-from besovlab.criterion import dyadic_pyramid, level_sums
+from besovlab.criterion import dyadic_pyramid, level_sums, slope_at, verdict_code
+from besovlab.harness import AlphaRow
 from besovlab.lemma import PZ_BLOCK_SUMS, _signed_sums
 
 
@@ -98,3 +101,26 @@ def probe_sums_per_size(generator, family_sizes, replicates):
             coeffs = rng.uniform(-1.0, 1.0, size=n)
             sums[n][r] = abs(float(np.dot(coeffs, inc[cells].reshape(n, group).sum(axis=1))))
     return sums
+
+
+def fold_per_alpha(s, one_level, alpha_grid, p):
+    """(rows, critical alpha) from `tail_exponent`'s (s, one_level), one pass
+    over the replicates per alpha."""
+    R = len(s)
+    rows = []
+    for alpha in alpha_grid:
+        slopes = slope_at(s, one_level, alpha, p)
+        converges, inconclusive, diverges = np.bincount(verdict_code(slopes), minlength=3).tolist()
+        rows.append(
+            AlphaRow(
+                alpha=alpha,
+                median_slope=float(np.median(slopes)),
+                frac_converges=converges / R,
+                frac_diverges=diverges / R,
+                frac_inconclusive=inconclusive / R,
+            )
+        )
+    # the median slope crosses 0 where alpha = (1 - median s)/p; single-level rows have no s
+    fitted = s[~one_level]
+    critical = (1.0 - float(np.median(fitted))) / p if fitted.size else math.nan
+    return tuple(rows), critical if alpha_grid[0] < critical <= alpha_grid[-1] else None

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from besovlab import (
     GeneratorSpec,
@@ -665,6 +665,7 @@ def csv_texts(draw):
 
 class TestReadSeriesCsv:
     @given(csv_texts())
+    @example(text="t,value\n-2.99e292,0.0\n1.7976931348623157e308,0.0\n")  # t2 - t1 overflows
     @settings(max_examples=200, deadline=None)
     def test_matches_csv_reader_bit_for_bit(self, tmp_path_factory, text):
         f = tmp_path_factory.mktemp("csv") / "path.csv"

@@ -240,6 +240,27 @@ class TestBatchedTailSlope:
         assert slopes[1] == 0.0
         assert math.isnan(slopes[2])
 
+    @given(st.integers(1, 24), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_shared_weights_match_per_row_weights(self, N, data):
+        # rows whose tail levels are all positive share one set of weights; a
+        # batch with a level at or under the floor weights each row alone, and
+        # either way every row's slope has the same bits
+        level = st.floats(1e-240, 1e240)
+        floor = st.sampled_from([0.0, 1e-300, 1e-250, math.nan])
+        positive = np.array(data.draw(st.lists(st.lists(level, min_size=N, max_size=N),
+                                               min_size=1, max_size=8)))
+        masked = np.array(data.draw(st.lists(st.lists(st.one_of(level, floor), min_size=N,
+                                                      max_size=N), min_size=0, max_size=4)))
+        masked = np.vstack([masked.reshape(-1, N), np.zeros(N)])  # one all-zero row at least
+        order = data.draw(st.permutations(range(len(positive) + len(masked))))
+        mixed = np.vstack([positive, masked])[list(order)]
+        shared, per_row = fit_tail_slope(positive), fit_tail_slope(mixed)
+        inverse = np.argsort(order)
+        assert per_row[inverse[: len(positive)]].tobytes() == shared.tobytes()
+        for row, slope in zip(mixed, per_row):
+            assert np.float64(fit_tail_slope(row)).tobytes() == slope.tobytes()
+
 
 class TestLevelSums:
     @given(

@@ -9,6 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from besovlab import (
     ExperimentConfig,
@@ -20,6 +21,7 @@ from besovlab import (
 from besovlab import kamont_series
 from besovlab.criterion import (
     MIN_LEVELS,
+    SLOPE_THRESHOLD,
     Verdict,
     fit_tail_slope,
     level_sums,
@@ -32,7 +34,7 @@ from besovlab.errors import ConfigurationError, ParameterError
 from besovlab import generators, harness
 from besovlab.harness import _fold, _raw_level_sums
 from besovlab.paths import StochasticMeasureSample, path_of
-from oracles import bm_p2_law_rows, raw_level_sum
+from oracles import bm_p2_law_rows, fold_per_alpha, raw_level_sum
 
 
 def bm_config(**kw):
@@ -317,9 +319,11 @@ class TestWorkerBlocks:
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         spec = GeneratorSpec("bm", Grid(0.0, 1.0, 10), seed=31)
         rows = spec.level_sum_rows(8, 2.0)
-        whole = rows(0, 700)
-        pieces = [rows(lo, hi) for lo, hi in [(0, 255), (255, 257), (257, 700)]]
-        assert np.concatenate(pieces).tobytes() == whole.tobytes()
+        whole, pieces = np.empty((700, 8)), np.empty((700, 8))
+        rows(whole, 0)
+        for lo, hi in [(0, 255), (255, 257), (257, 700)]:
+            rows(pieces[lo:hi], lo)
+        assert pieces.tobytes() == whole.tobytes()
         # and the sweep's own blocks: [0, 350) + [350, 700), [0, 233) + [233, 466) + ...
         raw = _raw_level_sums(bm_config(generator=spec, replicates=700, workers=workers))
         assert pools_started == ([workers] if workers > 1 else [])
@@ -490,6 +494,10 @@ def assert_matches_refit(rows, critical, want_rows, want_critical):
         assert critical == pytest.approx(want_critical, rel=0.0, abs=1e-12)
 
 
+def fold_raw(raw, alpha_grid, p):
+    return _fold(*tail_exponent(raw), alpha_grid, p)
+
+
 def zigzag_raw(J=8):
     """Raw level sums of +-1 increments: only the finest level is nonzero."""
     return level_sums(np.resize([1.0, -1.0], 2**J), J, 2.0)
@@ -530,19 +538,17 @@ class TestClosedFormFold:
             assert row.frac_inconclusive == per_path.count(Verdict.INCONCLUSIVE) / R
 
     def test_one_fit_per_sweep(self, monkeypatch):
-        from besovlab import criterion
+        # the fold reads every alpha off one tail fit of all the replicates' rows
         calls = []
-        fit = criterion.fit_tail_slope
-        monkeypatch.setattr(
-            criterion, "fit_tail_slope", lambda rows: calls.append(np.shape(rows)) or fit(rows)
-        )
+        monkeypatch.setattr(harness, "tail_exponent",
+                            lambda rows: calls.append(np.shape(rows)) or tail_exponent(rows))
         cfg = bm_config(replicates=7, alpha_grid=tuple(0.05 * k for k in range(1, 20)))
         run_alpha_sweep(cfg)
         assert calls == [(7, cfg.n_levels)]
 
     def test_all_zero_row_converges(self):
         raw = np.zeros((3, 8))
-        rows, critical = _fold(raw, (0.3, 0.6, 0.9), 2.0)
+        rows, critical = fold_raw(raw, (0.3, 0.6, 0.9), 2.0)
         for row in rows:
             assert (row.frac_converges, row.median_slope) == (1.0, -math.inf)
         assert critical is None
@@ -554,8 +560,8 @@ class TestClosedFormFold:
         cfg = bm_config(replicates=9)
         bm = _raw_level_sums(cfg)
         raw = np.vstack([bm, single, single])
-        rows, critical = _fold(raw, cfg.alpha_grid, cfg.p)
-        alone, _ = _fold(single[None, :], cfg.alpha_grid, cfg.p)
+        rows, critical = fold_raw(raw, cfg.alpha_grid, cfg.p)
+        alone, _ = fold_raw(single[None, :], cfg.alpha_grid, cfg.p)
         for row in alone:
             assert (row.frac_inconclusive, row.median_slope) == (1.0, 0.0)
         # verdicts and median slopes as the per-alpha refit gives them
@@ -564,13 +570,13 @@ class TestClosedFormFold:
         # the zero crossing comes from the fitted rows alone
         s, _ = tail_exponent(bm)
         assert critical == pytest.approx((1.0 - np.median(s)) / cfg.p, rel=0.0, abs=1e-15)
-        assert critical == _fold(bm, cfg.alpha_grid, cfg.p)[1]
+        assert critical == fold_raw(bm, cfg.alpha_grid, cfg.p)[1]
 
     def test_near_floor_sums_mask_the_raw_sums(self):
         cfg = bm_config(generator=NEAR_FLOOR, replicates=20)
         raw = _raw_level_sums(cfg)
         assert raw.max() < 1e-248 and raw.min() < 1e-250 < raw.max()
-        rows, critical = _fold(raw, cfg.alpha_grid, cfg.p)
+        rows, critical = fold_raw(raw, cfg.alpha_grid, cfg.p)
         # the per-alpha refit on sums lifted off the floor by an exact power of two,
         # with the levels under the floor kept at zero, masks exactly the same levels
         lifted = np.where(raw > 1e-250, raw * 2.0**600, 0.0)
@@ -581,3 +587,58 @@ class TestClosedFormFold:
         assert want_rows[0][2] == 1.0 and rows[0].frac_converges < 1.0
         s, one_level = tail_exponent(raw)
         assert critical == pytest.approx((1.0 - np.median(s[~one_level])) / cfg.p, abs=1e-15)
+
+
+def bits(x):
+    """A float's bytes, with every NaN alike; None stays None."""
+    return None if x is None else (b"nan" if math.isnan(x) else np.float64(x).tobytes())
+
+
+def assert_same_fold(got, want):
+    (rows, critical), (want_rows, want_critical) = got, want
+    for row, w in zip(rows, want_rows, strict=True):
+        assert (row.alpha, row.frac_converges, row.frac_diverges, row.frac_inconclusive) == (
+            w.alpha, w.frac_converges, w.frac_diverges, w.frac_inconclusive)
+        assert bits(row.median_slope) == bits(w.median_slope)
+    assert bits(critical) == bits(want_critical)
+
+
+@st.composite
+def exponent_laws(draw):
+    """(s, one_level, alpha grid, p) as `tail_exponent` could give them: ties,
+    NaN, -inf (an all-zero tail), one-level rows (s = 0.0) and exponents whose
+    slope at some alpha lands on 0 or +-SLOPE_THRESHOLD or next to them."""
+    alphas = sorted(set(draw(st.lists(st.floats(0.01, 0.99), min_size=1, max_size=6))))
+    p = draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+    landing = [c - (a * p - 1.0) for a in alphas for c in (-SLOPE_THRESHOLD, 0.0, SLOPE_THRESHOLD)]
+    landing += [float(np.nextafter(x, to)) for x in landing for to in (-math.inf, math.inf)]
+    value = st.one_of(st.floats(-3.0, 3.0), st.sampled_from(landing),
+                      st.sampled_from([-math.inf, math.nan, 0.0, -0.0]))
+    pool = draw(st.lists(value, min_size=1, max_size=8))  # few values: many ties
+    R = draw(st.integers(1, 40))
+    s = np.array(draw(st.lists(st.sampled_from(pool), min_size=R, max_size=R)))
+    one_level = np.array(draw(st.lists(st.booleans(), min_size=R, max_size=R)))
+    s[one_level] = 0.0
+    return s, one_level, tuple(alphas), p
+
+
+class TestSortedFold:
+    """The fold read off the sorted exponents against the per-alpha pass it
+    replaced (`oracles.fold_per_alpha`), bit for bit."""
+
+    @given(exponent_laws())
+    @example((np.array([0.25]), np.array([False]), (0.5,), 2.0))
+    @example((np.array([0.0]), np.array([True]), (0.5,), 2.0))
+    @example((np.array([-math.inf, 0.0]), np.array([False, True]), (0.3, 0.7), 2.0))
+    @example((np.array([0.05, -0.05, 0.0, 0.0]), np.array([False] * 4), (0.5,), 2.0))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_the_per_alpha_fold(self, law):
+        assert_same_fold(_fold(*law), fold_per_alpha(*law))
+
+    @pytest.mark.parametrize("kind", sorted(SPLIT_SPECS))
+    def test_long_grid_on_sweep_rows(self, kind):
+        # 999 alphas cost a bisection each, and read the same rows as the oracle
+        raw = _raw_level_sums(bm_config(generator=SPLIT_SPECS[kind], replicates=101))
+        raw = np.vstack([raw, zigzag_raw(8), np.zeros(8)])  # a one-level and an all-zero row
+        law = (*tail_exponent(raw), tuple(k / 1000 for k in range(1, 1000)), 2.0)
+        assert_same_fold(_fold(*law), fold_per_alpha(*law))
