@@ -17,7 +17,6 @@ from .criterion import (
     kamont_series,
 )
 from .lemma import (
-    DisjointFamily,
     PZResult,
     WeightSequence,
     boundedness_probe,

@@ -16,13 +16,12 @@ node values, each scaled by W_i^(1/p) for its weight W_i, sit side by side
 in one flat table (`_node_values`), so the quadrature of |g|^p over any run
 of cells is the sum of |entries|^p of a contiguous slice, taken by
 `criterion._power_sums` as the dyadic level sums are (integer p without
-pow).  The L_p norm sums it over blocks of the path's own table
-(`_cell_power_integral`, which also holds the p = 2 closed form above).
-The shift norms build the table of the mean-centred path
-once, and for shift m the node values of its difference are one
-subtraction of two windows of it: O(max_shift N) in all, refused above
-max_shift N = 4^GENERAL_P_MAX_J.  Tables are built in blocks of at most
-_BLOCK_CELLS cells, so memory stays bounded at any J.
+pow).  The L_p norm sums it over blocks of at most _BLOCK_CELLS cells of the
+path's own table (`_cell_power_integral`, which also holds the p = 2
+closed form above), so its memory stays bounded at any J.  The shift
+norms build the table of the mean-centred path once, and for shift m the
+node values of its difference are one subtraction of two windows of it:
+O(N^2) in all, refused above J = GENERAL_P_MAX_J.
 
 The outer singular integral is truncated at the grid spacing and evaluated
 on a logarithmic t-grid; an opt-in power-law extrapolation estimates the
@@ -46,11 +45,10 @@ POINTS_PER_OCTAVE = 64
 # p = 2 shifts summed directly at each end of the shift range, not by FFT;
 # they include the d[0] and d[1] of the tail fit
 DIRECT_SHIFTS = 64
-# p != 2 shift norms cost O(max_shift N): refused above max_shift N = 4^GENERAL_P_MAX_J,
-# every shift at J = 14 (besov_norm about 1.7 s at p = 3, 3.4 s at p = 1.5 on a shared
-# 2-core Xeon)
+# p != 2 shift norms cost O(N^2): refused above J = GENERAL_P_MAX_J (at J = 14
+# besov_norm takes about 1.7 s at p = 3, 3.4 s at p = 1.5 on a shared 2-core Xeon)
 GENERAL_P_MAX_J = 14
-# cells per block of Gauss-node values: a full table at J <= GENERAL_P_MAX_J is one block
+# cells per block of lp_norm's Gauss-node values: a table at J <= GENERAL_P_MAX_J is one block
 _BLOCK_CELLS = 2**GENERAL_P_MAX_J
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(5)
 # mapped from [-1, 1] to [0, 1]
@@ -128,60 +126,48 @@ def lp_norm(path: SampledPath, p: float) -> float:
     return (_cell_power_integral(path.values, p) * path.grid.dx) ** (1.0 / p)
 
 
-def shift_norms(path: SampledPath, p: float, max_shift: Optional[int] = None) -> np.ndarray:
+def shift_norms(path: SampledPath, p: float) -> np.ndarray:
     """Discrete L_p norm of f(. - h) - f(.) over the overlap, per shift h = m dx.
 
-    Entry m-1 corresponds to shift m, m = 1..max_shift.  Only nonnegative
-    shifts are needed: for h < 0 substituting x -> x - h maps the overlap
-    integral onto the h > 0 case.  p = 2 costs O(N log N); other p cost
-    O(max_shift N) and are refused above max_shift N = 4^GENERAL_P_MAX_J,
-    a full table at J = GENERAL_P_MAX_J.
+    Entry m-1 corresponds to shift m, m = 1..N.  Only nonnegative shifts
+    are needed: for h < 0 substituting x -> x - h maps the overlap integral
+    onto the h > 0 case.  p = 2 costs O(N log N); other p cost O(N^2) and
+    are refused above J = GENERAL_P_MAX_J.
     """
     _check_p(p)
     v = path.values
-    N = path.grid.n_cells
     dx = path.grid.dx
-    M = N if max_shift is None else min(max_shift, N)
     if p == 2.0:
-        return np.sqrt(np.maximum(_p2_shift_cell_sums(v, M) * dx, 0.0))
-    if M * N > 4**GENERAL_P_MAX_J:
+        return np.sqrt(np.maximum(_p2_shift_cell_sums(v) * dx, 0.0))
+    if path.grid.J > GENERAL_P_MAX_J:
         raise SizeError(
-            f"shift norms for p != 2 cost O(max_shift * N) and are limited to "
-            f"max_shift * N <= 2^{2 * GENERAL_P_MAX_J} (every shift at J = {GENERAL_P_MAX_J}), "
-            f"got {M} shifts at J={path.grid.J}; p = 2 is the fast path"
+            f"shift norms for p != 2 cost O(N^2) and are limited to "
+            f"J <= {GENERAL_P_MAX_J}, got J={path.grid.J}; p = 2 is the fast path"
         )
-    return (_general_p_shift_sums(v, p, M) * dx) ** (1.0 / p)
+    return (_general_p_shift_sums(v, p) * dx) ** (1.0 / p)
 
 
-def _general_p_shift_sums(v: np.ndarray, p: float, M: int) -> np.ndarray:
-    """`_cell_power_integral` of g = v[:-m] - v[m:] for every shift m = 1..M.
+def _general_p_shift_sums(v: np.ndarray, p: float) -> np.ndarray:
+    """`_cell_power_integral` of g = v[:-m] - v[m:] for every shift m = 1..N.
 
     The node table holds the weighted Gauss-node values (`_node_values`) of
     the mean-centred path c, so the node values of g = c[:-m] - c[m:] are
-    the difference of two contiguous windows of it.  The table covers
-    blocks of at most _BLOCK_CELLS cells plus the M cells the shifts reach
-    past a block: at J <= GENERAL_P_MAX_J a full table is one block, and
-    memory stays bounded at any J.  NaN and inf propagate to the result.
+    the difference of two contiguous windows of it.  The last shift has no
+    overlap and sums to 0.  NaN and inf propagate to the result.
     """
     N = len(v) - 1
-    mu = v.mean()  # shift norms ignore constants; centring shrinks |c|
-    out = np.zeros(M)
-    width = min(N, _BLOCK_CELLS + M)
-    table, diff, tmp = np.empty((3, 5 * width))
-    for k0 in range(0, N - 1, _BLOCK_CELLS):
-        w = min(k0 + _BLOCK_CELLS + M, N) - k0
-        T = _node_values(v[k0 : k0 + w + 1] - mu, p, table, tmp)
-        for m in range(1, M + 1):
-            L = min(_BLOCK_CELLS, N - m - k0)  # cells k0..k0+L-1 overlap at shift m
-            if L <= 0:
-                break
-            x = np.subtract(T[: 5 * L], T[5 * m : 5 * (m + L)], out=diff[: 5 * L])
-            out[m - 1] += _power_sums(x, p, x, tmp[: len(x)])
+    table, diff, tmp = np.empty((3, 5 * N))
+    # shift norms ignore constants; centring shrinks |c|
+    T = _node_values(v - v.mean(), p, table, tmp)
+    out = np.zeros(N)
+    for m in range(1, N):
+        x = np.subtract(T[: 5 * (N - m)], T[5 * m :], out=diff[: 5 * (N - m)])
+        out[m - 1] = _power_sums(x, p, x, tmp[: len(x)])
     return out
 
 
-def _p2_shift_cell_sums(v: np.ndarray, M: int) -> np.ndarray:
-    """`_p2_cell_sum` of g = v[:-m] - v[m:] for every shift m = 1..M.
+def _p2_shift_cell_sums(v: np.ndarray) -> np.ndarray:
+    """`_p2_cell_sum` of g = v[:-m] - v[m:] for every shift m = 1..N.
 
     The FFT's absolute error is about eps |c|^2, too large relative to the
     norms of the smallest shifts and of the largest (short overlaps), so the
@@ -192,12 +178,12 @@ def _p2_shift_cell_sums(v: np.ndarray, M: int) -> np.ndarray:
     """
     c = v - v.mean()  # shift norms ignore constants; centring shrinks |c|^2
     N = len(c) - 1
-    out = np.empty(M)
-    lo = min(M, DIRECT_SHIFTS)
+    out = np.empty(N)
+    lo = min(N, DIRECT_SHIFTS)
     hi = max(lo, N - DIRECT_SHIFTS)
-    for j in chain(range(1, lo + 1), range(hi + 1, M + 1)):
+    for j in chain(range(1, lo + 1), range(hi + 1, N + 1)):
         out[j - 1] = _p2_cell_sum(c[: N + 1 - j] - c[j:])
-    r = np.arange(lo + 1, min(M, hi) + 1)
+    r = np.arange(lo + 1, hi + 1)
     if r.size:
         # the circular autocorrelation over 2N points equals R(j) for j < N;
         # these shifts need j <= N - DIRECT_SHIFTS + 1, so DIRECT_SHIFTS >= 2

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .besov import besov_norm
-from .criterion import kamont_series
+from .criterion import MIN_LEVELS, kamont_series
 from .errors import (
     BesovLabError,
     ConfigurationError,
@@ -30,7 +30,6 @@ from .errors import (
 from .generators import GeneratorSpec, WeightFn
 from .harness import ExperimentConfig, run_alpha_sweep
 from .lemma import (
-    DisjointFamily,
     WeightSequence,
     boundedness_probe,
     lemma_statistic,
@@ -206,7 +205,8 @@ def _cmd_dyadic(args) -> int:
             f"--out {args.out} names the CSV table's own file; use another suffix"
         )
     path, resampled = _load_path(args)
-    N = args.N if args.N is not None else min(path.grid.J, 12)
+    # a path coarser than MIN_LEVELS fails on its resolution (exit 3), as with --N
+    N = args.N if args.N is not None else max(MIN_LEVELS, min(path.grid.J, 12))
     report = kamont_series(path, N, args.alpha, args.p)
     payload = report.to_dict()
     payload["resampled"] = resampled
@@ -278,9 +278,7 @@ def _cmd_lemma(args) -> int:
                 f"family depth N={args.N} exceeds the sample's dyadic resolution J={args.J}"
             )
         weights = WeightSequence.geometric(args.alpha, args.p, args.N)
-        sample = _generator_from_args(args).sample()
-        family = DisjointFamily.full_dyadic(args.N)
-        partial = lemma_statistic(sample, weights, family)
+        partial = lemma_statistic(_generator_from_args(args).sample(), weights)
         print("n,partial_sum")
         for n, s in enumerate(partial, start=1):
             print(f"{n},{float(s)!r}")

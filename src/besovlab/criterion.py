@@ -155,8 +155,10 @@ def level_sums(increments, n_levels: int, p: float) -> np.ndarray:
     return out
 
 
-def fit_tail_slope(values) -> float | np.ndarray:
-    """Weighted LS slope of log2 values_n vs n over the last ceil(N/2) levels.
+def tail_exponent(rows) -> tuple[np.ndarray, np.ndarray]:
+    """(s, one_level) per row of (R, N) raw level sums: s is the weighted LS
+    slope of log2 R_n vs n over the last ceil(N/2) levels, and one_level
+    marks a tail with one positive level.
 
     Weights are 2^n: a level-n sum averages 2^n increment powers, so the
     noise variance of its log decays like 2^{-n} and inverse-variance
@@ -165,22 +167,14 @@ def fit_tail_slope(values) -> float | np.ndarray:
 
     Levels with a zero (or NaN) value are dropped; if none are positive the
     series is identically zero on the tail and the slope is -inf, and a
-    single positive level gives 0.0.  `values` is one series (returns a
-    float) or an (R, N) array of R series (returns R slopes).
+    single positive level gives 0.0.
 
     When every tail level is positive, as in every BM and fBm row, the rows
     share their weights, so the weights, their mean level and sxx are one
     1-d computation, broadcast over the rows; otherwise each row masks its
     own.  The products and row sums are the same either way, bit for bit.
     """
-    values = np.asarray(values, dtype=float)
-    slopes, _ = _tail_fit(np.atleast_2d(values))
-    return float(slopes[0]) if values.ndim == 1 else slopes
-
-
-def _tail_fit(rows: np.ndarray):
-    """(slopes, positive tail levels) of (R, N) rows, as `fit_tail_slope` fits them;
-    the count is one int when every tail level is positive, else one per row."""
+    rows = np.asarray(rows, dtype=float)
     N = rows.shape[-1]
     start = N - math.ceil(N / 2)
     tail = rows[:, start:]
@@ -201,14 +195,7 @@ def _tail_fit(rows: np.ndarray):
         yb = np.sum(w * y, axis=1, keepdims=True)
         sxy = np.sum(w * dx * (y - yb), axis=1)
         slopes = np.where(n_pos > 1, sxy / sxx, np.where(n_pos == 1, 0.0, -math.inf))
-    return slopes, n_pos
-
-
-def tail_exponent(raw_rows) -> tuple[np.ndarray, np.ndarray]:
-    """(s, one_level) per row of (R, N) raw level sums: s is `fit_tail_slope`
-    of the row, and one_level marks a tail with one positive level."""
-    s, n_pos = _tail_fit(np.asarray(raw_rows, dtype=float))
-    return s, np.full(s.shape, n_pos == 1)
+    return slopes, np.full(slopes.shape, n_pos == 1)
 
 
 def predicted_exponent_law(spec, n_levels: int, p: float) -> tuple[float, float]:
@@ -220,14 +207,14 @@ def predicted_exponent_law(spec, n_levels: int, p: float) -> tuple[float, float]
     Cov(log2 R_n, log2 R_m) = 2 * 2^-max(n, m) / ln^2 2 and, to second
     order, E log2 R_n = -2^-n / ln 2 + log2(b - a).  The fit is linear in
     the log2 R_n, s = sum_n c_n log2 R_n with sum_n c_n = 0, so s does not
-    see the constant log2(b - a), and c_n is the slope `fit_tail_slope`
+    see the constant log2(b - a), and c_n is the slope `tail_exponent`
     fits to a series equal to 2 at level n and 1 elsewhere.
     """
     if spec.kind != "bm" or p != 2.0:
         raise ParameterError(f"no predicted exponent law for {spec.kind} at p = {p}")
     if not MIN_LEVELS <= n_levels <= spec.grid.J:
         raise ParameterError(f"n_levels={n_levels} is outside {MIN_LEVELS}..J={spec.grid.J}")
-    c = fit_tail_slope(2.0 ** np.eye(n_levels))
+    c = tail_exponent(2.0 ** np.eye(n_levels))[0]
     ns = np.arange(1, n_levels + 1, dtype=float)
     mean = float(c @ (-(2.0**-ns) / math.log(2.0)))
     cov = 2.0 * 2.0 ** -np.maximum.outer(ns, ns) / math.log(2.0) ** 2

@@ -35,7 +35,7 @@ import numpy as np
 from .criterion import _check_p, level_sums
 from .errors import ParameterError, ResolutionError, SizeError
 from .generators import GeneratorSpec
-from .paths import MAX_RESOLUTION, StochasticMeasureSample
+from .paths import StochasticMeasureSample
 
 PZ_THRESHOLD_FACTOR = 0.25
 PZ_PROBABILITY_BOUND = 0.125
@@ -50,6 +50,8 @@ class WeightSequence:
     values: tuple[float, ...]
 
     def __post_init__(self):
+        if not self.values:
+            raise ParameterError("need at least one weight")
         if not all(math.isfinite(v) and v > 0 for v in self.values):
             raise ParameterError("weights must be positive and finite")
 
@@ -65,48 +67,26 @@ class WeightSequence:
         if not 0.0 < alpha < 1.0:
             raise ParameterError(f"alpha must be in (0, 1), got {alpha}")
         _check_p(p)
-        if N < 1:
-            raise ParameterError("need at least one weight")
         ns = np.arange(1, N + 1)
         vals = 2.0 ** (ns * (alpha * p - 1.0) / 2.0)
         return cls(tuple(float(v) for v in vals))
 
 
-@dataclass(frozen=True)
-class DisjointFamily:
-    """The full dyadic family to `depth`: level n is the partition into the 2^n cells."""
+def lemma_statistic(sample: StochasticMeasureSample, weights: WeightSequence) -> np.ndarray:
+    """Partial sums S_n of the weighted quadratic statistic over the full
+    dyadic family, n = 1..len(weights).
 
-    depth: int
-
-    def __post_init__(self):
-        if not 1 <= self.depth <= MAX_RESOLUTION:
-            raise ResolutionError(
-                f"depth must be in [1, {MAX_RESOLUTION}], got {self.depth}"
-            )
-
-    @classmethod
-    def full_dyadic(cls, depth: int) -> "DisjointFamily":
-        """Level n holds the full partition into the 2^n dyadic cells."""
-        return cls(depth)
-
-
-def lemma_statistic(
-    sample: StochasticMeasureSample,
-    weights: WeightSequence,
-    family: DisjointFamily,
-) -> np.ndarray:
-    """Partial sums S_n of the weighted quadratic statistic, n = 1..depth.
-
-    On the full dyadic family sum_k mu(D_{kn})^2 is the p = 2 level sum R_n,
-    so S_n is one weighted cumulative sum of `criterion.level_sums`, O(N)
-    in the grid size.
+    Level n of the family holds the 2^n dyadic cells, so sum_k mu(D_{kn})^2
+    is the p = 2 level sum R_n and S_n is one weighted cumulative sum of
+    `criterion.level_sums`, O(N) in the grid size.  More weights than the
+    sample's J levels raise ResolutionError.
     """
-    depth = family.depth
-    if len(weights) < depth:
-        raise ParameterError(f"need {depth} weights, got {len(weights)}")
+    depth = len(weights)
     if depth > sample.grid.J:
-        raise ResolutionError("family exceeds the sample's dyadic resolution")
-    a = np.asarray(weights.values[:depth])
+        raise ResolutionError(
+            f"{depth} weights exceed the sample's dyadic resolution J={sample.grid.J}"
+        )
+    a = np.asarray(weights.values)
     with np.errstate(over="ignore", invalid="ignore"):
         partial = np.cumsum(a * a * level_sums(sample.increments, depth, 2.0))
     if not np.all(np.isfinite(partial)):

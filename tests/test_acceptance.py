@@ -13,7 +13,6 @@ import pytest
 
 from besovlab import (
     BesovParams,
-    DisjointFamily,
     ExperimentConfig,
     Grid,
     GeneratorSpec,
@@ -126,10 +125,9 @@ def test_07_lemma_statistic_stabilization():
     t0 = time.perf_counter()
     g = Grid(0.0, 1.0, 12)
     weights = WeightSequence.geometric(0.4, 2.0, 12)
-    family = DisjointFamily.full_dyadic(12)
     stable = 0
     for r in range(100):
-        stat = lemma_statistic(GeneratorSpec("bm", g).sample([MASTER_SEED, r]), weights, family)
+        stat = lemma_statistic(GeneratorSpec("bm", g).sample([MASTER_SEED, r]), weights)
         rel_change = (stat[11] - stat[9]) / stat[11]
         stable += rel_change < 0.05
     report(7, "lemma statistic stabilization", stable >= 95, t0)
@@ -151,11 +149,10 @@ def test_09_cross_module_identity():
     alpha = 0.4
     g = Grid(0.0, 1.0, 10)
     weights = WeightSequence.geometric(alpha, 2.0, 10)
-    family = DisjointFamily.full_dyadic(10)
     ok = True
     for r in range(20):
         sample = GeneratorSpec("bm", g).sample([MASTER_SEED, r])
-        stat = lemma_statistic(sample, weights, family)
+        stat = lemma_statistic(sample, weights)
         series = kamont_series(path_of(sample), 10, alpha, 2.0)
         ok &= np.allclose(stat, series.partial_sums, rtol=1e-12, atol=0.0)
     report(9, "cross-module identity", ok, t0)

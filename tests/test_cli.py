@@ -264,6 +264,15 @@ class TestDyadic:
         assert (code, out) == (EXIT_DATA, "")
         assert "exceeds grid resolution J=8" in err
 
+    def test_coarse_path_is_a_data_error(self, tmp_path, capsys):
+        # below MIN_LEVELS levels the default N fails on the input's resolution, as --N 6 does
+        f = tmp_path / "coarse.csv"
+        run(capsys, "generate", "--process", "bm", "--J", "4", "--seed", "1", "--out", str(f))
+        for flags in ([], ["--N", "6"]):
+            code, out, err = run(capsys, "dyadic", "--input", str(f), "--alpha", "0.4", *flags)
+            assert (code, out) == (EXIT_DATA, "")
+            assert "exceeds grid resolution J=4" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "dyadic", "--input", "/no/such.csv", "--alpha", "0.4")
         assert code == EXIT_DATA

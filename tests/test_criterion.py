@@ -12,7 +12,7 @@ from besovlab import (
     kamont_series,
     path_of,
 )
-from besovlab.criterion import fit_tail_slope, level_sums, series_from_raw
+from besovlab.criterion import level_sums, series_from_raw, tail_exponent
 from besovlab.errors import ParameterError, ResolutionError
 from oracles import increments_of, level_sums_by_pow, raw_level_sum
 
@@ -167,9 +167,9 @@ class TestSeriesFromRaw:
     def test_slope_is_raw_exponent_shifted(self, seed, alpha, p):
         raw = level_sums(np.diff(bm_path(12, seed).values), 12, p)
         slope = series_from_raw(raw, alpha, p).fitted_log2_slope
-        assert slope == pytest.approx(fit_tail_slope(raw) + alpha * p - 1.0, abs=1e-12)
+        assert slope == pytest.approx(tail_exponent([raw])[0][0] + alpha * p - 1.0, abs=1e-12)
         terms = 2.0 ** (np.arange(1, 13) * (alpha * p - 1.0)) * raw
-        assert slope == pytest.approx(fit_tail_slope(terms), abs=1e-12)
+        assert slope == pytest.approx(tail_exponent([terms])[0][0], abs=1e-12)
 
 
 def scalar_tail_slope(terms) -> float:
@@ -221,13 +221,13 @@ class TestBatchedTailSlope:
             elif case == 4:  # some zero levels
                 terms[i, rng.integers(0, N, size=2)] = 0.0
         expected = np.array([scalar_tail_slope(row) for row in terms])
-        got = fit_tail_slope(terms)
+        got, _ = tail_exponent(terms)
         assert got.shape == (R,)
         np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12, equal_nan=True)
         for row, want in zip(terms, expected):
-            one = fit_tail_slope(row)
-            assert isinstance(one, float)
-            np.testing.assert_allclose(one, want, rtol=0.0, atol=1e-12, equal_nan=True)
+            one, _ = tail_exponent([row])
+            assert one.shape == (1,)
+            np.testing.assert_allclose(one[0], want, rtol=0.0, atol=1e-12, equal_nan=True)
 
     def test_edge_cases(self):
         rows = np.array([
@@ -235,7 +235,8 @@ class TestBatchedTailSlope:
             [1.0] * 6 + [0.0, 0.0, 3.0, 0.0, 0.0, 0.0],  # exactly one
             [1.0] * 6 + [1.0, 2.0, np.inf, 8.0, 16.0, 32.0],  # infinite term
         ])
-        slopes = fit_tail_slope(rows)
+        slopes, one_level = tail_exponent(rows)
+        assert one_level.tolist() == [False, True, False]
         assert slopes[0] == -math.inf
         assert slopes[1] == 0.0
         assert math.isnan(slopes[2])
@@ -255,11 +256,11 @@ class TestBatchedTailSlope:
         masked = np.vstack([masked.reshape(-1, N), np.zeros(N)])  # one all-zero row at least
         order = data.draw(st.permutations(range(len(positive) + len(masked))))
         mixed = np.vstack([positive, masked])[list(order)]
-        shared, per_row = fit_tail_slope(positive), fit_tail_slope(mixed)
+        shared, per_row = tail_exponent(positive)[0], tail_exponent(mixed)[0]
         inverse = np.argsort(order)
         assert per_row[inverse[: len(positive)]].tobytes() == shared.tobytes()
         for row, slope in zip(mixed, per_row):
-            assert np.float64(fit_tail_slope(row)).tobytes() == slope.tobytes()
+            assert tail_exponent([row])[0].tobytes() == slope.tobytes()
 
 
 class TestLevelSums:

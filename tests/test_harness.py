@@ -23,7 +23,6 @@ from besovlab.criterion import (
     MIN_LEVELS,
     SLOPE_THRESHOLD,
     Verdict,
-    fit_tail_slope,
     level_sums,
     series_from_raw,
     slope_at,
@@ -472,7 +471,7 @@ def refit_fold(raw, alpha_grid, p):
     R, N = raw.shape
     rows = []
     for alpha in alpha_grid:
-        slopes = fit_tail_slope(2.0 ** (np.arange(1, N + 1) * (alpha * p - 1.0)) * raw)
+        slopes, _ = tail_exponent(2.0 ** (np.arange(1, N + 1) * (alpha * p - 1.0)) * raw)
         converges = int(np.count_nonzero(slopes < -0.05))
         diverges = int(np.count_nonzero(slopes > 0.05))
         rows.append((alpha, float(np.median(slopes)), converges / R, diverges / R,

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from besovlab import (
-    DisjointFamily,
     Grid,
     GeneratorSpec,
     WeightSequence,
@@ -21,7 +20,7 @@ from besovlab import (
 from besovlab import generators
 from besovlab.errors import ParameterError, ResolutionError, SizeError
 from besovlab.lemma import PZ_BLOCK_SUMS, PZ_THRESHOLD_FACTOR, _count_pz_hits
-from besovlab.paths import MAX_RESOLUTION, StochasticMeasureSample
+from besovlab.paths import StochasticMeasureSample
 from oracles import count_pz_hits_outer, measure_of, probe_sums_per_size
 
 
@@ -39,25 +38,29 @@ class TestWeightSequence:
         with pytest.raises(ParameterError):
             WeightSequence((1.0, bad))
 
-
-class TestDisjointFamily:
-    def test_full_dyadic_shape(self):
-        assert DisjointFamily.full_dyadic(4).depth == 4
-
-    @pytest.mark.parametrize("depth", [0, -1, MAX_RESOLUTION + 1])
-    def test_refuses_depth_outside_resolution_bounds(self, depth):
-        with pytest.raises(ResolutionError):
-            DisjointFamily.full_dyadic(depth)
+    def test_empty_refused(self):
+        # the weights set the statistic's depth, which is at least 1
+        with pytest.raises(ParameterError):
+            WeightSequence(())
+        with pytest.raises(ParameterError):
+            WeightSequence.geometric(0.4, 2.0, 0)
 
 
 class TestLemmaStatistic:
     def test_zero_measure(self):
         g = Grid(0.0, 1.0, 6)
         sample = StochasticMeasureSample(g, np.zeros(g.n_cells))
-        out = lemma_statistic(
-            sample, WeightSequence.geometric(0.4, 2.0, 6), DisjointFamily.full_dyadic(6)
-        )
+        out = lemma_statistic(sample, WeightSequence.geometric(0.4, 2.0, 6))
         assert np.all(out == 0.0)
+
+    def test_depth_is_the_number_of_weights(self):
+        sample = GeneratorSpec("bm", Grid(0.0, 1.0, 6)).sample(5)
+        assert len(lemma_statistic(sample, WeightSequence.geometric(0.4, 2.0, 4))) == 4
+
+    def test_more_weights_than_levels_raises(self):
+        sample = GeneratorSpec("bm", Grid(0.0, 1.0, 6)).sample(5)
+        with pytest.raises(ResolutionError, match="J=6"):
+            lemma_statistic(sample, WeightSequence.geometric(0.4, 2.0, 7))
 
     def test_linear_closed_form(self):
         # all finest increments dx; a_n = 2^{-n}: level sum 2^n 2^{-2n},
@@ -65,18 +68,14 @@ class TestLemmaStatistic:
         g = Grid(0.0, 1.0, 8)
         sample = GeneratorSpec("linear", g).sample()
         weights = WeightSequence(tuple(2.0**-n for n in range(1, 9)))
-        out = lemma_statistic(sample, weights, DisjointFamily.full_dyadic(8))
+        out = lemma_statistic(sample, weights)
         expected = np.cumsum([2.0 ** (-3 * n) for n in range(1, 9)])
         np.testing.assert_allclose(out, expected, rtol=1e-12)
 
     def test_nondecreasing_partial_sums(self):
         g = Grid(0.0, 1.0, 10)
         sample = GeneratorSpec("bm", g).sample(17)
-        out = lemma_statistic(
-            sample,
-            WeightSequence.geometric(0.4, 2.0, 10),
-            DisjointFamily.full_dyadic(10),
-        )
+        out = lemma_statistic(sample, WeightSequence.geometric(0.4, 2.0, 10))
         assert np.all(np.diff(out) >= 0.0)
         assert np.all(np.isfinite(out))
 
@@ -85,10 +84,9 @@ class TestLemmaStatistic:
         sample = GeneratorSpec("bm", g).sample(23)
         scaled = type(sample)(g, 3.0 * sample.increments)
         w = WeightSequence.geometric(0.4, 2.0, 8)
-        fam = DisjointFamily.full_dyadic(8)
         np.testing.assert_allclose(
-            lemma_statistic(scaled, w, fam),
-            9.0 * lemma_statistic(sample, w, fam),
+            lemma_statistic(scaled, w),
+            9.0 * lemma_statistic(sample, w),
             rtol=1e-12,
         )
 
@@ -98,11 +96,7 @@ class TestLemmaStatistic:
         g = Grid(0.0, 1.0, 10)
         for seed in range(3):
             sample = GeneratorSpec("bm", g).sample([41, seed])
-            stat = lemma_statistic(
-                sample,
-                WeightSequence.geometric(alpha, 2.0, 10),
-                DisjointFamily.full_dyadic(10),
-            )
+            stat = lemma_statistic(sample, WeightSequence.geometric(alpha, 2.0, 10))
             series = kamont_series(path_of(sample), 10, alpha, 2.0)
             np.testing.assert_allclose(stat, series.partial_sums, rtol=1e-12)
 
@@ -119,7 +113,7 @@ class TestLemmaStatistic:
         (kind, H), (J, N) = kind_h, J_N
         sample = GeneratorSpec(kind, Grid(0.0, 1.0, J), H=H).sample(seed)
         weights = WeightSequence.geometric(0.4, 2.0, N)
-        got = lemma_statistic(sample, weights, DisjointFamily.full_dyadic(N))
+        got = lemma_statistic(sample, weights)
         expected = np.cumsum([
             a * a * math.fsum(measure_of(sample, n, [k]) ** 2 for k in range(1, 2**n + 1))
             for n, a in enumerate(weights.values, start=1)
@@ -130,9 +124,7 @@ class TestLemmaStatistic:
         g = Grid(0.0, 1.0, 6)
         sample = StochasticMeasureSample(g, np.full(g.n_cells, 1e300))
         with pytest.raises(FloatingPointError):
-            lemma_statistic(
-                sample, WeightSequence.geometric(0.4, 2.0, 6), DisjointFamily.full_dyadic(6)
-            )
+            lemma_statistic(sample, WeightSequence.geometric(0.4, 2.0, 6))
 
 
 @st.composite
