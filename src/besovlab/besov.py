@@ -16,12 +16,11 @@ node values, each scaled by W_i^(1/p) for its weight W_i, sit side by side
 in one flat table (`_node_values`), so the quadrature of |g|^p over any run
 of cells is the sum of |entries|^p of a contiguous slice, taken by
 `criterion._power_sums` as the dyadic level sums are (integer p without
-pow).  The L_p norm sums it over blocks of at most _BLOCK_CELLS cells of the
-path's own table (`_cell_power_integral`, which also holds the p = 2
-closed form above), so its memory stays bounded at any J.  The shift
-norms build the table of the mean-centred path once, and for shift m the
-node values of its difference are one subtraction of two windows of it:
-O(N^2) in all, refused above J = GENERAL_P_MAX_J.
+pow).  The L_p norm sums the path's own table (`_cell_power_integral`,
+which also holds the p = 2 closed form above).  The shift norms build the
+table of the mean-centred path once, and for shift m the node values of
+its difference are one subtraction of two windows of it: O(N^2) in all.
+So both refuse p != 2 above J = GENERAL_P_MAX_J (`_check_p_and_size`).
 
 The outer singular integral is truncated at the grid spacing and evaluated
 on a logarithmic t-grid; an opt-in power-law extrapolation estimates the
@@ -48,8 +47,6 @@ DIRECT_SHIFTS = 64
 # p != 2 shift norms cost O(N^2): refused above J = GENERAL_P_MAX_J (at J = 14
 # besov_norm takes about 1.7 s at p = 3, 3.4 s at p = 1.5 on a shared 2-core Xeon)
 GENERAL_P_MAX_J = 14
-# cells per block of lp_norm's Gauss-node values: a table at J <= GENERAL_P_MAX_J is one block
-_BLOCK_CELLS = 2**GENERAL_P_MAX_J
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(5)
 # mapped from [-1, 1] to [0, 1]
 _S = 0.5 * (_GAUSS_NODES + 1.0)
@@ -83,46 +80,45 @@ def _cell_power_integral(g: np.ndarray, p: float) -> float:
     """sum_k of the integral over s in [0, 1] of |g_k (1 - s) + g_{k+1} s|^p.
 
     p = 2 is the closed form `_p2_cell_sum`.  Other p sum `_power_sums` over
-    the weighted Gauss-node values (`_node_values`) of blocks of at most
-    _BLOCK_CELLS cells, so memory stays bounded at any length.  One buffer
-    of 10 min(L, _BLOCK_CELLS) floats holds a block's node values and one
-    temporary.
+    the weighted Gauss-node values (`_node_values`), in place.
     """
     if p == 2.0:
         return _p2_cell_sum(g)
-    L = len(g) - 1
-    B = min(L, _BLOCK_CELLS)
-    nodes, tmp = np.empty((2, 5 * B))
-    total = 0.0
-    for k0 in range(0, L, _BLOCK_CELLS):
-        w = min(_BLOCK_CELLS, L - k0)
-        x = _node_values(g[k0 : k0 + w + 1], p, nodes, tmp)
-        total += float(_power_sums(x, p, x, tmp[: len(x)]))
-    return total
+    x = _node_values(g, p)
+    return float(_power_sums(x, p, x))
 
 
-def _node_values(g: np.ndarray, p: float, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+def _node_values(g: np.ndarray, p: float) -> np.ndarray:
     """Gauss-node values of the piecewise-linear g over its L cells, weighted for |.|^p.
 
-    Cell-major: entry 5 k + i of the result, a view of `out` (5 L floats),
-    is W_i^(1/p) (g_k (1 - s_i) + g_{k+1} s_i), so the sum of |entries|^p is
-    the 5-node Gauss-Legendre integral of |g|^p and any run of cells is one
-    contiguous slice.  Built one node column at a time from contiguous
-    products (an outer product into (L, 5) runs length-5 inner loops, about
-    twice as slow, with the same roundings).  `tmp` (2 L floats) is overwritten.
+    Cell-major: entry 5 k + i of the 5 L floats is W_i^(1/p) (g_k (1 - s_i)
+    + g_{k+1} s_i), so the sum of |entries|^p is the 5-node Gauss-Legendre
+    integral of |g|^p and any run of cells is one contiguous slice.  Built
+    one node column at a time from contiguous products (an outer product
+    into (L, 5) runs length-5 inner loops, several times slower, with the
+    same roundings).
     """
-    L = len(g) - 1
-    cells, left, right = out[: 5 * L].reshape(L, 5), tmp[:L], tmp[L : 2 * L]
+    cells = np.empty((len(g) - 1, 5))
     scale = _W ** (1.0 / p)
     for i, (wl, wr) in enumerate(zip(scale * (1.0 - _S), scale * _S)):
-        np.multiply(g[:-1], wl, out=left)
-        np.add(left, np.multiply(g[1:], wr, out=right), out=cells[:, i])
-    return out[: 5 * L]
+        np.add(g[:-1] * wl, g[1:] * wr, out=cells[:, i])
+    return cells.reshape(-1)
+
+
+def _check_p_and_size(path: SampledPath, p: float):
+    """`_check_p`, and refuse p != 2 above J = GENERAL_P_MAX_J."""
+    _check_p(p)
+    if p != 2.0 and path.grid.J > GENERAL_P_MAX_J:
+        raise SizeError(
+            f"shift norms for p != 2 cost O(N^2) and are limited to "
+            f"J <= {GENERAL_P_MAX_J}, got J={path.grid.J}; p = 2 is the fast path"
+        )
 
 
 def lp_norm(path: SampledPath, p: float) -> float:
-    """L_p norm of the piecewise-linear interpolant on [a, b]."""
-    _check_p(p)
+    """L_p norm of the piecewise-linear interpolant on [a, b]; p != 2 is
+    refused above J = GENERAL_P_MAX_J, as in `shift_norms`."""
+    _check_p_and_size(path, p)
     return (_cell_power_integral(path.values, p) * path.grid.dx) ** (1.0 / p)
 
 
@@ -134,16 +130,11 @@ def shift_norms(path: SampledPath, p: float) -> np.ndarray:
     onto the h > 0 case.  p = 2 costs O(N log N); other p cost O(N^2) and
     are refused above J = GENERAL_P_MAX_J.
     """
-    _check_p(p)
+    _check_p_and_size(path, p)
     v = path.values
     dx = path.grid.dx
     if p == 2.0:
         return np.sqrt(np.maximum(_p2_shift_cell_sums(v) * dx, 0.0))
-    if path.grid.J > GENERAL_P_MAX_J:
-        raise SizeError(
-            f"shift norms for p != 2 cost O(N^2) and are limited to "
-            f"J <= {GENERAL_P_MAX_J}, got J={path.grid.J}; p = 2 is the fast path"
-        )
     return (_general_p_shift_sums(v, p) * dx) ** (1.0 / p)
 
 
@@ -156,9 +147,9 @@ def _general_p_shift_sums(v: np.ndarray, p: float) -> np.ndarray:
     overlap and sums to 0.  NaN and inf propagate to the result.
     """
     N = len(v) - 1
-    table, diff, tmp = np.empty((3, 5 * N))
     # shift norms ignore constants; centring shrinks |c|
-    T = _node_values(v - v.mean(), p, table, tmp)
+    T = _node_values(v - v.mean(), p)
+    diff, tmp = np.empty((2, 5 * N))
     out = np.zeros(N)
     for m in range(1, N):
         x = np.subtract(T[: 5 * (N - m)], T[5 * m :], out=diff[: 5 * (N - m)])

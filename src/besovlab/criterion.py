@@ -11,7 +11,8 @@ One least-squares fit of log2 R_n, whose levels above _ZERO_FLOOR do not
 depend on alpha, gives the exponent s; the slope at alpha is then exactly
 s + alpha p - 1, so a path's critical exponent is (1 - s)/p.  A tail with
 no positive R_n has slope -inf; one with a single positive level reads 0.0,
-inconclusive at every alpha.
+inconclusive at every alpha.  `fold_exponents` is the one verdict rule, for
+one path (`series_from_raw`) and a sweep's replicates alike.
 """
 
 from __future__ import annotations
@@ -192,8 +193,8 @@ def tail_exponent(rows) -> tuple[np.ndarray, np.ndarray]:
         w = w / w.sum(axis=-1, keepdims=True)
         dx = ns - np.sum(w * ns, axis=-1, keepdims=True)
         sxx = np.sum(w * dx * dx, axis=-1)
-        yb = np.sum(w * y, axis=1, keepdims=True)
-        sxy = np.sum(w * dx * (y - yb), axis=1)
+        y -= np.sum(w * y, axis=1, keepdims=True)
+        sxy = np.sum(np.multiply(y, w * dx, out=y), axis=1)
         slopes = np.where(n_pos > 1, sxy / sxx, np.where(n_pos == 1, 0.0, -math.inf))
     return slopes, np.full(slopes.shape, n_pos == 1)
 
@@ -221,20 +222,51 @@ def predicted_exponent_law(spec, n_levels: int, p: float) -> tuple[float, float]
     return mean, math.sqrt(float(c @ cov @ c))
 
 
-def slope_at(s, one_level, alpha: float, p: float):
-    """Tail slope of the T_n at alpha from `tail_exponent`: the prefactor adds
-    alpha p - 1 to every log2 R_n, hence to s; a one-level tail stays 0.0."""
-    return np.where(one_level, 0.0, s + (alpha * p - 1.0))
+def fold_exponents(s, one_level, alpha_grid, p: float):
+    """Per alpha, the median slope and the converge and diverge counts of R
+    rows from `tail_exponent`'s (s, one_level); and the median fitted s.
+
+    Row i's slope at alpha is fl(s_i + (alpha p - 1)), or 0.0 for a
+    one-level tail; it converges below -SLOPE_THRESHOLD, diverges above
+    SLOPE_THRESHOLD and is inconclusive otherwise, NaN included.  The
+    rounded sum is non-decreasing in s_i, so the rows below -SLOPE_THRESHOLD,
+    below 0 and at or below SLOPE_THRESHOLD are prefixes of the s sorted
+    once (NaN last), each found by bisection.  Medians are order statistics
+    as `np.median` takes them, the one-level rows' 0.0 merged in after the
+    negative slopes; a NaN, or no fitted row for the median s, makes them
+    NaN.  Each alpha costs O(log R) after the sort.
+    """
+    R, zeros = len(s), int(np.count_nonzero(one_level))
+    n = R - zeros
+    # sorted, then NaN up to the next power of two: a NaN slope is below no
+    # bound, so no bisection step reads past the end
+    fitted = np.full(1 << n.bit_length(), math.nan)
+    fitted[:n] = np.sort(s[~one_level])
+    m = n - int(np.count_nonzero(np.isnan(fitted[:n])))  # the slopes that are not NaN
+    shift = np.asarray(alpha_grid) * p - 1.0
+    # per alpha, the number of leading slopes below -T, below 0 and at or below T,
+    # as one flat array: small ufunc calls cost less without broadcasting
+    bounds = np.repeat([-SLOPE_THRESHOLD, 0.0, np.nextafter(SLOPE_THRESHOLD, math.inf)],
+                       len(shift))
+    shifts = np.tile(shift, 3)
+    below = np.zeros(len(bounds), dtype=np.intp)
+    for step in [1 << j for j in reversed(range(n.bit_length()))]:
+        below += step * (fitted.take(below + (step - 1)) + shifts < bounds)
+    converges, negative, not_above = below.reshape(3, -1)
+
+    def order_stat(k):  # the k-th smallest slope of each alpha, the zeros merged in
+        i = np.where(k < negative, k, np.maximum(k - zeros, 0))
+        return np.where((negative <= k) & (k < negative + zeros), 0.0, fitted.take(i) + shift)
+
+    medians = np.full(len(shift), math.nan) if m < n else _middle(order_stat, R)
+    median_s = float(_middle(fitted.take, n)) if m == n > 0 else math.nan
+    return medians, converges, m - not_above, median_s
 
 
-_VERDICTS = (Verdict.CONVERGES, Verdict.INCONCLUSIVE, Verdict.DIVERGES)  # by verdict_code
-
-
-def verdict_code(slopes):
-    """0 (converges) below -SLOPE_THRESHOLD, 2 (diverges) above SLOPE_THRESHOLD,
-    1 (inconclusive) otherwise and for NaN, elementwise."""
-    slopes = np.asarray(slopes)
-    return 1 - (slopes < -SLOPE_THRESHOLD) + (slopes > SLOPE_THRESHOLD)
+def _middle(at, n: int):
+    """The median of n sorted values, the k-th of which is at(k), as `np.median`
+    takes it: the middle one, or the mean of the two middle ones."""
+    return at(n // 2) if n % 2 else (at(n // 2 - 1) + at(n // 2)) / 2.0
 
 
 def series_from_raw(raw_sums, alpha: float, p: float) -> LevelSeriesReport:
@@ -246,15 +278,16 @@ def series_from_raw(raw_sums, alpha: float, p: float) -> LevelSeriesReport:
     if N < MIN_LEVELS:
         raise ParameterError(f"need at least {MIN_LEVELS} levels, got {N}")
     terms = 2.0 ** (np.arange(1, N + 1) * (alpha * p - 1.0)) * np.asarray(raw_sums, dtype=float)
-    slope = float(slope_at(*tail_exponent([raw_sums]), alpha, p)[0])
+    slope, converges, diverges, _ = fold_exponents(*tail_exponent([raw_sums]), (alpha,), p)
     return LevelSeriesReport(
         alpha=alpha,
         p=p,
         levels=tuple(range(1, N + 1)),
         terms=tuple(float(t) for t in terms),
         partial_sums=tuple(float(s) for s in np.cumsum(terms)),
-        fitted_log2_slope=slope,
-        verdict=_VERDICTS[verdict_code(slope)],
+        fitted_log2_slope=float(slope[0]),
+        verdict=(Verdict.CONVERGES if converges[0] else
+                 Verdict.DIVERGES if diverges[0] else Verdict.INCONCLUSIVE),
     )
 
 

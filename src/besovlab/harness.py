@@ -15,11 +15,11 @@ n_levels, or for Brownian motion at p = 2 from the exact joint law of its
 level sums.  No row depends on block bounds.
 This module splits the replicates into blocks, checks that every row is
 finite and folds them: one tail fit per replicate gives its raw exponent s
-(`criterion.tail_exponent`), and the fitted s are sorted once.  Each
-alpha's verdict counts and median slope s + alpha p - 1 are then read off
-that sorted array by bisection, O(log replicates) an alpha, so a long
-alpha grid costs little more than a short one, and `workers` changes the
-wall time, not the report.
+(`criterion.tail_exponent`), and `criterion.fold_exponents`, the rule that
+also gives one path's verdict, reads each alpha's verdict counts and
+median slope s + alpha p - 1 off the sorted s by bisection, O(log
+replicates) an alpha, so a long alpha grid costs little more than a short
+one, and `workers` changes the wall time, not the report.
 The median slope is affine in alpha, so the critical alpha is its zero
 (1 - median s)/p, reported when it lies in (first alpha, last alpha].
 """
@@ -40,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .criterion import MIN_LEVELS, SLOPE_THRESHOLD, tail_exponent
+from .criterion import MIN_LEVELS, fold_exponents, tail_exponent
 from .errors import ConfigurationError, ParameterError, config_number
 from .generators import GeneratorSpec
 
@@ -189,59 +189,15 @@ def run_alpha_sweep(config: ExperimentConfig) -> ExperimentReport:
     """Per-alpha verdict fractions and median slopes over all replicates."""
     t0 = time.perf_counter()
     s, one_level = tail_exponent(_raw_level_sums(config))
-    rows, critical = _fold(s, one_level, config.alpha_grid, config.p)
-    return ExperimentReport(config, rows, critical, time.perf_counter() - t0)
-
-
-def _fold(s: np.ndarray, one_level: np.ndarray, alpha_grid: tuple[float, ...], p: float):
-    """(rows, critical alpha) from the replicates' `tail_exponent` (s, one_level).
-
-    Replicate i's slope at alpha is fl(s_i + (alpha p - 1)), or 0.0 for a
-    one-level tail, so every row is a read of the fitted s sorted once (NaN
-    last).  The rounded sum is non-decreasing in s_i, so the replicates
-    below -SLOPE_THRESHOLD, below 0 and at or below SLOPE_THRESHOLD are
-    prefixes of the sorted s, each found by bisection on that rounded
-    predicate; a NaN slope is inconclusive.  The median is the middle order
-    statistic, or the mean of the two middle ones, as `np.median` takes
-    it, with the one-level rows' 0.0 merged in after the negative slopes;
-    a NaN anywhere makes it NaN.  Each alpha costs O(log R) after the sort.
-    """
-    R, zeros = len(s), int(np.count_nonzero(one_level))
-    n = R - zeros
-    # sorted, then NaN up to the next power of two: a NaN slope is below no
-    # bound, so no bisection step reads past the end
-    fitted = np.full(1 << n.bit_length(), math.nan)
-    fitted[:n] = np.sort(s[~one_level])
-    m = n - int(np.count_nonzero(np.isnan(fitted[:n])))  # the slopes that are not NaN
-    shift = np.asarray(alpha_grid) * p - 1.0
-    # per alpha, the number of leading slopes below -T, below 0 and at or below T,
-    # as one flat array: small ufunc calls cost less without broadcasting
-    bounds = np.repeat([-SLOPE_THRESHOLD, 0.0, np.nextafter(SLOPE_THRESHOLD, math.inf)],
-                       len(shift))
-    shifts = np.tile(shift, 3)
-    below = np.zeros(len(bounds), dtype=np.intp)
-    for step in [1 << j for j in reversed(range(n.bit_length()))]:
-        below += step * (fitted.take(below + (step - 1)) + shifts < bounds)
-    converges, negative, not_above = below.reshape(3, -1)
-    diverges = m - not_above
-
-    def order_stat(k):  # the k-th smallest slope of each alpha, the zeros merged in
-        i = np.where(k < negative, k, np.maximum(k - zeros, 0))
-        return np.where((negative <= k) & (k < negative + zeros), 0.0, fitted.take(i) + shift)
-
-    medians = np.full(len(shift), math.nan) if m < n else _middle(order_stat, R)
+    alphas, R = config.alpha_grid, config.replicates
+    medians, converges, diverges, median_s = fold_exponents(s, one_level, alphas, config.p)
     rows = tuple(
         AlphaRow(alpha=alpha, median_slope=median, frac_converges=c / R,
                  frac_diverges=d / R, frac_inconclusive=(R - c - d) / R)
-        for alpha, median, c, d in zip(alpha_grid, medians.tolist(), converges.tolist(),
+        for alpha, median, c, d in zip(alphas, medians.tolist(), converges.tolist(),
                                        diverges.tolist())
     )
     # the median slope crosses 0 where alpha = (1 - median s)/p; single-level rows have no s
-    critical = (1.0 - float(_middle(fitted.take, n))) / p if m == n > 0 else math.nan
-    return rows, critical if alpha_grid[0] < critical <= alpha_grid[-1] else None
-
-
-def _middle(at, n: int):
-    """The median of n sorted values, the k-th of which is at(k), as `np.median`
-    takes it: the middle one, or the mean of the two middle ones."""
-    return at(n // 2) if n % 2 else (at(n // 2 - 1) + at(n // 2)) / 2.0
+    critical = (1.0 - median_s) / config.p
+    critical = critical if alphas[0] < critical <= alphas[-1] else None
+    return ExperimentReport(config, rows, critical, time.perf_counter() - t0)

@@ -213,7 +213,8 @@ def boundedness_probe(
     common random numbers.  All randomness derives from `generator.seed`:
     replicate r draws its sample from [seed, r, 1], and its cells and then
     each size's coefficients, in the order of `family_sizes`, from
-    [seed, r].  A repeated size is refused.
+    [seed, r].  A repeated size is refused, and a sum that is not finite
+    raises FloatingPointError.
     """
     if not (0.0 < quantile < 1.0):
         raise ParameterError(f"quantile must be in (0, 1), got {quantile}")
@@ -235,14 +236,17 @@ def boundedness_probe(
     need = max(n * group for n, group in zip(family_sizes, groups))
     draw = generator.block_sampler()
     sums = np.empty((len(family_sizes), replicates))
-    for r in range(replicates):
-        rng = np.random.default_rng([generator.seed, r])
-        inc = draw([[generator.seed, r, 1]])[0]
-        picked = inc[rng.choice(n_cells, size=need, replace=False)]
-        for i, (n, group) in enumerate(zip(family_sizes, groups)):
-            coeffs = rng.uniform(-1.0, 1.0, size=n)
-            measures = picked[: n * group].reshape(n, group).sum(axis=1)
-            sums[i, r] = abs(float(np.dot(coeffs, measures)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in range(replicates):
+            rng = np.random.default_rng([generator.seed, r])
+            inc = draw([[generator.seed, r, 1]])[0]
+            picked = inc[rng.choice(n_cells, size=need, replace=False)]
+            for i, (n, group) in enumerate(zip(family_sizes, groups)):
+                coeffs = rng.uniform(-1.0, 1.0, size=n)
+                measures = picked[: n * group].reshape(n, group).sum(axis=1)
+                sums[i, r] = abs(float(np.dot(coeffs, measures)))
+    if not np.all(np.isfinite(sums)):
+        raise FloatingPointError("a probe sum is not finite")
     return [
         ProbeRow(int(n), float(np.quantile(row, quantile))) for n, row in zip(family_sizes, sums)
     ]

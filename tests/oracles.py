@@ -16,14 +16,15 @@ earlier algorithms, kept as references for the ones that replaced them: the
 Paley-Zygmund count over the full outer sum of the two halves' signed sums,
 and the boundedness probe with one cell draw per family size.  Likewise
 `fold_per_alpha` is the sweep fold that the sorted-exponent fold replaced:
-every alpha's slopes, verdict codes and `np.median` over all replicates.
+every alpha's slopes (`slope_at`), verdict codes (`verdict_code`) and
+`np.median` over all replicates.
 """
 
 import math
 
 import numpy as np
 
-from besovlab.criterion import dyadic_pyramid, level_sums, slope_at, verdict_code
+from besovlab.criterion import SLOPE_THRESHOLD, dyadic_pyramid, level_sums
 from besovlab.harness import AlphaRow
 from besovlab.lemma import PZ_BLOCK_SUMS, _signed_sums
 
@@ -101,6 +102,19 @@ def probe_sums_per_size(generator, family_sizes, replicates):
             coeffs = rng.uniform(-1.0, 1.0, size=n)
             sums[n][r] = abs(float(np.dot(coeffs, inc[cells].reshape(n, group).sum(axis=1))))
     return sums
+
+
+def slope_at(s, one_level, alpha, p):
+    """Tail slope of the T_n at alpha from `tail_exponent`: the prefactor adds
+    alpha p - 1 to every log2 R_n, hence to s; a one-level tail stays 0.0."""
+    return np.where(one_level, 0.0, s + (alpha * p - 1.0))
+
+
+def verdict_code(slopes):
+    """0 (converges) below -SLOPE_THRESHOLD, 2 (diverges) above SLOPE_THRESHOLD,
+    1 (inconclusive) otherwise and for NaN, elementwise."""
+    slopes = np.asarray(slopes)
+    return 1 - (slopes < -SLOPE_THRESHOLD) + (slopes > SLOPE_THRESHOLD)
 
 
 def fold_per_alpha(s, one_level, alpha_grid, p):

@@ -568,6 +568,15 @@ class TestLemmaCmd:
         assert code == EXIT_NUMERIC
         assert out == "" and "not finite" in err
 
+    def test_probe_non_finite(self, capsys):
+        # a weight of 1.7e308 overflows the sums of the families' cells: no table, exit 4
+        code, out, err = run(
+            capsys, "lemma", "--probe", "--process", "martingale",
+            "--weight", "constant:1.7e308", "--J", "6", "--sizes", "2,4", "--replicates", "20",
+        )
+        assert code == EXIT_NUMERIC
+        assert out == "" and err == "numeric failure: a probe sum is not finite\n"
+
     @pytest.mark.parametrize(
         "argv, message",
         [

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from besovlab import (
     Grid,
@@ -14,7 +14,7 @@ from besovlab import (
 )
 from besovlab.criterion import level_sums, series_from_raw, tail_exponent
 from besovlab.errors import ParameterError, ResolutionError
-from oracles import increments_of, level_sums_by_pow, raw_level_sum
+from oracles import increments_of, level_sums_by_pow, raw_level_sum, slope_at, verdict_code
 
 
 def ramp(J):
@@ -170,6 +170,30 @@ class TestSeriesFromRaw:
         assert slope == pytest.approx(tail_exponent([raw])[0][0] + alpha * p - 1.0, abs=1e-12)
         terms = 2.0 ** (np.arange(1, 13) * (alpha * p - 1.0)) * raw
         assert slope == pytest.approx(tail_exponent([terms])[0][0], abs=1e-12)
+
+    @given(
+        st.lists(
+            st.one_of(st.floats(1e-10, 1e10), st.sampled_from([0.0, 1e-300, math.inf, math.nan])),
+            min_size=6, max_size=14,
+        ),
+        st.floats(0.01, 0.99),
+        st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+    )
+    @example([math.inf] * 8, 0.5, 2.0)  # level sums that overflow: s is NaN, inconclusive
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_per_alpha_rule(self, raw, alpha, p):
+        # the sweep's fold read for one row and one alpha, against s + alpha p - 1
+        # and its thresholds
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = series_from_raw(raw, alpha, p)
+        want = float(slope_at(*tail_exponent([raw]), alpha, p)[0])
+
+        def bits(x):  # every NaN alike
+            return b"nan" if math.isnan(x) else np.float64(x).tobytes()
+
+        assert bits(report.fitted_log2_slope) == bits(want)
+        verdicts = (Verdict.CONVERGES, Verdict.INCONCLUSIVE, Verdict.DIVERGES)
+        assert report.verdict == verdicts[verdict_code(want)]
 
 
 def scalar_tail_slope(terms) -> float:

@@ -6,6 +6,7 @@ import os
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,15 +26,13 @@ from besovlab.criterion import (
     Verdict,
     level_sums,
     series_from_raw,
-    slope_at,
     tail_exponent,
-    verdict_code,
 )
 from besovlab.errors import ConfigurationError, ParameterError
 from besovlab import generators, harness
-from besovlab.harness import _fold, _raw_level_sums
+from besovlab.harness import _raw_level_sums
 from besovlab.paths import StochasticMeasureSample, path_of
-from oracles import bm_p2_law_rows, fold_per_alpha, raw_level_sum
+from oracles import bm_p2_law_rows, fold_per_alpha, raw_level_sum, slope_at, verdict_code
 
 
 def bm_config(**kw):
@@ -493,8 +492,18 @@ def assert_matches_refit(rows, critical, want_rows, want_critical):
         assert critical == pytest.approx(want_critical, rel=0.0, abs=1e-12)
 
 
+def fold(s, one_level, alpha_grid, p):
+    """(rows, critical alpha) of `run_alpha_sweep` over replicates whose
+    `tail_exponent` is (s, one_level)."""
+    cfg = bm_config(alpha_grid=alpha_grid, p=p, replicates=len(s))
+    with mock.patch.object(harness, "_raw_level_sums", lambda config: None), \
+            mock.patch.object(harness, "tail_exponent", lambda raw: (s, one_level)):
+        report = run_alpha_sweep(cfg)
+    return report.rows, report.critical_alpha
+
+
 def fold_raw(raw, alpha_grid, p):
-    return _fold(*tail_exponent(raw), alpha_grid, p)
+    return fold(*tail_exponent(raw), alpha_grid, p)
 
 
 def zigzag_raw(J=8):
@@ -632,7 +641,7 @@ class TestSortedFold:
     @example((np.array([0.05, -0.05, 0.0, 0.0]), np.array([False] * 4), (0.5,), 2.0))
     @settings(max_examples=500, deadline=None)
     def test_matches_the_per_alpha_fold(self, law):
-        assert_same_fold(_fold(*law), fold_per_alpha(*law))
+        assert_same_fold(fold(*law), fold_per_alpha(*law))
 
     @pytest.mark.parametrize("kind", sorted(SPLIT_SPECS))
     def test_long_grid_on_sweep_rows(self, kind):
@@ -640,4 +649,4 @@ class TestSortedFold:
         raw = _raw_level_sums(bm_config(generator=SPLIT_SPECS[kind], replicates=101))
         raw = np.vstack([raw, zigzag_raw(8), np.zeros(8)])  # a one-level and an all-zero row
         law = (*tail_exponent(raw), tuple(k / 1000 for k in range(1, 1000)), 2.0)
-        assert_same_fold(_fold(*law), fold_per_alpha(*law))
+        assert_same_fold(fold(*law), fold_per_alpha(*law))

@@ -17,7 +17,7 @@ from besovlab import (
     paley_zygmund_check,
     path_of,
 )
-from besovlab import generators
+from besovlab import WeightFn, generators
 from besovlab.errors import ParameterError, ResolutionError, SizeError
 from besovlab.lemma import PZ_BLOCK_SUMS, PZ_THRESHOLD_FACTOR, _count_pz_hits
 from besovlab.paths import StochasticMeasureSample
@@ -320,6 +320,14 @@ class TestBoundednessProbe:
                 below = np.searchsorted(ref, row.quantile, side="left") / reps
                 upto = np.searchsorted(ref, row.quantile, side="right") / reps
                 assert below - eps <= q <= upto + eps, (row, q, below, upto)
+
+    def test_non_finite_raises(self):
+        # weight 1.7e308: a sum of two of its cells overflows, and the suite turns
+        # RuntimeWarnings into errors, so the overflow warns nowhere either
+        spec = GeneratorSpec("martingale", Grid(0.0, 1.0, 6), seed=0,
+                             weight=WeightFn("constant", (1.7e308,)))
+        with pytest.raises(FloatingPointError, match="probe sum is not finite"):
+            boundedness_probe(spec, [2, 4], replicates=20, quantile=0.5)
 
     def test_empty_family_sizes(self):
         spec = GeneratorSpec("bm", Grid(0.0, 1.0, 8), seed=0)

@@ -1,9 +1,10 @@
 import importlib.util
 import json
-import sys
 from pathlib import Path
 
 import pytest
+
+from besovlab.cli import main
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -16,14 +17,12 @@ def load_script(name):
     return module
 
 
-def test_bm_phase_transition_writes_report(tmp_path, monkeypatch, capsys):
-    script = load_script("run_bm_phase_transition")
-    monkeypatch.setattr(sys, "argv", ["run_bm_phase_transition.py", str(tmp_path)])
-    script.main()
+def test_bm_phase_transition_writes_report(tmp_path):
+    config = SCRIPTS / "bm_phase_transition.json"
+    assert main(["sweep", "--config", str(config), "--out-dir", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert 0.45 <= report["critical_alpha"] <= 0.55  # acceptance 03's window
     assert (tmp_path / "report.csv").read_text().startswith("alpha,median_slope,")
-    assert "estimated critical alpha" in capsys.readouterr().out
 
 
 def test_bm_exponent_spread_prints_measured_and_predicted(capsys):
