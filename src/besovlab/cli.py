@@ -1,8 +1,8 @@
 """Command-line interface: generate, dyadic, besov, sweep, lemma.
 
 Data goes to files or stdout; diagnostics go to stderr.  Exit codes:
-0 success, 2 usage/parameter error, 3 data or resolution error,
-4 internal numeric failure.
+0 success, 2 usage/parameter error (an allocation too large to fit
+included), 3 data or resolution error, 4 internal numeric failure.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import json
 import math
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -390,6 +391,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     for name in names:
         help_text, add_flags = subcommands[name]
         add_flags(sub.add_parser(name, help=help_text))
+    for p in (parser, *sub.choices.values()):  # "-1,1" is a value, as in Python 3.13's argparse
+        p._negative_number_matcher = re.compile(r"-\.?\d")
     return parser
 
 
@@ -404,13 +407,13 @@ def main(argv=None) -> int:
         # every non-finite result is refused below, so NumPy's warnings would only repeat it
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.func(args)
-    except (ParameterError, ConfigurationError, SizeError) as exc:
+    except (ParameterError, ConfigurationError, SizeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DataError, ResolutionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (FloatingPointError, np.linalg.LinAlgError, OverflowError) as exc:
+    except (FloatingPointError, OverflowError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -68,8 +68,8 @@ def _check_p(p: float):
         raise ParameterError(f"p must be finite and >= 1, got {p}")
 
 
-def dyadic_pyramid(cells: np.ndarray, coarsest: int = 1) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (n, level-n cell measures) for n = J, J - 1, ..., coarsest.
+def dyadic_pyramid(cells: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (n, level-n cell measures) for n = J, J - 1, ..., 1.
 
     `cells` holds the 2^J finest increments along its last axis (one path,
     or a stack of paths).  A pairwise pyramid: level n - 1 is the sum of
@@ -79,7 +79,7 @@ def dyadic_pyramid(cells: np.ndarray, coarsest: int = 1) -> Iterator[tuple[int, 
     """
     n = cells.shape[-1].bit_length() - 1
     while True:
-        coarser = cells[..., 0::2] + cells[..., 1::2] if n > coarsest else None
+        coarser = cells[..., 0::2] + cells[..., 1::2] if n > 1 else None
         yield n, cells
         if coarser is None:
             return

@@ -8,10 +8,11 @@ Each generator kind is one row of the table `_KINDS`: the Hurst range it
 takes (or none), whether it takes a weight, and its sampler factory.
 `GeneratorSpec` checks its fields against the row, and `block_sampler()` is
 the one generation path: it computes what a spec's draws share (sqrt(dx),
-the weight at the cell midpoints, the fGn circulant embedding) once and
-returns `draw(seeds)`, one row of increments per seed, each seed's normals
-written into its own row (fGn: one irfft per block), so row i is bit for
-bit the block of seeds[i] alone.  `sample()` is the block of one.
+the weight, if any, at the cell midpoints, the fGn circulant embedding)
+once and returns `draw(seeds)`, one row of increments per seed, each
+seed's normals written into its own row (fGn: one irfft per block), so row
+i is bit for bit the block of seeds[i] alone.  `sample()` is the block of
+one.
 
 A draw at `level` makes the 2^level increments of the dyadic cells at a
 coarser level, with the law of the finest draw summed up the pyramid.  A
@@ -19,11 +20,11 @@ row marked `coarse` has a cheap law there, so its draw is made directly:
 BM is i.i.d. N(0, 2^-level (b - a)); fGn is Davies-Harte at N = 2^level
 with scale (2^-level (b - a))^H, exact in law by self-similarity; the
 martingale is N(0, dx sum_k g(mid_k)^2) over each block of finest cells;
-the ramp is the constant 2^-level (b - a).  Weighted fBm has no such law:
-it draws all 2^J cells and sums them down with `dyadic_pyramid`, so its
-coarse draw is bit-identical to the finest draw summed.  A coarse draw
-uses fewer normals of the seed's stream, so it is equal to the summed
-finest draw in law, not bit for bit; at level J both are the same draw.
+the ramp is the constant 2^-level (b - a).  Weighted fBm has no such law,
+so it draws only at level J, and a coarser level raises ResolutionError.
+A coarse draw uses fewer normals of the seed's stream, so it is equal to
+the summed finest draw in law, not bit for bit; at level J both are the
+same draw.
 
 A sweep's replicate rows are made here too: `level_sum_rows(n_levels, p)`
 returns `rows(out, start)`, which writes the raw level sums R_1..R_{n_levels}
@@ -31,10 +32,10 @@ of replicates start, start + 1, ... of the spec's seed into the rows of the
 caller's array `out`, so this module owns the map
 from replicate to stream: per replicate for cells, per stack for the law.
 Replicate i of a kind that draws cells is the block draw of seed
-[seed, i] at level n_levels, summed by `level_sums` in stacks of about
-_STACK_FLOATS floats.  At p = 2 a kind's row may carry a level-sum law
-instead.  Only BM has one: by the Haar (Levy-Ciesielski) decomposition
-R_n = (b - a) 2^-n S_n, where S_0 ~ chi2_1 and S_n = S_{n-1} +
+[seed, i] at level n_levels (weighted fBm: at J), summed by `level_sums`
+in stacks of about _STACK_FLOATS floats.  At p = 2 a kind's row may carry
+a level-sum law instead.  Only BM has one: by the Haar (Levy-Ciesielski)
+decomposition R_n = (b - a) 2^-n S_n, where S_0 ~ chi2_1 and S_n = S_{n-1} +
 chi2_{2^(n-1)}, all independent, so n_levels + 1 chi-square draws replace
 2^n_levels normals.  It is exact in law for all the sums jointly.  The
 law's draws are keyed by stacks of _LAW_STACK replicates, not by
@@ -61,7 +62,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .criterion import dyadic_pyramid, level_sums
+from .criterion import level_sums
 from .errors import ConfigurationError, ParameterError, ResolutionError, config_number
 from .paths import Grid, StochasticMeasureSample
 
@@ -107,10 +108,6 @@ class WeightFn:
 
     def __call__(self, x):
         return _WEIGHTS[self.kind].fn(self.params, np.asarray(x, dtype=float))
-
-    @classmethod
-    def one(cls) -> "WeightFn":
-        return cls("constant", (1.0,))
 
     def descriptor(self) -> str:
         return self.kind + ":" + ",".join(repr(p) for p in self.params)
@@ -188,15 +185,6 @@ def _block_rms(g: np.ndarray, width: int) -> np.ndarray:
     top = blocks.max(axis=1, keepdims=True)
     unit = np.divide(blocks, top, out=np.zeros_like(blocks), where=top > 0.0)
     return top[:, 0] * np.sqrt(np.mean(unit * unit, axis=1))
-
-
-def _summed_to(level: int, draw: BlockSampler) -> BlockSampler:
-    def coarse(seeds):
-        for _, cells in dyadic_pyramid(draw(seeds), coarsest=level):
-            pass
-        return cells
-
-    return coarse
 
 
 # Lags from _SERIES_FROM_LAG on are summed from the even binomial series of the
@@ -305,7 +293,7 @@ class _Kind(NamedTuple):
     weighted: bool  # takes a weight: increment k is weight(midpoint_k) times the base draw
     factory: Callable[[Grid, Optional[float]], BlockSampler]  # (grid, H) -> base draw
     # a coarse draw is the factory on the coarse level's grid (times the block RMS of
-    # the weight); otherwise the finest draw is summed down to that level
+    # the weight); otherwise the kind draws only at level J
     coarse: bool
     floats: int  # floats a draw holds per cell
     # (grid, n_levels, seed) -> rows(out, start) of the raw level sums at p = 2 from
@@ -375,15 +363,17 @@ class GeneratorSpec:
         `bm` at p = 2 draws them from their exact joint law in stacks of
         _LAW_STACK replicates, equal in law to the level sums of a
         `block_sampler(n_levels)` draw, not bit for bit.  Every other kind and
-        p sums that draw of seed [seed, i] with `level_sums`, in stacks of
-        about _STACK_FLOATS floats.
+        p sums the draw of seed [seed, i] at level n_levels (at J for a kind
+        without a coarse law) with `level_sums`, in stacks of about
+        _STACK_FLOATS floats.
         """
         row = _KINDS[self.kind]
+        n_levels = self._level(n_levels)
         if row.p2_law is not None and p == 2.0:
-            return row.p2_law(self.grid, self._level(n_levels), self.seed)
-        cells = self.block_sampler(n_levels)
-        floats = row.floats << (n_levels if row.coarse else self.grid.J)  # a replicate's draw
-        stack = max(1, _STACK_FLOATS // floats)
+            return row.p2_law(self.grid, n_levels, self.seed)
+        level = n_levels if row.coarse else self.grid.J
+        cells = self.block_sampler(level)
+        stack = max(1, _STACK_FLOATS // (row.floats << level))  # floats: a replicate's draw
 
         def rows(out: np.ndarray, start: int):
             stop = start + len(out)
@@ -399,18 +389,21 @@ class GeneratorSpec:
 
         `level` None is J: the finest increments.  A coarser level has the
         law of the finest draw summed up the pyramid (see the module
-        docstring).  What the draws share is computed here once.
+        docstring); a kind without a coarse law refuses one.  What the
+        draws share is computed here once.
         """
         level, fine = self._level(level), self.grid
         row = _KINDS[self.kind]
-        grid = Grid(fine.a, fine.b, level) if row.coarse else fine
+        if level < fine.J and not row.coarse:
+            raise ResolutionError(f"{self.kind} has no coarse law: level {level} < J={fine.J}")
+        grid = Grid(fine.a, fine.b, level)
         draw = row.factory(grid, self.H)
-        if row.weighted:
-            weights = (self.weight or WeightFn.one())(fine.midpoints())
-            if grid.J < fine.J:
+        if self.weight is not None:
+            weights = self.weight(fine.midpoints())
+            if level < fine.J:
                 weights = _block_rms(weights, 1 << (fine.J - level))
             draw = _scaled(weights, draw)
-        return draw if grid.J == level else _summed_to(level, draw)
+        return draw
 
     def sample(self, seed=None) -> StochasticMeasureSample:
         """Draw one realization; seed overrides the spec's own seed."""

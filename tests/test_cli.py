@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import re
+import shlex
 import tracemalloc
 from pathlib import Path
 
@@ -96,6 +97,16 @@ class TestGenerate:
             for t, v in zip(grid.points().tolist(), path.values.tolist()):
                 fh.write(f"{t!r},{v!r}\n")
         assert out.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("a", ["-1e-3", "-.5", "-2"])
+    def test_negative_value_is_a_value(self, tmp_path, capsys, a):
+        # "-1e-3" and "-.5" read as values, not as options, on every Python
+        out = tmp_path / "x.csv"
+        code, _, err = run(capsys, "generate", "--process", "bm", "--a", a, "--J", "4",
+                           "--out", str(out))
+        assert code == EXIT_OK, err
+        meta = json.loads((tmp_path / "x.csv.meta.json").read_text())
+        assert meta["a"] == float(a)
 
     def test_wfbm_low_hurst_rejected(self, tmp_path, capsys):
         code, _, err = run(
@@ -415,6 +426,26 @@ class TestSweepCmd:
         csv_lines = (out_dir / "report.csv").read_text().splitlines()
         assert csv_lines[0] == "alpha,median_slope,frac_conv,frac_div,frac_inc"
 
+    def test_too_many_replicates_is_a_usage_error(self, tmp_path, capsys):
+        # (10^13, 6) raw level sums are 4.8e14 bytes, above 2^48: beyond x86-64's
+        # 128 TiB user address space, so the allocation fails at once
+        config = {
+            "schema_version": 1,
+            "generator": {"kind": "bm", "a": 0.0, "b": 1.0, "J": 8, "seed": 3},
+            "p": 2.0,
+            "alpha_grid": [0.4],
+            "n_levels": 6,
+            "replicates": 10**13,
+            "workers": 1,
+        }
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run(capsys, "sweep", "--config", str(cfg), "--out-dir",
+                             str(tmp_path / "out"))
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_bad_config(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text("{}")
@@ -503,6 +534,21 @@ class TestLemmaCmd:
         code, out, _ = run(capsys, "lemma", "--pz-exact", "1,1")
         assert code == EXIT_OK
         assert "probability 0.5" in out and "PASS" in out
+
+    def test_pz_exact_negative_coefficient(self, capsys):
+        # a list that starts with a minus sign is the flag's value
+        code, out, _ = run(capsys, "lemma", "--pz-exact", "-1,1")
+        assert code == EXIT_OK
+        assert "probability 0.5" in out and "PASS" in out
+        code, _, err = run(capsys, "lemma", "--pz-exact", "-x")  # not a number: an option
+        assert code == EXIT_USAGE and "expected one argument" in err
+
+    def test_probe_too_many_replicates_is_a_usage_error(self, capsys):
+        # one size's 10^14 sums are 8e14 bytes, above 2^48: the allocation fails at once
+        code, out, err = run(capsys, "lemma", "--probe", "--J", "4", "--sizes", "2",
+                             "--replicates", str(10**14))
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_statistic_nondecreasing(self, capsys):
         code, out, _ = run(
@@ -632,6 +678,7 @@ class TestParser:
         ["dyadic", "--input", "x.csv", "--alpha", "0.5", "--format", "xml"],
         ["generate", "--process", "bm", "--out", "x.csv", "--bogus"],  # the top level's error
         ["lemma", "--seed", "one"],
+        ["lemma", "--pz-exact", "-1,1"],  # a number: the flag's value
         ["-h", "sweep"],
     ]
 
@@ -644,6 +691,29 @@ class TestParser:
         monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
         assert got == run(capsys, *argv)
         assert got[0] in (EXIT_OK, EXIT_USAGE) and (got[1] or got[2])
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_block(after: str, fence: str) -> str:
+    """The first code block opened by `fence` after the line `after` in README.md."""
+    text = README.read_text()
+    start = text.index(fence + "\n", text.index(after + "\n")) + len(fence) + 1
+    return text[start : text.index("```", start)]
+
+
+def test_readme_commands_run(tmp_path, capsys, monkeypatch):
+    # every line of the README's CLI block, in order, with its sweep config
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(readme_block("A sweep config is JSON:", "```json"))
+    lines = readme_block("## CLI", "```").splitlines()
+    assert lines
+    for line in lines:
+        prog, *argv = shlex.split(line)
+        assert prog == "besovlab"
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_OK, (line, err)
 
 
 def reference_read(source: Path) -> tuple[np.ndarray, np.ndarray]:

@@ -100,9 +100,13 @@ class TestBrownian:
 
 class TestMartingale:
     def test_unit_weight_matches_bm(self):
+        # no weight and the weight 1 are both the Brownian draw, bit for bit, at any level
         g = Grid(0.0, 1.0, 10)
-        m = GeneratorSpec("martingale", g, weight=WeightFn.one()).sample(77)
-        assert np.array_equal(m.increments, GeneratorSpec("bm", g).sample(77).increments)
+        for level in (10, 6):
+            bm = GeneratorSpec("bm", g).block_sampler(level)([77])[0]
+            for weight in (None, WeightFn("constant", (1.0,))):
+                m = GeneratorSpec("martingale", g, weight=weight).block_sampler(level)([77])[0]
+                assert int_rows(m) == int_rows(bm)
 
     def test_zero_weight(self):
         g = Grid(0.0, 1.0, 8)
@@ -220,7 +224,7 @@ class TestWeightedFbmMeasure:
         g = Grid(0.0, 1.0, 8)
         for H in (0.4, 0.5):
             with pytest.raises(ParameterError):
-                GeneratorSpec("wfbm", g, H=H, weight=WeightFn.one())
+                GeneratorSpec("wfbm", g, H=H, weight=WeightFn("constant", (1.0,)))
 
     def test_refused_above_one_when_built(self):
         # the range is checked with the spec, not first when block_sampler() is called
@@ -231,7 +235,7 @@ class TestWeightedFbmMeasure:
         # f == 1: path is fBm, Var mu(b) ~ (b-a)^{2H}
         g = Grid(0.0, 1.0, 10)
         H = 0.75
-        spec = GeneratorSpec("wfbm", g, H=H, weight=WeightFn.one())
+        spec = GeneratorSpec("wfbm", g, H=H, weight=WeightFn("constant", (1.0,)))
         ends = [path_of(spec.sample([6, r])).values[-1] for r in range(500)]
         assert np.var(ends) == pytest.approx(1.0, rel=0.10)
 
@@ -378,7 +382,8 @@ class TestBlockDraw:
     @settings(max_examples=40, deadline=None)
     def test_block_rows_are_the_single_draws(self, kind, data, roots):
         J = data.draw(st.integers(6, 11), label="J")
-        level = data.draw(st.integers(6, J), label="level")
+        # weighted fBm has no coarse law: it draws at level J only
+        level = J if kind == "wfbm" else data.draw(st.integers(6, J), label="level")
         spec = spec_of(kind, J, 0.75 if kind == "wfbm" else 0.3)
         seeds = [[root, i] for i, root in enumerate(roots)]
         block = spec.block_sampler(level)(seeds)
@@ -464,11 +469,19 @@ class TestCoarseSampler:
         np.testing.assert_allclose((coarse / unit) ** 2 * coarse_dx,
                                    spec.grid.dx * np.sum(g * g, axis=1), rtol=1e-14)
 
-    @pytest.mark.parametrize("kind", ["wfbm", "linear"])
+    @pytest.mark.parametrize("kind", ["linear"])
     def test_coarse_draw_is_the_fine_draw_summed(self, kind):
-        # weighted fBm is summed down from 2^J cells; the ramp's sums are exact
-        _, coarse, summed = self.coarse_and_summed(kind, 0.75)
+        # the ramp's sums are exact
+        _, coarse, summed = self.coarse_and_summed(kind)
         assert coarse.view(np.int64).tolist() == summed.view(np.int64).tolist()
+
+    def test_wfbm_refuses_a_coarse_level(self):
+        # weighted fBm has no coarse law; a sweep sums its 2^J-cell draw instead
+        spec = spec_of("wfbm", self.J, 0.75)
+        for level in (1, self.LEVEL, self.J - 1):
+            with pytest.raises(ResolutionError, match=f"no coarse law: level {level} < J=9"):
+                spec.block_sampler(level)
+        assert spec.block_sampler(self.J)([self.SEED]).shape == (1, 2**self.J)
 
     @pytest.mark.parametrize("kind", GeneratorSpec.KINDS)
     @pytest.mark.parametrize("level", [0, -1, 10])

@@ -71,9 +71,9 @@ class TestIncrementsOf:
     def test_constant_path_zero(self):
         g = Grid(0.0, 1.0, 4)
         path = SampledPath(g, np.full(17, 3.5))
-        levels = dict(dyadic_pyramid(np.diff(path.values), 0))
-        assert sorted(levels) == list(range(5))
-        for n in range(5):
+        levels = dict(dyadic_pyramid(np.diff(path.values)))
+        assert sorted(levels) == list(range(1, 5))
+        for n in range(1, 5):
             assert levels[n].shape == (2**n,) and np.all(levels[n] == 0.0)
 
     def test_linear_path(self):
@@ -88,8 +88,8 @@ class TestIncrementsOf:
         rng = np.random.default_rng(seed)
         g = Grid(0.0, 1.0, 6)
         path = SampledPath(g, rng.standard_normal(65))
-        levels = dict(dyadic_pyramid(np.diff(path.values), 0))
-        for n in range(6):
+        levels = dict(dyadic_pyramid(np.diff(path.values)))
+        for n in range(1, 6):
             coarse, fine = levels[n], levels[n + 1]
             np.testing.assert_allclose(
                 coarse, fine[0::2] + fine[1::2], rtol=1e-12, atol=1e-15
