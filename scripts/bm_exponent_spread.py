@@ -9,9 +9,10 @@ delta-method prediction of `criterion.predicted_exponent_law`.
 Usage: python3 scripts/bm_exponent_spread.py
 """
 
-from besovlab import ExperimentConfig, GeneratorSpec, Grid
+import numpy as np
+
+from besovlab import GeneratorSpec, Grid
 from besovlab.criterion import predicted_exponent_law, tail_exponent
-from besovlab.harness import _raw_level_sums
 
 REPLICATES = 4000
 LEVELS = range(8, 21)
@@ -21,8 +22,9 @@ def main():
     print("n_levels  mean s: measured  predicted   sd s: measured  predicted")
     for n_levels in LEVELS:
         spec = GeneratorSpec("bm", Grid(0.0, 1.0, n_levels), seed=2026)
-        config = ExperimentConfig(spec, 2.0, (0.5,), n_levels, REPLICATES)
-        s, _ = tail_exponent(_raw_level_sums(config))
+        raw = np.empty((REPLICATES, n_levels))
+        spec.level_sum_rows(n_levels, 2.0)(raw, 0)
+        s, _ = tail_exponent(raw)
         mean, sd = predicted_exponent_law(spec, n_levels, 2.0)
         print(
             f"{n_levels:8d}  {s.mean():+17.6f}  {mean:+9.6f}  "

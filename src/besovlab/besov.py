@@ -36,9 +36,9 @@ from typing import Optional
 
 import numpy as np
 
-from .criterion import _check_p, _power_sums
+from .criterion import _power_sums
 from .errors import ResolutionError, SizeError
-from .paths import BesovParams, SampledPath
+from .paths import BesovParams, SampledPath, _check_p
 
 POINTS_PER_OCTAVE = 64
 # p = 2 shifts summed directly at each end of the shift range, not by FFT;
@@ -267,7 +267,7 @@ def _extrapolate_tail(d, truncated_q, alpha, q, dx):
     seminorm or None, divergence flag); the tail converges only when
     beta > alpha.
     """
-    if len(d) < 2 or d[0] <= 0.0 or d[1] <= 0.0:
+    if d[0] <= 0.0 or d[1] <= 0.0:
         return None, False  # flat (constant path): zero tail
     beta = math.log2(d[1] / d[0])
     if beta <= alpha:

@@ -68,7 +68,7 @@ def read_series_csv(source: Path) -> tuple[np.ndarray, np.ndarray]:
     blank lines, CRLF, spaces around fields, quoted fields and extra columns
     are accepted; a NaN or infinity is a DataError.  The rows are read in one
     pass over the open file, so a pipe works as input; only the message of a
-    malformed row or a non-finite value re-reads it.
+    malformed row or a non-finite value re-reads a regular file.
     """
     try:
         with source.open(newline="") as fh:
@@ -104,9 +104,11 @@ def _bad_row(source: Path, fallback: str) -> DataError:
     `np.loadtxt` replaced, so the line does not rest on the wording of
     loadtxt's messages.  float() also reads underscores and non-ASCII digits,
     which loadtxt refuses, so a field holding either counts as unparsable.
-    `fallback` is the message when the file cannot be re-read (a pipe, or a
-    file that changed) or no row is at fault.
+    `fallback` is the message when the source is not a regular file (re-opening
+    a named pipe waits for a new writer), the file changed, or no row is at fault.
     """
+    if not source.is_file():
+        return DataError(fallback)
     try:
         with source.open(newline="") as fh:
             reader = csv.reader(fh)
@@ -180,27 +182,23 @@ def _require_finite(payload: dict):
             raise FloatingPointError(f"non-finite value in report field {key!r}")
 
 
-def _emit(args, payload: dict, csv_text: str | None = None):
-    """Write the JSON report to --out, with any CSV table beside it, or print one.
-
-    Only `dyadic` has a CSV table, and only it has a --format option.
-    """
+def _emit(payload: dict, out: Path | None, csv_text: str | None = None):
+    """Write every command's JSON report: to `out`, with any CSV table at
+    out.with_suffix(".csv"), and print `out`; or, with `out` None, to stdout."""
     _require_finite(payload)
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    if args.out:
-        out = Path(args.out)
-        out.write_text(text)
-        if csv_text is not None:
-            out.with_suffix(".csv").write_text(csv_text)
-        print(str(out))
-    elif csv_text is not None and args.format == "csv":
-        sys.stdout.write(csv_text)
-    else:
+    if out is None:
         sys.stdout.write(text)
+        return
+    out.write_text(text)
+    if csv_text is not None:
+        out.with_suffix(".csv").write_text(csv_text)
+    print(str(out))
 
 
 def _cmd_dyadic(args) -> int:
-    if args.out and Path(args.out).suffix == ".csv":
+    out = Path(args.out) if args.out else None
+    if out and out.suffix == ".csv":
         # the CSV table goes to out.with_suffix(".csv"): here the report itself
         raise ConfigurationError(
             f"--out {args.out} names the CSV table's own file; use another suffix"
@@ -214,7 +212,7 @@ def _cmd_dyadic(args) -> int:
     rows = ["n,term,partial_sum"]
     for n, t, s in zip(report.levels, report.terms, report.partial_sums):
         rows.append(f"{n},{t!r},{s!r}")
-    _emit(args, payload, "\n".join(rows) + "\n")
+    _emit(payload, out, "\n".join(rows) + "\n")
     return EXIT_OK
 
 
@@ -224,7 +222,7 @@ def _cmd_besov(args) -> int:
     report = besov_norm(path, params, extrapolate=args.extrapolate)
     payload = report.to_dict()
     payload["resampled"] = resampled
-    _emit(args, payload)
+    _emit(payload, Path(args.out) if args.out else None)
     return EXIT_OK
 
 
@@ -239,9 +237,7 @@ def _cmd_sweep(args) -> int:
     report = run_alpha_sweep(config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.json").write_text(report.to_json())
-    (out_dir / "report.csv").write_text(report.to_csv())
-    print(str(out_dir / "report.json"))
+    _emit(report.to_dict(), out_dir / "report.json", report.to_csv())
     return EXIT_OK
 
 
@@ -323,7 +319,6 @@ def _dyadic_flags(dy):
     dy.add_argument("--p", type=float, default=2.0)
     dy.add_argument("--N", type=int, default=None)
     dy.add_argument("--out", default=None)
-    dy.add_argument("--format", choices=["json", "csv"], default="json")
     dy.set_defaults(func=_cmd_dyadic)
 
 

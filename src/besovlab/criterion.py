@@ -25,7 +25,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ParameterError, ResolutionError
-from .paths import SampledPath
+from .paths import SampledPath, _check_alpha, _check_p
 
 SLOPE_THRESHOLD = 0.05  # |slope| below this is Inconclusive
 MIN_LEVELS = 6
@@ -61,11 +61,6 @@ class LevelSeriesReport:
             "fitted_log2_slope": slope if math.isfinite(slope) else None,
             "verdict": self.verdict.value,
         }
-
-
-def _check_p(p: float):
-    if not (math.isfinite(p) and p >= 1.0):
-        raise ParameterError(f"p must be finite and >= 1, got {p}")
 
 
 def dyadic_pyramid(cells: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
@@ -271,8 +266,7 @@ def _middle(at, n: int):
 
 def series_from_raw(raw_sums, alpha: float, p: float) -> LevelSeriesReport:
     """Assemble the report from precomputed raw level sums for n = 1..N."""
-    if not (0.0 < alpha < 1.0):
-        raise ParameterError(f"alpha must be in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     _check_p(p)
     N = len(raw_sums)
     if N < MIN_LEVELS:

@@ -140,9 +140,6 @@ class ExperimentReport:
             "meta": {"wall_time": self.wall_time, "version": __version__},
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

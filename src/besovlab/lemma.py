@@ -32,10 +32,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .criterion import _check_p, level_sums
+from .criterion import level_sums
 from .errors import ParameterError, ResolutionError, SizeError
 from .generators import GeneratorSpec
-from .paths import StochasticMeasureSample
+from .paths import StochasticMeasureSample, _check_alpha, _check_p
 
 PZ_THRESHOLD_FACTOR = 0.25
 PZ_PROBABILITY_BOUND = 0.125
@@ -64,8 +64,7 @@ class WeightSequence:
 
         Summable iff alpha p < 1.
         """
-        if not 0.0 < alpha < 1.0:
-            raise ParameterError(f"alpha must be in (0, 1), got {alpha}")
+        _check_alpha(alpha)
         _check_p(p)
         ns = np.arange(1, N + 1)
         vals = 2.0 ** (ns * (alpha * p - 1.0) / 2.0)

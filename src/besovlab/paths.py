@@ -1,4 +1,4 @@
-"""Dyadic grids, sampled paths, and additive measure samples.
+"""Dyadic grids, sampled paths, additive measure samples, and Besov parameters.
 
 Everything here is immutable after construction and safe to share across
 threads.  A measure sample stores increments at the finest level only;
@@ -102,14 +102,21 @@ class BesovParams:
     q: float
 
     def __post_init__(self):
-        if not all(math.isfinite(x) for x in (self.alpha, self.p, self.q)):
-            raise ParameterError(
-                f"alpha, p, q must be finite, got {self.alpha}, {self.p}, {self.q}"
-            )
-        if not (0.0 < self.alpha < 1.0):
-            raise ParameterError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.p < 1.0 or self.q < 1.0:
-            raise ParameterError(f"p, q must be >= 1, got p={self.p}, q={self.q}")
+        _check_alpha(self.alpha)
+        _check_p(self.p)
+        _check_p(self.q, "q")
+
+
+def _check_alpha(alpha: float):
+    """The one rule for a smoothness exponent: alpha in (0, 1), NaN refused."""
+    if not 0.0 < alpha < 1.0:
+        raise ParameterError(f"alpha must be in (0, 1), got {alpha}")
+
+
+def _check_p(p: float, name: str = "p"):
+    """The one rule for an integrability exponent `name` (p or q): finite and >= 1."""
+    if not (math.isfinite(p) and p >= 1.0):
+        raise ParameterError(f"{name} must be finite and >= 1, got {p}")
 
 
 def path_of(sample: StochasticMeasureSample) -> SampledPath:

@@ -243,6 +243,11 @@ class TestBesovNorm:
         assert rep.extrapolated_seminorm is not None
         assert rep.extrapolated_seminorm >= rep.seminorm_truncated
 
+    def test_extrapolation_of_a_constant_path(self):
+        # every shift norm is 0: no tail to fit, and none that diverges
+        rep = besov_norm(const(1, 3.0), BesovParams(0.3, 2.0, 2.0), extrapolate=True)
+        assert (rep.extrapolated_seminorm, rep.tail_diverges) == (None, False)
+
     def test_extrapolation_divergence_flag(self):
         # rough path: fitted small-scale exponent ~1/2 < alpha = 0.8
         path = path_of(GeneratorSpec("bm", Grid(0.0, 1.0, 12)).sample(5))

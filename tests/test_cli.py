@@ -3,6 +3,9 @@ import json
 import os
 import re
 import shlex
+import subprocess
+import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -222,14 +225,6 @@ class TestDyadic:
         assert all(t == 0.0 for t in payload["terms"])
         assert payload["verdict"] == "converges"
 
-    def test_csv_format_output(self, tmp_path, capsys):
-        f = self.write_ramp(tmp_path)
-        code, out, _ = run(
-            capsys, "dyadic", "--input", str(f), "--alpha", "0.3", "--format", "csv",
-        )
-        assert code == EXIT_OK
-        assert out.splitlines()[0] == "n,term,partial_sum"
-
     def test_out_writes_report_and_table(self, tmp_path, capsys):
         f = self.write_ramp(tmp_path)
         code, out, _ = run(
@@ -289,6 +284,22 @@ class TestDyadic:
         assert code == EXIT_DATA
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("time,value\n0,0\n1,1\n", "expected header 't,value'"),
+            ("t,value\n0,0\n", "need at least two samples"),
+            ("t,value\n0,0\n1,1\n1,2\n", "times must be strictly increasing"),
+        ],
+        ids=["header", "one-row", "times-not-increasing"],
+    )
+    def test_refused_file_is_a_data_error(self, tmp_path, capsys, text, message):
+        f = tmp_path / "bad.csv"
+        f.write_text(text)
+        code, out, err = run(capsys, "dyadic", "--input", str(f), "--alpha", "0.4")
+        assert (code, out) == (EXIT_DATA, "")
+        assert err == f"error: {f}: {message}\n"
+
     @pytest.mark.parametrize("command", ["dyadic", "besov"])
     def test_short_row(self, tmp_path, capsys, command):
         f = tmp_path / "short.csv"
@@ -306,15 +317,15 @@ class TestDyadic:
         assert code == EXIT_DATA
         assert out == "" and "line 4" in err and "not finite" in err
 
-    @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_non_finite_result(self, tmp_path, capsys, fmt):
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_non_finite_result(self, tmp_path, capsys, to_file):
         # the suite turns RuntimeWarnings into errors: the overflow warns nowhere
         f = write_overflowing_csv(tmp_path)
-        code, out, err = run(
-            capsys, "dyadic", "--input", str(f), "--alpha", "0.4", "--format", fmt
-        )
+        report = tmp_path / "report.json"
+        out_flags = ["--out", str(report)] if to_file else []
+        code, out, err = run(capsys, "dyadic", "--input", str(f), "--alpha", "0.4", *out_flags)
         assert code == EXIT_NUMERIC
-        assert out == ""
+        assert out == "" and not report.exists() and not report.with_suffix(".csv").exists()
         assert_one_numeric_failure_line(err)
 
 
@@ -384,15 +395,17 @@ class TestBesovCmd:
         assert out == "" and "non-finite" in err
 
     def test_format_option_removed(self, tmp_path, capsys):
-        # `besov` has only a JSON report; --format csv printed JSON anyway
+        # each report is JSON, printed or written by --out; `dyadic --out` writes
+        # its table beside the report
         g = Grid(0.0, 1.0, 8)
         f = tmp_path / "c.csv"
         f.write_text("t,value\n" + "".join(f"{float(t)!r},1.5\n" for t in g.points()))
-        code, out, err = run(
-            capsys, "besov", "--input", str(f), "--alpha", "0.3", "--format", "csv"
-        )
-        assert code == EXIT_USAGE
-        assert out == "" and "--format" in err
+        for command in ("besov", "dyadic"):
+            code, out, err = run(
+                capsys, command, "--input", str(f), "--alpha", "0.3", "--format", "csv"
+            )
+            assert code == EXIT_USAGE
+            assert out == "" and "--format" in err
 
     def test_general_p_grid_limit(self, tmp_path, capsys):
         g = Grid(0.0, 1.0, 15)
@@ -451,6 +464,33 @@ class TestSweepCmd:
         cfg.write_text("{}")
         code, _, _ = run(capsys, "sweep", "--config", str(cfg), "--out-dir", str(tmp_path))
         assert code == EXIT_USAGE
+
+    def test_missing_config_is_a_data_error(self, tmp_path, capsys):
+        code, out, err = run(capsys, "sweep", "--config", str(tmp_path / "none.json"),
+                             "--out-dir", str(tmp_path / "out"))
+        assert (code, out) == (EXIT_DATA, "")
+        assert err.startswith("error: cannot read config: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_report_with_null_slopes_is_strict_json(self, tmp_path, capsys):
+        # the indicator of [2, 3] is zero on [0, 1]: every level sum is 0, so every
+        # fitted slope and every median slope is -inf, which the report writes as null
+        config = {
+            "generator": {"kind": "martingale", "a": 0.0, "b": 1.0, "J": 8, "seed": 1,
+                          "weight": "indicator:2,3"},
+            "p": 2.0, "alpha_grid": [0.3, 0.5], "n_levels": 6, "replicates": 4,
+        }
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        code, out, _ = run(capsys, "sweep", "--config", str(cfg), "--out-dir", str(tmp_path))
+        assert (code, out) == (EXIT_OK, f"{tmp_path / 'report.json'}\n")
+
+        def refuse(constant):
+            raise AssertionError(f"{constant} in a strict JSON report")
+
+        report = json.loads((tmp_path / "report.json").read_text(), parse_constant=refuse)
+        assert [row["median_slope"] for row in report["rows"]] == [None, None]
+        assert report["critical_alpha"] is None
 
     @pytest.mark.parametrize(
         "change",
@@ -525,6 +565,12 @@ class TestSweepCmd:
 
 
 class TestLemmaCmd:
+    def test_pz_monte_carlo(self, capsys):
+        code, out, _ = run(capsys, "lemma", "--pz-mc", "1,1,1", "--samples", "1000")
+        assert code == EXIT_OK
+        # three equal coefficients: every signed sum squared is at least 3/4, so 1.0
+        assert out == "paley-zygmund probability 1.0 stderr 0.001 bound 0.125 PASS\n"
+
     def test_pz_exact_single(self, capsys):
         code, out, _ = run(capsys, "lemma", "--pz-exact", "1")
         assert code == EXIT_OK
@@ -812,6 +858,37 @@ class TestReadSeriesCsv:
         f.write_text("t,value\n0,0\n" + "\n".join(rows) + "\n", encoding="utf-8")
         with pytest.raises(DataError, match=re.escape(f"u.csv: {named} as a number")):
             read_series_csv(f)
+
+
+    @pytest.mark.parametrize("command, row", [("dyadic", "0.5,abc"), ("besov", "0.5,inf")])
+    def test_bad_row_from_a_named_pipe(self, tmp_path, command, row):
+        # re-opening a named pipe for the bad row's line would wait for a new
+        # writer forever; the message comes without a line instead
+        fifo = tmp_path / "path.fifo"
+        os.mkfifo(fifo)
+
+        def feed():
+            with fifo.open("w") as fh:
+                fh.write(f"t,value\n0.0,1.0\n{row}\n1.0,2.0\n")
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "besovlab.cli", command, "--input", str(fifo),
+                 "--alpha", "0.4"],
+                capture_output=True, text=True, timeout=20, env=env,
+            )
+        finally:
+            # a writer still waiting for a reader gets one, fills the pipe's buffer and closes
+            reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+            writer.join(timeout=20)
+            os.close(reader)
+        assert not writer.is_alive()
+        assert (done.returncode, done.stdout) == (EXIT_DATA, "")
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        assert str(fifo) in done.stderr and ": line " not in done.stderr
 
 
 class TestIngest:

@@ -71,6 +71,8 @@ class TestWeightFn:
             WeightFn("constant", (1.0, 2.0))
         with pytest.raises(ConfigurationError):
             WeightFn("indicator", (0.5, 0.1))
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            WeightFn("constant", (math.nan,))
         with pytest.raises(ConfigurationError):
             WeightFn.from_descriptor("affine:x,y")
 
@@ -261,6 +263,12 @@ class TestGeneratorSpec:
     def test_missing_hurst(self):
         with pytest.raises(ConfigurationError):
             GeneratorSpec("fbm", Grid(0.0, 1.0, 8))
+
+    def test_unknown_kind_and_missing_field(self):
+        with pytest.raises(ConfigurationError, match="unknown generator kind 'nope'"):
+            GeneratorSpec("nope", Grid(0.0, 1.0, 8))
+        with pytest.raises(ConfigurationError, match="generator spec missing field 'a'"):
+            GeneratorSpec.from_dict({"kind": "bm"})
 
     @pytest.mark.parametrize("kind", [k for k, row in _KINDS.items() if row.hurst is None])
     def test_hurst_only_for_fractional_kinds(self, kind):

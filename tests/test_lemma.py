@@ -221,6 +221,14 @@ class TestPaleyZygmund:
         with pytest.raises(ParameterError):
             paley_zygmund_check([1.0, bad], mode=mode)
 
+    @pytest.mark.parametrize(
+        "lam, mode, message",
+        [([], "exact", "need at least one coefficient"), ([1.0], "bogus", "unknown mode 'bogus'")],
+    )
+    def test_rejects_empty_list_and_unknown_mode(self, lam, mode, message):
+        with pytest.raises(ParameterError, match=message):
+            paley_zygmund_check(lam, mode=mode)
+
     def test_exact_size_limit(self):
         with pytest.raises(SizeError):
             paley_zygmund_check([1.0] * 21, mode="exact")
@@ -289,6 +297,13 @@ class TestBoundednessProbe:
         spec = GeneratorSpec("bm", Grid(0.0, 1.0, 8), seed=0)
         with pytest.raises(ParameterError):
             boundedness_probe(spec, [4], replicates=10, quantile=1.5)
+
+    def test_replicates_and_family_size_bounds(self):
+        spec = GeneratorSpec("bm", Grid(0.0, 1.0, 8), seed=0)
+        with pytest.raises(ParameterError, match="need at least one replicate"):
+            boundedness_probe(spec, [4], replicates=0, quantile=0.9)
+        with pytest.raises(ResolutionError, match="family size 257 exceeds 256 finest cells"):
+            boundedness_probe(spec, [4, 257], replicates=10, quantile=0.9)
 
     @pytest.mark.parametrize("size", [0, -3])
     def test_family_size_below_one(self, size):

@@ -109,8 +109,29 @@ class TestBesovParams:
             (0.3, float("inf"), 2.0),
             (0.3, 2.0, float("inf")),
             (0.3, 0.5, 2.0),
+            (1.5, 2.0, 2.0),
         ],
     )
     def test_rejects_non_finite_and_small_exponents(self, alpha, p, q):
         with pytest.raises(ParameterError):
             BesovParams(alpha, p, q)
+
+    def test_message_names_the_exponent(self):
+        with pytest.raises(ParameterError, match=r"^q must be finite and >= 1, got 0\.5$"):
+            BesovParams(0.3, 2.0, 0.5)
+
+
+@pytest.mark.parametrize(
+    "cls, values, message",
+    [
+        (SampledPath, np.zeros((17, 1)), "expected a 1-d real sequence"),
+        (SampledPath, np.zeros(16), "expected 17 values, got 16"),
+        (SampledPath, [np.nan] + [0.0] * 16, "path values must be finite"),
+        (StochasticMeasureSample, np.zeros((16, 1)), "expected a 1-d real sequence"),
+        (StochasticMeasureSample, np.zeros(17), "expected 16 increments, got 17"),
+    ],
+    ids=["path-2d", "path-length", "path-nan", "sample-2d", "sample-length"],
+)
+def test_refuses_arrays_that_do_not_fit_the_grid(cls, values, message):
+    with pytest.raises(ParameterError, match=message):
+        cls(Grid(0.0, 1.0, 4), values)
