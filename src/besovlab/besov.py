@@ -30,9 +30,8 @@ unresolved tail.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from itertools import chain
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -47,14 +46,18 @@ DIRECT_SHIFTS = 64
 # p != 2 shift norms cost O(N^2): refused above J = GENERAL_P_MAX_J (at J = 14
 # besov_norm takes about 1.7 s at p = 3, 3.4 s at p = 1.5 on a shared 2-core Xeon)
 GENERAL_P_MAX_J = 14
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(5)
+# np.polynomial.legendre.leggauss(5), bit for bit, without importing numpy.polynomial;
+# the middle weight is two ulps below 128/225, its closed form
+_GAUSS_NODES = np.array([-0.906179845938664, -0.5384693101056831, 0.0,
+                         0.5384693101056831, 0.906179845938664])
+_GAUSS_WEIGHTS = np.array([0.23692688505618928, 0.4786286704993663, 0.5688888888888887,
+                           0.4786286704993663, 0.23692688505618928])
 # mapped from [-1, 1] to [0, 1]
 _S = 0.5 * (_GAUSS_NODES + 1.0)
 _W = 0.5 * _GAUSS_WEIGHTS
 
 
-@dataclass(frozen=True)
-class BesovNormReport:
+class BesovNormReport(NamedTuple):
     lp_norm: float
     seminorm_truncated: float
     truncation_floor: float
@@ -63,7 +66,7 @@ class BesovNormReport:
     norm_total: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def _p2_cell_sum(g: np.ndarray) -> float:

@@ -7,8 +7,8 @@ The level term at (alpha, p) is
 where R_n, like besov's cell integrals of |.|^p, is summed by `_power_sums`
 (integer p up to 64 by repeated squaring, not pow).  The verdict comes from
 the slope of log2 T_n against n over the tail half of the computed levels.
-One least-squares fit of log2 R_n, whose levels above _ZERO_FLOOR do not
-depend on alpha, gives the exponent s; the slope at alpha is then exactly
+One least-squares fit of log2 R_n, whose levels at or above _ZERO_FLOOR do
+not depend on alpha, gives the exponent s; the slope at alpha is then exactly
 s + alpha p - 1, so a path's critical exponent is (1 - s)/p.  A tail with
 no positive R_n has slope -inf; one with a single positive level reads 0.0,
 inconclusive at every alpha.  `fold_exponents` is the one verdict rule, for
@@ -18,9 +18,8 @@ one path (`series_from_raw`) and a sweep's replicates alike.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -29,7 +28,9 @@ from .paths import SampledPath, _check_alpha, _check_p
 
 SLOPE_THRESHOLD = 0.05  # |slope| below this is Inconclusive
 MIN_LEVELS = 6
-_ZERO_FLOOR = 1e-250  # raw level sums at or below this count as zero in the fit
+# raw level sums under the smallest normal double (zero, subnormal) or NaN count
+# as zero in the fit; a higher absolute floor would make verdicts depend on units
+_ZERO_FLOOR = np.finfo(float).tiny
 # integer p above this take np.power: from about 64 on, repeated squaring is no faster
 _SQUARING_MAX_P = 64
 
@@ -40,8 +41,7 @@ class Verdict(str, Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class LevelSeriesReport:
+class LevelSeriesReport(NamedTuple):
     alpha: float
     p: float
     levels: tuple[int, ...]
@@ -161,9 +161,9 @@ def tail_exponent(rows) -> tuple[np.ndarray, np.ndarray]:
     weighting sharpens the verdict near the critical exponent.  For exactly
     geometric values the fitted slope is exact regardless of weights.
 
-    Levels with a zero (or NaN) value are dropped; if none are positive the
-    series is identically zero on the tail and the slope is -inf, and a
-    single positive level gives 0.0.
+    Levels with a zero, subnormal or NaN value are dropped; if none are
+    positive the series is identically zero on the tail and the slope is
+    -inf, and a single positive level gives 0.0.
 
     When every tail level is positive, as in every BM and fBm row, the rows
     share their weights, so the weights, their mean level and sxx are one
@@ -175,7 +175,7 @@ def tail_exponent(rows) -> tuple[np.ndarray, np.ndarray]:
     start = N - math.ceil(N / 2)
     tail = rows[:, start:]
     ns = np.arange(start + 1, N + 1, dtype=float)
-    pos = tail > _ZERO_FLOOR
+    pos = tail >= _ZERO_FLOOR
     w = 2.0 ** (ns - ns[-1])  # relative to the last level: no overflow
     if pos.all():
         n_pos, y = len(ns), np.log2(tail)

@@ -27,15 +27,12 @@ The median slope is affine in alpha, so the critical alpha is its zero
 from __future__ import annotations
 
 import contextvars
-import csv
-import io
 import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, astuple, dataclass
-from typing import Optional
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -114,8 +111,7 @@ class ExperimentConfig:
             raise ConfigurationError(f"config is not valid JSON: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class AlphaRow:  # fields in the order of the report's CSV columns
+class AlphaRow(NamedTuple):  # fields in the order of the report's CSV columns
     alpha: float
     median_slope: float
     frac_converges: float
@@ -123,8 +119,7 @@ class AlphaRow:  # fields in the order of the report's CSV columns
     frac_inconclusive: float
 
 
-@dataclass(frozen=True)
-class ExperimentReport:
+class ExperimentReport(NamedTuple):
     config: ExperimentConfig
     rows: tuple[AlphaRow, ...]
     critical_alpha: Optional[float]
@@ -134,18 +129,17 @@ class ExperimentReport:
         return {
             "config": self.config.to_dict(),
             "rows": [
-                {**asdict(r), "median_slope": _json_float(r.median_slope)} for r in self.rows
+                {**r._asdict(), "median_slope": _json_float(r.median_slope)} for r in self.rows
             ],
             "critical_alpha": self.critical_alpha,
             "meta": {"wall_time": self.wall_time, "version": __version__},
         }
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["alpha", "median_slope", "frac_conv", "frac_div", "frac_inc"])
-        writer.writerows([repr(x) for x in astuple(r)] for r in self.rows)
-        return buf.getvalue()
+        # a float's repr holds no comma or quote, so no field needs quoting
+        lines = ["alpha,median_slope,frac_conv,frac_div,frac_inc"]
+        lines.extend(",".join(map(repr, r)) for r in self.rows)
+        return "\n".join(lines) + "\n"
 
 
 def _json_float(x: float):
@@ -169,6 +163,9 @@ def _raw_level_sums(config: ExperimentConfig) -> np.ndarray:
     if n_blocks == 1:
         rows(*blocks[0])
     else:
+        # imported here, so that no other command loads concurrent.futures
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=n_blocks) as pool:
             for done in [pool.submit(contextvars.copy_context().run, rows, *b) for b in blocks]:
                 done.result()

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -129,8 +129,7 @@ def _count_pz_hits(lam: np.ndarray, threshold: float) -> int:
     return int(np.sum(pos[0]) + np.sum(len(lo) - pos[1]))
 
 
-@dataclass(frozen=True)
-class PZResult:
+class PZResult(NamedTuple):
     probability: float
     bound: float
     passed: bool
@@ -185,8 +184,7 @@ def paley_zygmund_check(
     raise ParameterError(f"unknown mode {mode!r}")
 
 
-@dataclass(frozen=True)
-class ProbeRow:
+class ProbeRow(NamedTuple):
     family_size: int
     quantile: float
 

@@ -61,9 +61,12 @@ def _frozen(arr) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledPath:
-    """Function values on a dyadic grid; off-grid evaluation is piecewise linear."""
+    """Function values on a dyadic grid; off-grid evaluation is piecewise linear.
+
+    Compares and hashes by identity, as NumPy arrays give no one truth value.
+    """
 
     grid: Grid
     values: np.ndarray
@@ -78,9 +81,12 @@ class SampledPath:
             raise ParameterError("path values must be finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StochasticMeasureSample:
-    """One realization of an additive measure on the finest dyadic algebra."""
+    """One realization of an additive measure on the finest dyadic algebra.
+
+    Compares and hashes by identity, as `SampledPath` does.
+    """
 
     grid: Grid
     increments: np.ndarray

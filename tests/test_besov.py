@@ -87,6 +87,12 @@ class TestCellKernel:
         assert lp_norm(path, 2.0) == pytest.approx(want, rel=1e-12)
 
 
+def test_gauss_literals_are_leggauss_5():
+    # besov writes the rule as literals, so that it never imports numpy.polynomial
+    assert besov_module._GAUSS_NODES.tobytes() == _GAUSS_NODES.tobytes()
+    assert besov_module._GAUSS_WEIGHTS.tobytes() == _GAUSS_WEIGHTS.tobytes()
+
+
 def _outer_node_values(g, p):
     """The (L, 5) outer-product build of the weighted node table the column-wise one replaced."""
     s, w = 0.5 * (_GAUSS_NODES + 1.0), 0.5 * _GAUSS_WEIGHTS

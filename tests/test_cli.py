@@ -762,6 +762,43 @@ def test_readme_commands_run(tmp_path, capsys, monkeypatch):
         assert code == EXIT_OK, (line, err)
 
 
+IMPORT_CHECK = """
+import os
+import sys
+
+import numpy
+import besovlab.cli
+from besovlab import ExperimentConfig, GeneratorSpec, Grid, run_alpha_sweep
+
+
+def loaded():
+    return [m for m in ("concurrent.futures", "numpy.polynomial") if m in sys.modules]
+
+
+def sweep(workers):
+    spec = GeneratorSpec("bm", Grid(0.0, 1.0, 8))
+    run_alpha_sweep(ExperimentConfig(spec, 2.0, (0.5,), 6, 4, workers))
+
+
+at_import = loaded()
+sweep(1)
+one_block = loaded()
+os.cpu_count = lambda: 2
+sweep(2)
+print(at_import, one_block, loaded())
+"""
+
+
+def test_import_loads_neither_thread_pool_nor_polynomial():
+    # a fresh process pays for what `import besovlab.cli` loads: the thread pool
+    # waits for a sweep of two blocks or more, and numpy.polynomial is never needed
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", IMPORT_CHECK], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[] [] ['concurrent.futures']\n"
+
+
 def reference_read(source: Path) -> tuple[np.ndarray, np.ndarray]:
     """The row reader `read_series_csv` replaced: csv.reader and float() per field."""
     with source.open(newline="") as fh:

@@ -143,6 +143,17 @@ class TestReweighting:
         assert kamont_series(scaled, 8, 0.4, 2.0).terms[4] == pytest.approx(c**2 * t, rel=1e-9)
         assert kamont_series(shifted, 8, 0.4, 2.0).terms[4] == pytest.approx(t, rel=1e-9)
 
+    def test_verdict_does_not_depend_on_units(self):
+        # scaling by 2^-430 scales the level sums by 2^-860, exactly, and keeps
+        # them normal: the fit sees the same levels, shifted by -860 in log2
+        path = bm_path(14, 7)
+        scaled = SampledPath(path.grid, path.values * 2.0**-430)
+        want = kamont_series(path, 14, 0.6, 2.0)
+        got = kamont_series(scaled, 14, 0.6, 2.0)
+        assert want.verdict == Verdict.DIVERGES
+        assert got.verdict == want.verdict
+        assert got.fitted_log2_slope == pytest.approx(want.fitted_log2_slope, rel=0.0, abs=1e-12)
+
 
 class TestSeriesFromRaw:
     def test_matches_kamont_series(self):
@@ -173,7 +184,8 @@ class TestSeriesFromRaw:
 
     @given(
         st.lists(
-            st.one_of(st.floats(1e-10, 1e10), st.sampled_from([0.0, 1e-300, math.inf, math.nan])),
+            st.one_of(st.floats(1e-10, 1e10),
+                      st.sampled_from([0.0, 5e-324, 1e-300, math.inf, math.nan])),
             min_size=6, max_size=14,
         ),
         st.floats(0.01, 0.99),
@@ -203,7 +215,7 @@ def scalar_tail_slope(terms) -> float:
     start = N - math.ceil(N / 2)
     tail = terms[start:]
     ns = np.arange(start + 1, N + 1, dtype=float)
-    pos = tail > 1e-250
+    pos = tail >= np.finfo(float).tiny
     if pos.sum() == 0:
         return -math.inf
     if pos.sum() == 1:
@@ -254,25 +266,29 @@ class TestBatchedTailSlope:
             np.testing.assert_allclose(one[0], want, rtol=0.0, atol=1e-12, equal_nan=True)
 
     def test_edge_cases(self):
+        tiny = np.finfo(float).tiny  # the smallest normal double
         rows = np.array([
             [1.0] * 6 + [0.0] * 6,  # no positive tail term
             [1.0] * 6 + [0.0, 0.0, 3.0, 0.0, 0.0, 0.0],  # exactly one
             [1.0] * 6 + [1.0, 2.0, np.inf, 8.0, 16.0, 32.0],  # infinite term
+            [1.0] * 6 + [tiny / 2.0] * 5 + [tiny],  # subnormal terms count as zero
+            [1.0] * 6 + [tiny / 2.0] + [tiny] * 5,  # and normal ones are fitted
         ])
         slopes, one_level = tail_exponent(rows)
-        assert one_level.tolist() == [False, True, False]
+        assert one_level.tolist() == [False, True, False, True, False]
         assert slopes[0] == -math.inf
-        assert slopes[1] == 0.0
+        assert slopes[1] == slopes[3] == 0.0
         assert math.isnan(slopes[2])
+        assert slopes[4] == pytest.approx(0.0, rel=0.0, abs=1e-12)
 
     @given(st.integers(1, 24), st.data())
     @settings(max_examples=200, deadline=None)
     def test_shared_weights_match_per_row_weights(self, N, data):
         # rows whose tail levels are all positive share one set of weights; a
-        # batch with a level at or under the floor weights each row alone, and
+        # batch with a level under the floor weights each row alone, and
         # either way every row's slope has the same bits
         level = st.floats(1e-240, 1e240)
-        floor = st.sampled_from([0.0, 1e-300, 1e-250, math.nan])
+        floor = st.sampled_from([0.0, 5e-324, 1e-310, math.nan])  # zero, subnormal, NaN
         positive = np.array(data.draw(st.lists(st.lists(level, min_size=N, max_size=N),
                                                min_size=1, max_size=8)))
         masked = np.array(data.draw(st.lists(st.lists(st.one_of(level, floor), min_size=N,

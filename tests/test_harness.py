@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import hashlib
 import json
@@ -180,10 +181,11 @@ class TestAlphaSweep:
         assert len(lines) == 1 + len(report.rows)
 
 
-# raw level sums within a factor of a few of criterion._ZERO_FLOOR = 1e-250
+# raw level sums within a factor of a few of criterion._ZERO_FLOOR, the smallest normal double
 NEAR_FLOOR = GeneratorSpec(
-    "martingale", Grid(0.0, 1.0, 10), seed=5, weight=WeightFn.from_descriptor("constant:1e-125")
+    "martingale", Grid(0.0, 1.0, 10), seed=5, weight=WeightFn.from_descriptor("constant:1.5e-154")
 )
+TINY = np.finfo(float).tiny
 
 SPLIT_SPECS = {
     "bm": GeneratorSpec("bm", Grid(0.0, 1.0, 10), seed=101),
@@ -224,7 +226,8 @@ def pools_started(monkeypatch):
             started.append(max_workers)
             super().__init__(max_workers)
 
-    monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordedPool)
+    # harness imports the pool where a sweep starts one, from concurrent.futures
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordedPool)
     return started
 
 
@@ -583,11 +586,11 @@ class TestClosedFormFold:
     def test_near_floor_sums_mask_the_raw_sums(self):
         cfg = bm_config(generator=NEAR_FLOOR, replicates=20)
         raw = _raw_level_sums(cfg)
-        assert raw.max() < 1e-248 and raw.min() < 1e-250 < raw.max()
+        assert raw.max() < 5.0 * TINY and raw.min() < TINY <= raw.max()
         rows, critical = fold_raw(raw, cfg.alpha_grid, cfg.p)
         # the per-alpha refit on sums lifted off the floor by an exact power of two,
         # with the levels under the floor kept at zero, masks exactly the same levels
-        lifted = np.where(raw > 1e-250, raw * 2.0**600, 0.0)
+        lifted = np.where(raw >= TINY, raw * 2.0**600, 0.0)
         assert_matches_refit(rows, None, refit_fold(lifted, cfg.alpha_grid, cfg.p)[0], None)
         # whereas a mask on the terms drops every level at low alpha, where all of
         # T_n = 2^{n (alpha p - 1)} R_n fall under the floor
@@ -595,6 +598,23 @@ class TestClosedFormFold:
         assert want_rows[0][2] == 1.0 and rows[0].frac_converges < 1.0
         s, one_level = tail_exponent(raw)
         assert critical == pytest.approx((1.0 - np.median(s[~one_level])) / cfg.p, abs=1e-15)
+
+    def test_verdicts_do_not_depend_on_units(self):
+        # BM on [0, 2^-860] has level sums near 2^-860, far above the floor, so
+        # its verdicts are those on [0, 1]; an absolute floor of 1e-250 read
+        # every replicate as converging
+        unit, small = (
+            run_alpha_sweep(bm_config(generator=GeneratorSpec("bm", Grid(0.0, b, 10), seed=7),
+                                      replicates=200))
+            for b in (1.0, 2.0**-860)
+        )
+
+        def fractions(report):
+            return [(r.frac_converges, r.frac_diverges, r.frac_inconclusive) for r in report.rows]
+
+        assert fractions(small) == fractions(unit)
+        assert unit.rows[-1].frac_diverges > 0.5 and unit.critical_alpha is not None
+        assert small.critical_alpha == pytest.approx(unit.critical_alpha, rel=0.0, abs=1e-12)
 
 
 def bits(x):

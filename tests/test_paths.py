@@ -135,3 +135,11 @@ class TestBesovParams:
 def test_refuses_arrays_that_do_not_fit_the_grid(cls, values, message):
     with pytest.raises(ParameterError, match=message):
         cls(Grid(0.0, 1.0, 4), values)
+
+
+@pytest.mark.parametrize("cls, n", [(SampledPath, 17), (StochasticMeasureSample, 16)])
+def test_compares_and_hashes_by_identity(cls, n):
+    one, other = cls(Grid(0.0, 1.0, 4), np.zeros(n)), cls(Grid(0.0, 1.0, 4), np.zeros(n))
+    assert one == one and one != other
+    assert hash(one) == hash(one)
+    assert len({one, other, one}) == 2
