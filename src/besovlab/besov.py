@@ -44,7 +44,7 @@ POINTS_PER_OCTAVE = 64
 # they include the d[0] and d[1] of the tail fit
 DIRECT_SHIFTS = 64
 # p != 2 shift norms cost O(N^2): refused above J = GENERAL_P_MAX_J (at J = 14
-# besov_norm takes about 1.7 s at p = 3, 3.4 s at p = 1.5 on a shared 2-core Xeon)
+# besov_norm takes about 1.4 s at p = 3, 2.7 s at p = 1.5 on a shared 2-core Xeon)
 GENERAL_P_MAX_J = 14
 # np.polynomial.legendre.leggauss(5), bit for bit, without importing numpy.polynomial;
 # the middle weight is two ulps below 128/225, its closed form

@@ -139,11 +139,9 @@ def ingest_series(times: np.ndarray, values: np.ndarray) -> tuple[SampledPath, b
     J capped at the package-wide resolution bound.
     """
     n = len(times) - 1
-    J = max(1, n.bit_length() - 1) if n & (n - 1) == 0 else None
-    if J is not None and n == (1 << J):
-        grid = Grid(float(times[0]), float(times[-1]), J)
-        expected = grid.points()
-        if np.allclose(times, expected, rtol=0.0, atol=1e-9 * (grid.b - grid.a)):
+    if n >= 2 and n & (n - 1) == 0:
+        grid = Grid(float(times[0]), float(times[-1]), n.bit_length() - 1)
+        if np.allclose(times, grid.points(), rtol=0.0, atol=1e-9 * (grid.b - grid.a)):
             return SampledPath(grid, values), False
     J = min(max(1, math.ceil(math.log2(len(times) - 1))), MAX_RESOLUTION)
     grid = Grid(float(times[0]), float(times[-1]), J)
@@ -249,25 +247,18 @@ def _number_list(text: str, kind: type, what: str) -> list:
 
 
 def _cmd_lemma(args) -> int:
-    did_something = False
-    if args.pz_exact is not None:
-        res = paley_zygmund_check(
-            _number_list(args.pz_exact, float, "coefficient"), mode="exact"
+    if args.pz_exact is None and args.pz_mc is None and not (args.statistic or args.probe):
+        raise ConfigurationError(
+            "lemma: nothing to do (use --pz-exact, --pz-mc, --statistic, or --probe)"
         )
-        status = "PASS" if res.passed else "FAIL"
-        print(f"paley-zygmund probability {res.probability!r} bound {res.bound} {status}")
-        did_something = True
-    if args.pz_mc is not None:
-        lam = _number_list(args.pz_mc, float, "coefficient")
-        res = paley_zygmund_check(
-            lam, mode="monte-carlo", samples=args.samples, seed=args.seed
-        )
-        status = "PASS" if res.passed else "FAIL"
-        print(
-            f"paley-zygmund probability {res.probability!r} "
-            f"stderr {res.stderr!r} bound {res.bound} {status}"
-        )
-        did_something = True
+    for mode, text in (("exact", args.pz_exact), ("monte-carlo", args.pz_mc)):
+        if text is not None:
+            lam = _number_list(text, float, "coefficient")
+            res = paley_zygmund_check(lam, mode=mode, samples=args.samples, seed=args.seed)
+            stderr = "" if res.stderr is None else f"stderr {res.stderr!r} "
+            status = "PASS" if res.passed else "FAIL"
+            print(f"paley-zygmund probability {res.probability!r} {stderr}"
+                  f"bound {res.bound} {status}")
     if args.statistic:
         if args.N > args.J:
             # checked before the sample's 2^J cells are drawn
@@ -279,7 +270,6 @@ def _cmd_lemma(args) -> int:
         print("n,partial_sum")
         for n, s in enumerate(partial, start=1):
             print(f"{n},{float(s)!r}")
-        did_something = True
     if args.probe:
         sizes = _number_list(args.sizes, int, "family size")
         rows = boundedness_probe(
@@ -288,11 +278,6 @@ def _cmd_lemma(args) -> int:
         print("family_size,quantile")
         for row in rows:
             print(f"{row.family_size},{row.quantile!r}")
-        did_something = True
-    if not did_something:
-        raise ConfigurationError(
-            "lemma: nothing to do (use --pz-exact, --pz-mc, --statistic, or --probe)"
-        )
     return EXIT_OK
 
 

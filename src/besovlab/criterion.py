@@ -51,16 +51,20 @@ class LevelSeriesReport(NamedTuple):
     verdict: Verdict
 
     def to_dict(self) -> dict:
-        slope = self.fitted_log2_slope
         return {
             "alpha": self.alpha,
             "p": self.p,
             "levels": list(self.levels),
             "terms": list(self.terms),
             "partial_sums": list(self.partial_sums),
-            "fitted_log2_slope": slope if math.isfinite(slope) else None,
+            "fitted_log2_slope": _json_float(self.fitted_log2_slope),
             "verdict": self.verdict.value,
         }
+
+
+def _json_float(x: float):
+    """`x` for a JSON report, or None (null) where it is not finite."""
+    return x if math.isfinite(x) else None
 
 
 def dyadic_pyramid(cells: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:

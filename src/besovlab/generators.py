@@ -84,7 +84,6 @@ _WEIGHTS = {
         ("lo <= hi", lambda p: p[0] <= p[1]),
     ),
 }
-WEIGHT_KINDS = tuple(_WEIGHTS)
 
 
 @dataclass(frozen=True)
@@ -95,7 +94,7 @@ class WeightFn:
     params: tuple[float, ...]
 
     def __post_init__(self):
-        if self.kind not in WEIGHT_KINDS:
+        if self.kind not in _WEIGHTS:
             raise ConfigurationError(f"unknown weight kind {self.kind!r}")
         row = _WEIGHTS[self.kind]
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))

@@ -37,8 +37,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import __version__
-from .criterion import MIN_LEVELS, fold_exponents, tail_exponent
-from .errors import ConfigurationError, ParameterError, config_number
+from .criterion import MIN_LEVELS, _json_float, fold_exponents, tail_exponent
+from .errors import ConfigurationError, config_number
 from .generators import GeneratorSpec
 
 SCHEMA_VERSION = 1
@@ -142,10 +142,6 @@ class ExperimentReport(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
-def _json_float(x: float):
-    return x if math.isfinite(x) else None
-
-
 def _raw_level_sums(config: ExperimentConfig) -> np.ndarray:
     """(replicates, n_levels) raw level sums, one contiguous block of rows per
     thread, each written in place into its own slice of the one array.
@@ -172,7 +168,7 @@ def _raw_level_sums(config: ExperimentConfig) -> np.ndarray:
     # a non-finite increment reaches every coarser level, so this covers the increments too
     if not np.isfinite(raw).all():
         bad = np.flatnonzero(~np.isfinite(raw).all(axis=1))
-        raise ParameterError(
+        raise FloatingPointError(
             f"replicate {bad[0]} has non-finite level sums ({bad.size} of "
             f"{config.replicates} replicates); the measure overflows double precision"
         )

@@ -55,9 +55,6 @@ class WeightSequence:
         if not all(math.isfinite(v) and v > 0 for v in self.values):
             raise ParameterError("weights must be positive and finite")
 
-    def __len__(self) -> int:
-        return len(self.values)
-
     @classmethod
     def geometric(cls, alpha: float, p: float, N: int) -> "WeightSequence":
         """The regularity-proof choice a_n = 2^{n (alpha p - 1) / 2}.
@@ -73,21 +70,16 @@ class WeightSequence:
 
 def lemma_statistic(sample: StochasticMeasureSample, weights: WeightSequence) -> np.ndarray:
     """Partial sums S_n of the weighted quadratic statistic over the full
-    dyadic family, n = 1..len(weights).
+    dyadic family, n = 1..len(weights.values).
 
     Level n of the family holds the 2^n dyadic cells, so sum_k mu(D_{kn})^2
     is the p = 2 level sum R_n and S_n is one weighted cumulative sum of
     `criterion.level_sums`, O(N) in the grid size.  More weights than the
     sample's J levels raise ResolutionError.
     """
-    depth = len(weights)
-    if depth > sample.grid.J:
-        raise ResolutionError(
-            f"{depth} weights exceed the sample's dyadic resolution J={sample.grid.J}"
-        )
     a = np.asarray(weights.values)
     with np.errstate(over="ignore", invalid="ignore"):
-        partial = np.cumsum(a * a * level_sums(sample.increments, depth, 2.0))
+        partial = np.cumsum(a * a * level_sums(sample.increments, len(a), 2.0))
     if not np.all(np.isfinite(partial)):
         raise FloatingPointError("the lemma statistic is not finite")
     return partial

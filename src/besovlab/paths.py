@@ -20,15 +20,15 @@ MAX_RESOLUTION = 24  # 2^24 cells ~ 128 MiB of doubles per path
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform dyadic grid on [a, b] with 2^J + 1 points."""
+    """Uniform dyadic grid on [a, b] with 2^J + 1 points; b - a must be finite."""
 
     a: float
     b: float
     J: int
 
     def __post_init__(self):
-        if not self.b > self.a:
-            raise ParameterError(f"need b > a, got [{self.a}, {self.b}]")
+        if not (self.b > self.a and math.isfinite(self.b - self.a)):
+            raise ParameterError(f"need b > a with b - a finite, got [{self.a}, {self.b}]")
         if not (1 <= self.J <= MAX_RESOLUTION):
             raise ParameterError(f"J must be in [1, {MAX_RESOLUTION}], got {self.J}")
 

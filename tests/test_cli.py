@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import re
 import shlex
@@ -559,8 +560,8 @@ class TestSweepCmd:
         results = [run(capsys, "sweep", "--config", str(cfg), "--out-dir", str(tmp_path),
                        "--workers", workers) for workers in ("1", "2")]
         code, out, err = results[0]
-        assert (code, out) == (EXIT_USAGE, "")
-        assert err.startswith("error: ") and err.count("\n") == 1 and "non-finite" in err
+        assert (code, out) == (EXIT_NUMERIC, "")
+        assert_one_numeric_failure_line(err)
         assert results[1] == results[0]
 
 
@@ -712,6 +713,59 @@ class TestLemmaCmd:
         sample = GeneratorSpec("bm", Grid(0.0, 1.0, 20), seed=6).sample()
         ref = kamont_series(path_of(sample), 20, 0.4, 2.0).partial_sums[-1]
         assert float(rows[-1].split(",")[1]) == pytest.approx(ref, rel=1e-12)
+
+
+def write_sweep_config(tmp_path, **generator):
+    config = {
+        "generator": {"kind": "bm", "a": 0.0, "b": 1.0, "J": 8, "seed": 1, **generator},
+        "p": 2.0, "alpha_grid": [0.3, 0.5], "n_levels": 8, "replicates": 3,
+    }
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))  # an infinite float is written as Infinity
+    return cfg
+
+
+# a martingale of weight 1e200 at J = 8: its squared increments overflow
+HUGE_MARTINGALE = {"kind": "martingale", "weight": "constant:1e200"}
+
+
+@pytest.mark.parametrize("command", ["sweep", "dyadic", "besov", "statistic", "probe"])
+def test_overflow_is_one_numeric_failure_in_every_command(tmp_path, capsys, command):
+    # README: a non-finite result exits 4, prints nothing on stdout and one line on stderr
+    config = write_sweep_config(tmp_path, **HUGE_MARTINGALE)
+    csv_path = write_overflowing_csv(tmp_path)
+    argv = {
+        "sweep": ["sweep", "--config", str(config), "--out-dir", str(tmp_path / "out")],
+        "dyadic": ["dyadic", "--input", str(csv_path), "--alpha", "0.4"],
+        "besov": ["besov", "--input", str(csv_path), "--alpha", "0.4"],
+        "statistic": ["lemma", "--statistic", "--process", "martingale",
+                      "--weight", HUGE_MARTINGALE["weight"], "--J", "8", "--N", "8"],
+        "probe": ["lemma", "--probe", "--process", "martingale", "--weight", "constant:1.7e308",
+                  "--J", "6", "--sizes", "2,4", "--replicates", "20"],
+    }[command]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_NUMERIC, "")
+    assert err.startswith("numeric failure: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("command", ["generate", "sweep", "probe", "dyadic"])
+def test_interval_of_infinite_length_is_a_usage_error(tmp_path, capsys, command):
+    wide = tmp_path / "wide.csv"  # every value finite, but t spans more than the double range
+    wide.write_text("t,value\n-1e308,0\n-5e307,0\n0,0\n5e307,0\n1e308,0\n")
+    argv = {
+        "generate": ["generate", "--process", "bm", "--b", "inf",
+                     "--out", str(tmp_path / "bm.csv")],
+        "sweep": ["sweep", "--config", str(write_sweep_config(tmp_path, b=math.inf)),
+                  "--out-dir", str(tmp_path / "out")],
+        "probe": ["lemma", "--probe", "--b", "inf", "--J", "6", "--sizes", "2",
+                  "--replicates", "5"],
+        "dyadic": ["dyadic", "--input", str(wide), "--alpha", "0.4"],
+    }[command]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: need b > a with b - a finite, got [")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "bm.csv").exists() and not (tmp_path / "out").exists()
 
 
 class TestParser:
@@ -938,6 +992,12 @@ class TestIngest:
         np.testing.assert_allclose(
             path.values, path.grid.points() ** 2, atol=1e-3
         )
+
+    def test_two_points_resampled_onto_one_level(self):
+        # one cell is a power of two, but a grid has J >= 1
+        path, resampled = ingest_series(np.array([0.0, 1.0]), np.array([0.0, 2.0]))
+        assert resampled and path.grid == Grid(0.0, 1.0, 1)
+        assert path.values.tolist() == [0.0, 1.0, 2.0]
 
     def test_dyadic_passthrough(self):
         g = Grid(0.0, 2.0, 6)

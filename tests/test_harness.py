@@ -29,7 +29,7 @@ from besovlab.criterion import (
     series_from_raw,
     tail_exponent,
 )
-from besovlab.errors import ConfigurationError, ParameterError
+from besovlab.errors import ConfigurationError
 from besovlab import generators, harness
 from besovlab.harness import _raw_level_sums
 from besovlab.paths import StochasticMeasureSample, path_of
@@ -418,7 +418,7 @@ class TestWorkerBlocks:
             replicates=3,
             workers=workers,
         )
-        with np.errstate(over="ignore"), pytest.raises(ParameterError, match="non-finite"):
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="non-finite"):
             run_alpha_sweep(cfg)
 
     def test_huge_martingale_weight_is_drawn_coarse_without_overflow(self):
@@ -433,8 +433,10 @@ class TestWorkerBlocks:
     def test_overflowing_squares_make_no_invalid_values(self):
         # at 1e300 the increments and the pyramid stay finite; only |x|^2 overflows
         cfg = bm_config(generator=huge_martingale(1e300), n_levels=6, replicates=3)
-        with np.errstate(over="ignore", invalid="raise"), pytest.raises(ParameterError):
-            run_alpha_sweep(cfg)
+        # an invalid value would raise NumPy's own FloatingPointError, without "non-finite"
+        with np.errstate(over="ignore", invalid="raise"):
+            with pytest.raises(FloatingPointError, match="non-finite"):
+                run_alpha_sweep(cfg)
 
 
 class TestSweepDigests:

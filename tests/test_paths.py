@@ -31,6 +31,15 @@ class TestGrid:
         with pytest.raises(ParameterError):
             Grid(0.0, 1.0, 25)
 
+    @pytest.mark.parametrize(
+        "a, b, J",
+        [(0.0, np.inf, 8), (-1e308, 1e308, 4), (-np.inf, 0.0, 2), (0.0, np.nan, 4)],
+    )
+    def test_interval_of_infinite_or_undefined_length_refused(self, a, b, J):
+        # (-1e308, 1e308) would have dx = inf and NaN points
+        with pytest.raises(ParameterError, match=r"b - a finite, got \["):
+            Grid(a, b, J)
+
 
 class TestPathOf:
     def test_prefix_sums(self):

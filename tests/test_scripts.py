@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from besovlab.cli import main
+from besovlab.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -44,3 +44,23 @@ def test_besov_oracle_matches_committed_fixture():
     for key in ("seminorm_truncated", "lp_norm"):
         assert got[key] == pytest.approx(frozen[key], rel=1e-12, abs=0.0)
     assert got["quadrature_error_bound"] < 1e-12
+
+
+def promised_exit(name):
+    """The exit code README promises for an output-digest case, read from its name."""
+    if "overflow" in name:
+        return EXIT_NUMERIC
+    if any(word in name for word in ("infinite-b", "wide-interval", "nothing-to-do")):
+        return EXIT_USAGE
+    return EXIT_OK
+
+
+def test_output_digests_are_reproducible():
+    digests = load_script("output_digests")
+    first, second = digests.digest_lines(), digests.digest_lines()
+    assert first == second
+    names = [line.split()[0] for line in first]
+    assert len(names) == len(set(names)) == len(first)
+    for line in first:
+        name, code = line.split()[:2]
+        assert code == f"exit={promised_exit(name)}", line
