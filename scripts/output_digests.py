@@ -48,6 +48,10 @@ SWEEP_CONFIGS = {
     "infinite-b": _sweep_config(b=float("inf"), replicates=3),
 }
 
+# (config name, the config's workers): bm-p2 also runs on two threads
+SWEEP_CASES = [(name, workers) for name in SWEEP_CONFIGS
+               for workers in ((1, 2) if name == "bm-p2" else (1,))]
+
 SHORT_PATHS = (2, 3, 5, 9, 17)
 
 
@@ -60,8 +64,9 @@ def _inputs(root: Path):
     """Write the sweep configs and the hand-made CSV paths under `root/inputs`."""
     inputs = root / "inputs"
     inputs.mkdir()
-    for name, config in SWEEP_CONFIGS.items():
-        (inputs / f"{name}.json").write_text(json.dumps(config))
+    for name, workers in SWEEP_CASES:
+        config = {**SWEEP_CONFIGS[name], "workers": workers}
+        (inputs / f"{name}-w{workers}.json").write_text(json.dumps(config))
     grid = Grid(0.0, 1.0, 8)  # increments of 1e200: their squares overflow
     _write_csv(inputs / "overflow.csv", grid.points().tolist(),
                [k * 1e200 for k in range(grid.n_points)])
@@ -100,11 +105,13 @@ def cases(root: Path) -> list[tuple[str, list[str]]]:
         ("besov-p1.5", ["besov", "--input", bm, "--alpha", "0.3", "--p", "1.5",
                         "--out", "{out}/report.json"]),
         ("besov-overflow", ["besov", "--input", overflow, "--alpha", "0.4"]),
+        ("besov-wide-interval", ["besov", "--input", str(inputs / "wide.csv"), "--alpha", "0.4"]),
         *[(f"besov-{n}-points", ["besov", "--input", str(inputs / f"short-{n}.csv"),
                                  "--alpha", "0.4"]) for n in SHORT_PATHS],
         ("lemma-pz-exact", ["lemma", "--pz-exact", "1,2,3,0.5,-1e-3"]),
         ("lemma-pz-mc", ["lemma", "--pz-mc", "1,2,3,0.5", "--samples", "5000", "--seed", "4"]),
         ("lemma-pz-both", ["lemma", "--pz-mc", "1,1", "--pz-exact", "1,1", "--samples", "999"]),
+        ("lemma-pz-exact-empty-entry", ["lemma", "--pz-exact", "1,,2"]),
         ("lemma-statistic", ["lemma", "--statistic", "--process", "fbm", "--H", "0.3",
                              "--J", "12", "--N", "12", "--seed", "8"]),
         ("lemma-probe", ["lemma", "--probe", "--J", "10", "--sizes", "2,8,32",
@@ -121,11 +128,9 @@ def cases(root: Path) -> list[tuple[str, list[str]]]:
         ("lemma-probe-infinite-b", ["lemma", "--probe", "--b", "inf", "--J", "6",
                                     "--sizes", "2", "--replicates", "5"]),
     ]
-    for name in SWEEP_CONFIGS:
-        for workers in (["1", "2"] if name == "bm-p2" else ["1"]):
-            out.append((f"sweep-{name}-w{workers}",
-                        ["sweep", "--config", str(inputs / f"{name}.json"),
-                         "--out-dir", "{out}", "--workers", workers]))
+    out += [(f"sweep-{name}-w{workers}",
+             ["sweep", "--config", str(inputs / f"{name}-w{workers}.json"), "--out-dir", "{out}"])
+            for name, workers in SWEEP_CASES]
     return out
 
 

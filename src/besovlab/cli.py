@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import math
 import re
@@ -133,20 +132,23 @@ def _bad_row(source: Path, fallback: str) -> DataError:
 
 
 def ingest_series(times: np.ndarray, values: np.ndarray) -> tuple[SampledPath, bool]:
-    """Return a dyadic-grid path; resample by linear interpolation if needed.
+    """Return the path on one dyadic grid, resampled by linear interpolation if needed.
 
-    Non-dyadic input goes onto the nearest grid with 2^J + 1 >= len(input),
-    J capped at the package-wide resolution bound.
+    The grid spans the input's times with J = ceil(log2 n) for n intervals,
+    at least 1 and capped at the package-wide resolution bound.  The values
+    are kept as they are when the input's times are that grid's points, and
+    interpolated onto it otherwise.  A span wider than the double range is a
+    DataError, like every other fault in the input.
     """
+    a, b = float(times[0]), float(times[-1])
+    if not math.isfinite(b - a):
+        raise DataError(f"times span [{a!r}, {b!r}], wider than the double range")
     n = len(times) - 1
-    if n >= 2 and n & (n - 1) == 0:
-        grid = Grid(float(times[0]), float(times[-1]), n.bit_length() - 1)
-        if np.allclose(times, grid.points(), rtol=0.0, atol=1e-9 * (grid.b - grid.a)):
-            return SampledPath(grid, values), False
-    J = min(max(1, math.ceil(math.log2(len(times) - 1))), MAX_RESOLUTION)
-    grid = Grid(float(times[0]), float(times[-1]), J)
-    resampled = np.interp(grid.points(), times, values)
-    return SampledPath(grid, resampled), True
+    grid = Grid(a, b, min(max(1, (n - 1).bit_length()), MAX_RESOLUTION))
+    points = grid.points()
+    if n == grid.n_cells and np.allclose(times, points, rtol=0.0, atol=1e-9 * (b - a)):
+        return SampledPath(grid, values), False
+    return SampledPath(grid, np.interp(points, times, values)), True
 
 
 def _generator_from_args(args) -> GeneratorSpec:
@@ -167,15 +169,10 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _load_path(args) -> tuple[SampledPath, bool]:
-    times, values = read_series_csv(Path(args.input))
-    return ingest_series(times, values)
-
-
 def _require_finite(payload: dict):
     """Refuse to report a non-finite number: NaN or inf means a numeric failure."""
     for key, value in payload.items():
-        values = value if isinstance(value, list) else [value]
+        values = value if isinstance(value, (list, tuple)) else [value]
         if any(isinstance(x, float) and not math.isfinite(x) for x in values):
             raise FloatingPointError(f"non-finite value in report field {key!r}")
 
@@ -201,7 +198,7 @@ def _cmd_dyadic(args) -> int:
         raise ConfigurationError(
             f"--out {args.out} names the CSV table's own file; use another suffix"
         )
-    path, resampled = _load_path(args)
+    path, resampled = ingest_series(*read_series_csv(Path(args.input)))
     # a path coarser than MIN_LEVELS fails on its resolution (exit 3), as with --N
     N = args.N if args.N is not None else max(MIN_LEVELS, min(path.grid.J, 12))
     report = kamont_series(path, N, args.alpha, args.p)
@@ -215,7 +212,7 @@ def _cmd_dyadic(args) -> int:
 
 
 def _cmd_besov(args) -> int:
-    path, resampled = _load_path(args)
+    path, resampled = ingest_series(*read_series_csv(Path(args.input)))
     params = BesovParams(args.alpha, args.p, args.q)
     report = besov_norm(path, params, extrapolate=args.extrapolate)
     payload = report.to_dict()
@@ -230,8 +227,6 @@ def _cmd_sweep(args) -> int:
     except OSError as exc:
         raise DataError(f"cannot read config: {exc}") from exc
     config = ExperimentConfig.from_json(text)
-    if args.workers is not None:
-        config = dataclasses.replace(config, workers=args.workers)
     report = run_alpha_sweep(config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -241,7 +236,7 @@ def _cmd_sweep(args) -> int:
 
 def _number_list(text: str, kind: type, what: str) -> list:
     try:
-        return [kind(tok) for tok in text.split(",") if tok.strip()]
+        return [kind(tok) for tok in text.split(",")]
     except ValueError as exc:
         raise ParameterError(f"bad {what} list {text!r}") from exc
 
@@ -320,9 +315,6 @@ def _besov_flags(be):
 def _sweep_flags(sw):
     sw.add_argument("--config", required=True)
     sw.add_argument("--out-dir", required=True)
-    sw.add_argument("--workers", type=int, default=None,
-                    help="threads that run the replicate blocks, capped at the CPU count "
-                         "(default: the config's workers)")
     sw.set_defaults(func=_cmd_sweep)
 
 

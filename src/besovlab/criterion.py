@@ -51,15 +51,7 @@ class LevelSeriesReport(NamedTuple):
     verdict: Verdict
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "p": self.p,
-            "levels": list(self.levels),
-            "terms": list(self.terms),
-            "partial_sums": list(self.partial_sums),
-            "fitted_log2_slope": _json_float(self.fitted_log2_slope),
-            "verdict": self.verdict.value,
-        }
+        return {**self._asdict(), "fitted_log2_slope": _json_float(self.fitted_log2_slope)}
 
 
 def _json_float(x: float):

@@ -21,7 +21,7 @@ from besovlab import (
     kamont_series,
     path_of,
 )
-from besovlab import cli, generators
+from besovlab import cli, generators, paths
 from besovlab.cli import (
     CSV_CHUNK_ROWS,
     EXIT_DATA,
@@ -531,20 +531,27 @@ class TestSweepCmd:
         assert err.startswith("error: ") and "Traceback" not in err
         assert not (tmp_path / "report.json").exists()
 
-    def test_workers_flag_overrides_config(self, tmp_path, capsys):
+    def test_workers_zero_in_config_is_a_usage_error(self, tmp_path, capsys):
         config = {
             "generator": {"kind": "bm", "a": 0.0, "b": 1.0, "J": 8, "seed": 3},
-            "p": 2.0, "alpha_grid": [0.3, 0.5], "n_levels": 8, "replicates": 3, "workers": 1,
+            "p": 2.0, "alpha_grid": [0.3, 0.5], "n_levels": 8, "replicates": 3, "workers": 0,
         }
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(config))
-        code, _, _ = run(capsys, "sweep", "--config", str(cfg), "--out-dir", str(tmp_path),
-                         "--workers", "2")
-        assert code == EXIT_OK
-        assert json.loads((tmp_path / "report.json").read_text())["config"]["workers"] == 2
-        code, _, err = run(capsys, "sweep", "--config", str(cfg), "--out-dir", str(tmp_path),
-                           "--workers", "0")
-        assert code == EXIT_USAGE and "workers" in err
+        code, out, err = run(capsys, "sweep", "--config", str(cfg), "--out-dir", str(tmp_path))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: ") and "workers" in err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_workers_flag_is_refused(self, tmp_path, capsys):
+        # a sweep's thread count has one source: the config's workers
+        code, out, err = run(capsys, "sweep", "--config", str(write_sweep_config(tmp_path)),
+                             "--out-dir", str(tmp_path / "out"), "--workers", "2")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            "besovlab: error: unrecognized arguments: --workers 2"
+        ]
+        assert not (tmp_path / "out").exists()
 
     def test_overflow_error_alike_at_any_workers(self, tmp_path, capsys, monkeypatch):
         # the blocks' threads keep main's np.errstate: no overflow warning from a
@@ -555,10 +562,11 @@ class TestSweepCmd:
                           "weight": "constant:1e300"},
             "p": 2.0, "alpha_grid": [0.3, 0.5], "n_levels": 6, "replicates": 4,
         }
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps(config))
-        results = [run(capsys, "sweep", "--config", str(cfg), "--out-dir", str(tmp_path),
-                       "--workers", workers) for workers in ("1", "2")]
+        results = []
+        for workers in (1, 2):
+            cfg = tmp_path / f"config-w{workers}.json"
+            cfg.write_text(json.dumps({**config, "workers": workers}))
+            results.append(run(capsys, "sweep", "--config", str(cfg), "--out-dir", str(tmp_path)))
         code, out, err = results[0]
         assert (code, out) == (EXIT_NUMERIC, "")
         assert_one_numeric_failure_line(err)
@@ -589,6 +597,20 @@ class TestLemmaCmd:
         assert "probability 0.5" in out and "PASS" in out
         code, _, err = run(capsys, "lemma", "--pz-exact", "-x")  # not a number: an option
         assert code == EXIT_USAGE and "expected one argument" in err
+
+    @pytest.mark.parametrize("flag, what", [("--pz-exact", "coefficient"),
+                                            ("--pz-mc", "coefficient"),
+                                            ("--sizes", "family size")])
+    @pytest.mark.parametrize("text", ["1,,2", "1,2,", ""])
+    def test_number_list_refuses_empty_entries(self, capsys, flag, what, text):
+        argv = ["lemma", f"{flag}={text}", "--samples", "100"]
+        code, out, err = run(capsys, *argv, *(["--probe"] if flag == "--sizes" else []))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: bad {what} list {text!r}\n"
+
+    def test_number_list_reads_spaces_around_entries(self, capsys):
+        spaced = run(capsys, "lemma", "--pz-exact", "1, 2")
+        assert spaced == run(capsys, "lemma", "--pz-exact", "1,2") and spaced[0] == EXIT_OK
 
     def test_probe_too_many_replicates_is_a_usage_error(self, capsys):
         # one size's 10^14 sums are 8e14 bytes, above 2^48: the allocation fails at once
@@ -748,10 +770,8 @@ def test_overflow_is_one_numeric_failure_in_every_command(tmp_path, capsys, comm
     assert err.startswith("numeric failure: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
-@pytest.mark.parametrize("command", ["generate", "sweep", "probe", "dyadic"])
+@pytest.mark.parametrize("command", ["generate", "sweep", "probe"])
 def test_interval_of_infinite_length_is_a_usage_error(tmp_path, capsys, command):
-    wide = tmp_path / "wide.csv"  # every value finite, but t spans more than the double range
-    wide.write_text("t,value\n-1e308,0\n-5e307,0\n0,0\n5e307,0\n1e308,0\n")
     argv = {
         "generate": ["generate", "--process", "bm", "--b", "inf",
                      "--out", str(tmp_path / "bm.csv")],
@@ -759,13 +779,24 @@ def test_interval_of_infinite_length_is_a_usage_error(tmp_path, capsys, command)
                   "--out-dir", str(tmp_path / "out")],
         "probe": ["lemma", "--probe", "--b", "inf", "--J", "6", "--sizes", "2",
                   "--replicates", "5"],
-        "dyadic": ["dyadic", "--input", str(wide), "--alpha", "0.4"],
     }[command]
     code, out, err = run(capsys, *argv)
     assert (code, out) == (EXIT_USAGE, "")
     assert err.startswith("error: need b > a with b - a finite, got [")
     assert err.count("\n") == 1
     assert not (tmp_path / "bm.csv").exists() and not (tmp_path / "out").exists()
+
+
+WIDE_TIMES = [-1e308, -5e307, 0.0, 5e307, 1e308]  # t spans more than the double range
+
+
+@pytest.mark.parametrize("command", ["dyadic", "besov"])
+def test_csv_span_wider_than_doubles_is_a_data_error(tmp_path, capsys, command):
+    wide = tmp_path / "wide.csv"  # every value finite: the span is the input's fault
+    wide.write_text("t,value\n" + "".join(f"{t!r},0.0\n" for t in WIDE_TIMES))
+    code, out, err = run(capsys, command, "--input", str(wide), "--alpha", "0.4")
+    assert (code, out) == (EXIT_DATA, "")
+    assert err == "error: times span [-1e+308, 1e+308], wider than the double range\n"
 
 
 class TestParser:
@@ -1004,3 +1035,38 @@ class TestIngest:
         path, resampled = ingest_series(g.points(), np.cos(g.points()))
         assert not resampled
         assert path.grid == g
+
+    @pytest.mark.parametrize("n_points, resampled", [(17, False), (33, True), (34, True)])
+    def test_input_finer_than_the_cap_resampled_onto_it(self, monkeypatch, n_points,
+                                                        resampled):
+        monkeypatch.setattr(cli, "MAX_RESOLUTION", 4)
+        monkeypatch.setattr(paths, "MAX_RESOLUTION", 4)
+        times = np.linspace(0.0, 1.0, n_points)
+        path, got = ingest_series(times, np.sin(times))
+        assert (path.grid, got) == (Grid(0.0, 1.0, 4), resampled)
+
+    @given(st.integers(1, 70))
+    @settings(max_examples=70, deadline=None)
+    def test_one_grid_per_input(self, n):
+        times = np.linspace(-1.0, 2.0, n + 1)
+        values = np.cos(7.0 * times)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "MAX_RESOLUTION", 4)
+            mp.setattr(paths, "MAX_RESOLUTION", 4)
+            path, resampled = ingest_series(times, values)
+        J = min(max(1, math.ceil(math.log2(n))), 4)
+        assert path.grid == Grid(-1.0, 2.0, J)
+        assert resampled == (n != 2**J)
+        if not resampled:
+            assert path.values.tobytes() == values.tobytes()
+
+    def test_span_wider_than_doubles_is_a_data_error(self):
+        times = np.array(WIDE_TIMES)
+        with pytest.raises(DataError, match=r"\[-1e\+308, 1e\+308\]"):
+            ingest_series(times, np.zeros_like(times))
+
+
+def test_emit_refuses_a_non_finite_entry_of_a_tuple(capsys):
+    with pytest.raises(FloatingPointError, match="'terms'"):
+        cli._emit({"terms": (1.0, math.inf)}, None)
+    assert capsys.readouterr().out == ""

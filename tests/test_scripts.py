@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from besovlab.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from besovlab.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -50,7 +50,9 @@ def promised_exit(name):
     """The exit code README promises for an output-digest case, read from its name."""
     if "overflow" in name:
         return EXIT_NUMERIC
-    if any(word in name for word in ("infinite-b", "wide-interval", "nothing-to-do")):
+    if "wide-interval" in name:
+        return EXIT_DATA
+    if any(word in name for word in ("infinite-b", "nothing-to-do", "empty-entry")):
         return EXIT_USAGE
     return EXIT_OK
 
