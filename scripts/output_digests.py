@@ -90,6 +90,9 @@ def cases(root: Path) -> list[tuple[str, list[str]]]:
         ("generate-martingale", ["--process", "martingale", "--weight", "sine:1.0,2.0,0.5"]),
         ("generate-wfbm", ["--process", "wfbm", "--H", "0.7", "--weight", "affine:1.0,0.5"]),
         ("generate-infinite-b", ["--process", "bm", "--b", "inf"]),
+        # 2^10 cells of [1e15, 1e15 + 1] are narrower than a double's spacing there
+        ("generate-indistinct-points", ["--process", "bm", "--a", "1e15",
+                                        "--b", "1000000000000001"]),
     ]
     out = [(name, ["generate", *flags, "--J", "10", "--seed", "3", "--out", "{out}/path.csv"])
            for name, flags in generate]

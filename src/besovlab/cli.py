@@ -28,7 +28,7 @@ from .errors import (
     SizeError,
 )
 from .generators import GeneratorSpec, WeightFn
-from .harness import ExperimentConfig, run_alpha_sweep
+from .harness import ExperimentConfig, _csv_table, run_alpha_sweep
 from .lemma import (
     WeightSequence,
     boundedness_probe,
@@ -52,6 +52,10 @@ CSV_CHUNK_ROWS = 1 << 12  # rows formatted per write: bounded memory at any J
 
 def _write_path_csv(path: SampledPath, out: Path):
     times, values = path.grid.points(), path.values
+    if not np.all(times[1:] > times[:-1]):  # read_series_csv would refuse the file
+        g = path.grid
+        raise ParameterError(f"[{g.a!r}, {g.b!r}] at J={g.J} has grid points that are "
+                             "equal in double precision")
     with out.open("w", newline="") as fh:
         fh.write("t,value\n")
         for lo in range(0, len(values), CSV_CHUNK_ROWS):
@@ -157,31 +161,29 @@ def _generator_from_args(args) -> GeneratorSpec:
     return GeneratorSpec(args.process, grid, seed=args.seed, H=args.H, weight=weight)
 
 
-def _cmd_generate(args) -> int:
+def _cmd_generate(args) -> None:
     spec = _generator_from_args(args)
     sample = spec.sample()
     path = path_of(sample)
     out = Path(args.out)
     _write_path_csv(path, out)
-    sidecar = out.with_suffix(out.suffix + ".meta.json")
-    sidecar.write_text(json.dumps(spec.to_dict(), indent=2, sort_keys=True) + "\n")
+    out.with_suffix(out.suffix + ".meta.json").write_text(_json_text(spec.to_dict()))
     print(str(out))
-    return EXIT_OK
 
 
-def _require_finite(payload: dict):
-    """Refuse to report a non-finite number: NaN or inf means a numeric failure."""
+def _json_text(payload: dict) -> str:
+    """Every JSON file's text; a non-finite number is refused as a numeric failure."""
     for key, value in payload.items():
         values = value if isinstance(value, (list, tuple)) else [value]
         if any(isinstance(x, float) and not math.isfinite(x) for x in values):
             raise FloatingPointError(f"non-finite value in report field {key!r}")
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _emit(payload: dict, out: Path | None, csv_text: str | None = None):
     """Write every command's JSON report: to `out`, with any CSV table at
     out.with_suffix(".csv"), and print `out`; or, with `out` None, to stdout."""
-    _require_finite(payload)
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    text = _json_text(payload)
     if out is None:
         sys.stdout.write(text)
         return
@@ -191,7 +193,7 @@ def _emit(payload: dict, out: Path | None, csv_text: str | None = None):
     print(str(out))
 
 
-def _cmd_dyadic(args) -> int:
+def _cmd_dyadic(args) -> None:
     out = Path(args.out) if args.out else None
     if out and out.suffix == ".csv":
         # the CSV table goes to out.with_suffix(".csv"): here the report itself
@@ -202,26 +204,20 @@ def _cmd_dyadic(args) -> int:
     # a path coarser than MIN_LEVELS fails on its resolution (exit 3), as with --N
     N = args.N if args.N is not None else max(MIN_LEVELS, min(path.grid.J, 12))
     report = kamont_series(path, N, args.alpha, args.p)
-    payload = report.to_dict()
-    payload["resampled"] = resampled
-    rows = ["n,term,partial_sum"]
-    for n, t, s in zip(report.levels, report.terms, report.partial_sums):
-        rows.append(f"{n},{t!r},{s!r}")
-    _emit(payload, out, "\n".join(rows) + "\n")
-    return EXIT_OK
+    payload = {**report.to_dict(), "resampled": resampled}
+    table = zip(report.levels, report.terms, report.partial_sums)
+    _emit(payload, out, _csv_table("n,term,partial_sum", table))
 
 
-def _cmd_besov(args) -> int:
+def _cmd_besov(args) -> None:
     path, resampled = ingest_series(*read_series_csv(Path(args.input)))
     params = BesovParams(args.alpha, args.p, args.q)
     report = besov_norm(path, params, extrapolate=args.extrapolate)
-    payload = report.to_dict()
-    payload["resampled"] = resampled
+    payload = {**report.to_dict(), "resampled": resampled}
     _emit(payload, Path(args.out) if args.out else None)
-    return EXIT_OK
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> None:
     try:
         text = Path(args.config).read_text()
     except OSError as exc:
@@ -231,7 +227,6 @@ def _cmd_sweep(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _emit(report.to_dict(), out_dir / "report.json", report.to_csv())
-    return EXIT_OK
 
 
 def _number_list(text: str, kind: type, what: str) -> list:
@@ -241,7 +236,7 @@ def _number_list(text: str, kind: type, what: str) -> list:
         raise ParameterError(f"bad {what} list {text!r}") from exc
 
 
-def _cmd_lemma(args) -> int:
+def _cmd_lemma(args) -> None:
     if args.pz_exact is None and args.pz_mc is None and not (args.statistic or args.probe):
         raise ConfigurationError(
             "lemma: nothing to do (use --pz-exact, --pz-mc, --statistic, or --probe)"
@@ -262,18 +257,13 @@ def _cmd_lemma(args) -> int:
             )
         weights = WeightSequence.geometric(args.alpha, args.p, args.N)
         partial = lemma_statistic(_generator_from_args(args).sample(), weights)
-        print("n,partial_sum")
-        for n, s in enumerate(partial, start=1):
-            print(f"{n},{float(s)!r}")
+        sys.stdout.write(_csv_table("n,partial_sum", enumerate(partial.tolist(), start=1)))
     if args.probe:
         sizes = _number_list(args.sizes, int, "family size")
         rows = boundedness_probe(
             _generator_from_args(args), sizes, args.replicates, args.quantile
         )
-        print("family_size,quantile")
-        for row in rows:
-            print(f"{row.family_size},{row.quantile!r}")
-    return EXIT_OK
+        sys.stdout.write(_csv_table("family_size,quantile", rows))
 
 
 def _generator_flags(p, **process):
@@ -290,7 +280,6 @@ def _generator_flags(p, **process):
 def _generate_flags(gen):
     _generator_flags(gen, required=True)
     gen.add_argument("--out", required=True)
-    gen.set_defaults(func=_cmd_generate)
 
 
 def _dyadic_flags(dy):
@@ -299,7 +288,6 @@ def _dyadic_flags(dy):
     dy.add_argument("--p", type=float, default=2.0)
     dy.add_argument("--N", type=int, default=None)
     dy.add_argument("--out", default=None)
-    dy.set_defaults(func=_cmd_dyadic)
 
 
 def _besov_flags(be):
@@ -309,13 +297,11 @@ def _besov_flags(be):
     be.add_argument("--q", type=float, default=2.0)
     be.add_argument("--extrapolate", action="store_true")
     be.add_argument("--out", default=None)
-    be.set_defaults(func=_cmd_besov)
 
 
 def _sweep_flags(sw):
     sw.add_argument("--config", required=True)
     sw.add_argument("--out-dir", required=True)
-    sw.set_defaults(func=_cmd_sweep)
 
 
 def _lemma_flags(lm):
@@ -331,7 +317,6 @@ def _lemma_flags(lm):
     lm.add_argument("--sizes", type=str, default="4,16,64,256")
     lm.add_argument("--replicates", type=int, default=200)
     lm.add_argument("--quantile", type=float, default=0.99)
-    lm.set_defaults(func=_cmd_lemma)
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -344,12 +329,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     argument; the full tree keeps argparse's own metavar, so that its errors
     name the `command` argument.
     """
-    subcommands = {  # name -> (help, adds its flags to its parser)
-        "generate": ("generate a path as CSV plus sidecar JSON", _generate_flags),
-        "dyadic": ("dyadic level series and verdict for a CSV path", _dyadic_flags),
-        "besov": ("Besov norm report for a CSV path", _besov_flags),
-        "sweep": ("run an alpha sweep from a JSON config", _sweep_flags),
-        "lemma": ("Paley-Zygmund checks, lemma statistic, probe", _lemma_flags),
+    subcommands = {  # name -> (help, adds its flags to its parser, runs it)
+        "generate": ("generate a path as CSV plus sidecar JSON", _generate_flags, _cmd_generate),
+        "dyadic": ("dyadic level series and verdict for a CSV path", _dyadic_flags, _cmd_dyadic),
+        "besov": ("Besov norm report for a CSV path", _besov_flags, _cmd_besov),
+        "sweep": ("run an alpha sweep from a JSON config", _sweep_flags, _cmd_sweep),
+        "lemma": ("Paley-Zygmund checks, lemma statistic, probe", _lemma_flags, _cmd_lemma),
     }
     parser = argparse.ArgumentParser(
         prog="besovlab",
@@ -361,8 +346,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         names, metavar = list(subcommands), None
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in names:
-        help_text, add_flags = subcommands[name]
-        add_flags(sub.add_parser(name, help=help_text))
+        help_text, add_flags, run = subcommands[name]
+        command_parser = sub.add_parser(name, help=help_text)
+        add_flags(command_parser)
+        command_parser.set_defaults(func=run)
     for p in (parser, *sub.choices.values()):  # "-1,1" is a value, as in Python 3.13's argparse
         p._negative_number_matcher = re.compile(r"-\.?\d")
     return parser
@@ -378,7 +365,7 @@ def main(argv=None) -> int:
     try:
         # every non-finite result is refused below, so NumPy's warnings would only repeat it
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return args.func(args)
+            args.func(args)
     except (ParameterError, ConfigurationError, SizeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -388,6 +375,7 @@ def main(argv=None) -> int:
     except (FloatingPointError, OverflowError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    return EXIT_OK
 
 
 if __name__ == "__main__":

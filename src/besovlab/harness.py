@@ -136,10 +136,15 @@ class ExperimentReport(NamedTuple):
         }
 
     def to_csv(self) -> str:
-        # a float's repr holds no comma or quote, so no field needs quoting
-        lines = ["alpha,median_slope,frac_conv,frac_div,frac_inc"]
-        lines.extend(",".join(map(repr, r)) for r in self.rows)
-        return "\n".join(lines) + "\n"
+        return _csv_table("alpha,median_slope,frac_conv,frac_div,frac_inc", self.rows)
+
+
+def _csv_table(header: str, rows) -> str:
+    """`header`, then one line per row: the repr of each field, comma-joined.
+
+    A float's repr holds no comma or quote, so no field needs quoting.
+    """
+    return "\n".join([header, *(",".join(map(repr, row)) for row in rows)]) + "\n"
 
 
 def _raw_level_sums(config: ExperimentConfig) -> np.ndarray:

@@ -1,4 +1,7 @@
+import argparse
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -161,6 +164,18 @@ class TestGenerate:
         )
         assert code == EXIT_USAGE
         assert message in err and not out.exists()
+
+    @pytest.mark.parametrize("a, b, J, shown", [
+        ("1e15", "1000000000000001", "4", "[1000000000000000.0, 1000000000000001.0] at J=4"),
+        ("0", "1e-320", "10", "[0.0, 1e-320] at J=10"),
+    ])
+    def test_indistinct_grid_points_refused(self, tmp_path, capsys, a, b, J, shown):
+        # no command could read such a file back: its times are not strictly increasing
+        code, stdout, err = run(capsys, "generate", "--process", "bm", "--a", a, "--b", b,
+                                "--J", J, "--out", str(tmp_path / "x.csv"))
+        assert (code, stdout) == (EXIT_USAGE, "")
+        assert err == f"error: {shown} has grid points that are equal in double precision\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_invalid_fgn_covariance_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
         def invalid(H, n_lags):  # |gamma(1)| > gamma(0): no covariance
@@ -799,6 +814,11 @@ def test_csv_span_wider_than_doubles_is_a_data_error(tmp_path, capsys, command):
     assert err == "error: times span [-1e+308, 1e+308], wider than the double range\n"
 
 
+def subparsers(parser) -> dict:
+    """Name -> parser of each subcommand `parser` holds."""
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
 class TestParser:
     ARGV = [
         [], ["-h"], ["frobnicate"], ["gen"],
@@ -822,6 +842,14 @@ class TestParser:
         monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
         assert got == run(capsys, *argv)
         assert got[0] in (EXIT_OK, EXIT_USAGE) and (got[1] or got[2])
+
+    @pytest.mark.parametrize("name", list(subparsers(cli.build_parser())))
+    def test_every_subcommand_runs_a_function(self, name):
+        # a subcommand missing from the command table fails here, not at run time
+        full = subparsers(cli.build_parser())[name]
+        alone = subparsers(cli.build_parser(name))[name]
+        assert callable(full.get_default("func"))
+        assert alone.get_default("func") is full.get_default("func")
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -1064,6 +1092,33 @@ class TestIngest:
         times = np.array(WIDE_TIMES)
         with pytest.raises(DataError, match=r"\[-1e\+308, 1e\+308\]"):
             ingest_series(times, np.zeros_like(times))
+
+
+@given(
+    a=st.one_of(st.floats(-1e15, 1e15), FINITE),
+    span=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    J=st.integers(1, 8),
+    seed=st.integers(0, 2**32),
+)
+@example(a=1e15, span=1.0, J=4, seed=0)  # cells narrower than a double's spacing at 1e15
+@example(a=0.0, span=1e-320, J=10, seed=0)  # cells below the smallest subnormal
+@settings(max_examples=150, deadline=None)
+def test_generated_csv_reads_back_bit_for_bit(tmp_path_factory, a, span, J, seed):
+    # generate either writes a file that ingests unchanged, or refuses and writes nothing
+    out_dir = tmp_path_factory.mktemp("gen")
+    out = out_dir / "path.csv"
+    argv = ["generate", "--process", "bm", "--a", repr(a), "--b", repr(a + span),
+            "--J", str(J), "--seed", str(seed), "--out", str(out)]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    if code == EXIT_USAGE:
+        assert list(out_dir.iterdir()) == []
+        return
+    assert code == EXIT_OK
+    path, resampled = ingest_series(*read_series_csv(out))
+    spec = GeneratorSpec("bm", Grid(a, a + span, J), seed=seed)
+    assert not resampled and path.grid == spec.grid
+    assert path.values.tobytes() == path_of(spec.sample()).values.tobytes()
 
 
 def test_emit_refuses_a_non_finite_entry_of_a_tuple(capsys):

@@ -181,6 +181,13 @@ class TestAlphaSweep:
         assert len(lines) == 1 + len(report.rows)
 
 
+def test_csv_table_writes_the_repr_of_each_field():
+    # the sweep's median slope may be -inf or nan in the CSV, where the JSON holds null
+    rows = [(3, 0.1, -math.inf, math.nan), (-1, 1e-300, 2.5, -0.0)]
+    assert harness._csv_table("n,x,y,z", rows) == "n,x,y,z\n3,0.1,-inf,nan\n-1,1e-300,2.5,-0.0\n"
+    assert harness._csv_table("n,x", []) == "n,x\n"
+
+
 # raw level sums within a factor of a few of criterion._ZERO_FLOOR, the smallest normal double
 NEAR_FLOOR = GeneratorSpec(
     "martingale", Grid(0.0, 1.0, 10), seed=5, weight=WeightFn.from_descriptor("constant:1.5e-154")

@@ -52,7 +52,7 @@ def promised_exit(name):
         return EXIT_NUMERIC
     if "wide-interval" in name:
         return EXIT_DATA
-    if any(word in name for word in ("infinite-b", "nothing-to-do", "empty-entry")):
+    if any(word in name for word in ("infinite-b", "nothing-to-do", "empty-entry", "indistinct")):
         return EXIT_USAGE
     return EXIT_OK
 
