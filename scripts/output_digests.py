@@ -75,6 +75,8 @@ def _inputs(root: Path):
     for n in SHORT_PATHS:  # dyadic (n - 1 a power of two) or not, resampled or not
         _write_csv(inputs / f"short-{n}.csv", [k / (n - 1) for k in range(n)],
                    [(-1.0) ** k * k for k in range(n)])
+    # a spreadsheet's "CSV UTF-8" export: the same bytes after a byte-order mark
+    (inputs / "bom.csv").write_bytes(b"\xef\xbb\xbf" + (inputs / "short-17.csv").read_bytes())
     return inputs
 
 
@@ -111,6 +113,7 @@ def cases(root: Path) -> list[tuple[str, list[str]]]:
         ("besov-wide-interval", ["besov", "--input", str(inputs / "wide.csv"), "--alpha", "0.4"]),
         *[(f"besov-{n}-points", ["besov", "--input", str(inputs / f"short-{n}.csv"),
                                  "--alpha", "0.4"]) for n in SHORT_PATHS],
+        ("besov-byte-order-mark", ["besov", "--input", str(inputs / "bom.csv"), "--alpha", "0.4"]),
         ("lemma-pz-exact", ["lemma", "--pz-exact", "1,2,3,0.5,-1e-3"]),
         ("lemma-pz-mc", ["lemma", "--pz-mc", "1,2,3,0.5", "--samples", "5000", "--seed", "4"]),
         ("lemma-pz-both", ["lemma", "--pz-mc", "1,1", "--pz-exact", "1,1", "--samples", "999"]),

@@ -137,7 +137,9 @@ def shift_norms(path: SampledPath, p: float) -> np.ndarray:
     v = path.values
     dx = path.grid.dx
     if p == 2.0:
-        return np.sqrt(np.maximum(_p2_shift_cell_sums(v) * dx, 0.0))
+        d = _p2_shift_cell_sums(v)
+        d *= dx
+        return np.sqrt(np.maximum(d, 0.0, out=d), out=d)
     return (_general_p_shift_sums(v, p) * dx) ** (1.0 / p)
 
 
@@ -177,31 +179,39 @@ def _p2_shift_cell_sums(v: np.ndarray) -> np.ndarray:
     hi = max(lo, N - DIRECT_SHIFTS)
     for j in chain(range(1, lo + 1), range(hi + 1, N + 1)):
         out[j - 1] = _p2_cell_sum(c[: N + 1 - j] - c[j:])
-    r = np.arange(lo + 1, hi + 1)
-    if r.size:
-        # the circular autocorrelation over 2N points equals R(j) for j < N;
-        # these shifts need j <= N - DIRECT_SHIFTS + 1, so DIRECT_SHIFTS >= 2
+    if hi > lo:
+        # shifts r = lo+1..hi are contiguous: out[r - 1] is out[lo:hi], c[r] is
+        # c[lo + 1 : hi + 1], and each array below is built in place and freed
+        # once used; the circular autocorrelation over 2N points equals R(j) for
+        # j < N, and these shifts need j <= N - DIRECT_SHIFTS + 1, so DIRECT_SHIFTS >= 2
         spec = np.fft.rfft(c, 2 * N)
-        R = np.fft.irfft(spec.real**2 + spec.imag**2, 2 * N)[:N]
-        sq = c * c
-        prod = c[:-1] * c[1:]
-        sq_pre = np.cumsum(sq)  # sq_pre[j-1] = sum_{k<j} c_k^2
-        sq_suf = np.cumsum(sq[::-1])  # sq_suf[j-1] = sum_{k>N-j} c_k^2
-        prod_pre = np.cumsum(prod)
-        prod_suf = np.cumsum(prod[::-1])
-        A = 2.0 * np.dot(c, c) - sq_pre[r - 1] - sq_suf[r - 1] - 2.0 * R[r]
-        B = (
-            2.0 * prod_pre[-1]
-            - prod_pre[r - 1]
-            - prod_suf[r - 1]
-            - R[r + 1]
-            - R[r - 1]
-            + c[0] * c[r - 1]
-            + c[N + 1 - r] * c[N]
-        )
-        first = c[0] - c[r]
-        last = c[N - r] - c[N]
-        out[r - 1] = (2.0 * A + B - first * first - last * last) / 3.0
+        power = np.square(spec.real)
+        power += np.square(spec.imag, out=spec.imag)
+        del spec
+        R = np.fft.irfft(power, 2 * N)[:N]
+        del power
+        A = out[lo:hi]
+        terms, pre, tmp = np.empty(N + 1), np.empty(N + 1), np.empty(hi - lo)
+        # pre holds one prefix sum at a time, pre[j-1] = sum_{k<j} then sum_{k>N-j}
+        sq = np.multiply(c, c, out=terms)
+        np.subtract(2.0 * np.dot(c, c), np.cumsum(sq, out=pre)[lo:hi], out=A)
+        A -= np.cumsum(sq[::-1], out=pre)[lo:hi]
+        A -= np.multiply(R[lo + 1 : hi + 1], 2.0, out=tmp)
+        prod = np.multiply(c[:-1], c[1:], out=terms[:N])
+        prod_pre = np.cumsum(prod, out=pre[:N])
+        B = np.subtract(2.0 * prod_pre[-1], prod_pre[lo:hi], out=tmp)
+        B -= np.cumsum(prod[::-1], out=pre[:N])[lo:hi]
+        B -= R[lo + 2 : hi + 2]
+        B -= R[lo:hi]
+        B += np.multiply(c[0], c[lo:hi], out=terms[: hi - lo])
+        B += np.multiply(c[N - lo : N - hi : -1], c[N], out=terms[: hi - lo])
+        A *= 2.0
+        A += B
+        first = np.subtract(c[0], c[lo + 1 : hi + 1], out=tmp)
+        A -= np.square(first, out=first)
+        last = np.subtract(c[N - lo - 1 : N - hi - 1 : -1], c[N], out=tmp)
+        A -= np.square(last, out=last)
+        A /= 3.0
     return out
 
 

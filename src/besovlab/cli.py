@@ -68,13 +68,14 @@ def read_series_csv(source: Path) -> tuple[np.ndarray, np.ndarray]:
     """Times and values from the first two columns of a 't,value' CSV file.
 
     The data rows are parsed in C by `np.loadtxt`, which rounds correctly;
-    blank lines, CRLF, spaces around fields, quoted fields and extra columns
-    are accepted; a NaN or infinity is a DataError.  The rows are read in one
-    pass over the open file, so a pipe works as input; only the message of a
-    malformed row or a non-finite value re-reads a regular file.
+    a UTF-8 byte-order mark, blank lines, CRLF, spaces around fields, quoted
+    fields and extra columns are accepted; a NaN or infinity is a DataError.
+    The rows are read in one pass over the open file, so a pipe works as
+    input; only the message of a malformed row or a non-finite value
+    re-reads a regular file.
     """
     try:
-        with source.open(newline="") as fh:
+        with source.open(newline="", encoding="utf-8-sig") as fh:
             header = next(csv.reader([fh.readline()]), [])
             if [h.strip() for h in header[:2]] != ["t", "value"]:
                 raise DataError(f"{source}: expected header 't,value'")
@@ -113,7 +114,7 @@ def _bad_row(source: Path, fallback: str) -> DataError:
     if not source.is_file():
         return DataError(fallback)
     try:
-        with source.open(newline="") as fh:
+        with source.open(newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             next(reader, None)  # the header
             for row in filter(None, reader):  # blank lines are skipped, as loadtxt does
@@ -223,8 +224,12 @@ def _cmd_sweep(args) -> None:
     except OSError as exc:
         raise DataError(f"cannot read config: {exc}") from exc
     config = ExperimentConfig.from_json(text)
-    report = run_alpha_sweep(config)
     out_dir = Path(args.out_dir)
+    # refused before the sweep runs, made only after it succeeds: a failed sweep leaves none
+    nearest = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not nearest.is_dir():
+        raise DataError(f"cannot write to --out-dir {out_dir}: {nearest} is not a directory")
+    report = run_alpha_sweep(config)
     out_dir.mkdir(parents=True, exist_ok=True)
     _emit(report.to_dict(), out_dir / "report.json", report.to_csv())
 

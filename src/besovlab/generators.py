@@ -205,7 +205,7 @@ def _fgn_autocov(H: float, n_lags: int) -> np.ndarray:
 
     gamma(m) = (|m+1|^{2H} - 2|m|^{2H} + |m-1|^{2H}) / 2, summed for
     m >= _SERIES_FROM_LAG as m^{2H} sum_{j>=1} binom(2H, 2j) m^{-2j}, in
-    place in gamma: 4 N floats at the peak, no more than the embedding's rfft.
+    place in gamma: gamma, m and u = 1/m^2 make 3 n_lags floats at the peak.
     """
     a = 2.0 * H
     head = np.arange(min(n_lags, _SERIES_FROM_LAG), dtype=float)
@@ -218,12 +218,14 @@ def _fgn_autocov(H: float, n_lags: int) -> np.ndarray:
             if k % 2 == 0:
                 coeffs.append(binom)
         m = np.arange(_SERIES_FROM_LAG, n_lags, dtype=float)
-        u = 1.0 / (m * m)
+        u = m * m
+        np.reciprocal(u, out=u)
         series = gamma[_SERIES_FROM_LAG:]
         series.fill(0.0)
         for c in reversed(coeffs):  # Horner in u
             series += c
             series *= u
+        del u
         series *= np.power(m, a, out=m)
     return gamma
 
@@ -237,8 +239,14 @@ def _fgn_embedding(N: int, H: float) -> np.ndarray:
     They depend only on (N, H), so a sampler computes them once per spec.
     """
     # the circulant's first row, gamma(0..N) then gamma(N-1..1), lives only
-    # while its rfft runs: 4 N floats at the peak
-    eig = np.fft.rfft(np.pad(_fgn_autocov(H, N + 1), (0, N - 1), mode="reflect")).real
+    # while its rfft runs: its 2 N floats and the 2 N + 2 of the spectrum are the peak
+    gamma = _fgn_autocov(H, N + 1)
+    row = np.empty(2 * N)
+    row[: N + 1] = gamma
+    row[N + 1 :] = gamma[N - 1 : 0 : -1]
+    del gamma
+    eig = np.fft.rfft(row).real
+    del row
     top = eig.max()
     floor = -EMBEDDING_TOLERANCE * np.finfo(float).eps * math.log2(2 * N) * top
     if not eig.min() >= floor:
@@ -246,7 +254,7 @@ def _fgn_embedding(N: int, H: float) -> np.ndarray:
             f"fGn circulant embedding (N={N}, H={H}) has eigenvalue ratio "
             f"{eig.min() / top:.3g}, below the roundoff tolerance {floor / top:.3g}"
         )
-    return np.sqrt(np.clip(eig, 0.0, None))
+    return np.sqrt(np.clip(eig, 0.0, None, out=eig))
 
 
 def _fgn_circulant(root: np.ndarray, seeds: Sequence) -> np.ndarray:

@@ -17,13 +17,18 @@ Paley-Zygmund count over the full outer sum of the two halves' signed sums,
 and the boundedness probe with one cell draw per family size.  Likewise
 `fold_per_alpha` is the sweep fold that the sorted-exponent fold replaced:
 every alpha's slopes (`slope_at`), verdict codes (`verdict_code`) and
-`np.median` over all replicates.
+`np.median` over all replicates, and `p2_shift_cell_sums_indexed` is the
+p = 2 shift sums with every array a fresh temporary and the FFT-range
+shifts taken by fancy indexing, which the in-place version must equal bit
+for bit.
 """
 
 import math
+from itertools import chain
 
 import numpy as np
 
+from besovlab.besov import DIRECT_SHIFTS, _p2_cell_sum
 from besovlab.criterion import SLOPE_THRESHOLD, dyadic_pyramid, level_sums
 from besovlab.harness import AlphaRow
 from besovlab.lemma import PZ_BLOCK_SUMS, _signed_sums
@@ -138,3 +143,39 @@ def fold_per_alpha(s, one_level, alpha_grid, p):
     fitted = s[~one_level]
     critical = (1.0 - float(np.median(fitted))) / p if fitted.size else math.nan
     return tuple(rows), critical if alpha_grid[0] < critical <= alpha_grid[-1] else None
+
+
+def p2_shift_cell_sums_indexed(v):
+    """`besov._p2_shift_cell_sums` as first written: the same operands in the
+    same order, with the FFT-range shifts r indexed by an arange."""
+    c = v - v.mean()
+    N = len(c) - 1
+    out = np.empty(N)
+    lo = min(N, DIRECT_SHIFTS)
+    hi = max(lo, N - DIRECT_SHIFTS)
+    for j in chain(range(1, lo + 1), range(hi + 1, N + 1)):
+        out[j - 1] = _p2_cell_sum(c[: N + 1 - j] - c[j:])
+    r = np.arange(lo + 1, hi + 1)
+    if r.size:
+        spec = np.fft.rfft(c, 2 * N)
+        R = np.fft.irfft(spec.real**2 + spec.imag**2, 2 * N)[:N]
+        sq = c * c
+        prod = c[:-1] * c[1:]
+        sq_pre = np.cumsum(sq)
+        sq_suf = np.cumsum(sq[::-1])
+        prod_pre = np.cumsum(prod)
+        prod_suf = np.cumsum(prod[::-1])
+        A = 2.0 * np.dot(c, c) - sq_pre[r - 1] - sq_suf[r - 1] - 2.0 * R[r]
+        B = (
+            2.0 * prod_pre[-1]
+            - prod_pre[r - 1]
+            - prod_suf[r - 1]
+            - R[r + 1]
+            - R[r - 1]
+            + c[0] * c[r - 1]
+            + c[N + 1 - r] * c[N]
+        )
+        first = c[0] - c[r]
+        last = c[N - r] - c[N]
+        out[r - 1] = (2.0 * A + B - first * first - last * last) / 3.0
+    return out

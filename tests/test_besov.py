@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,10 +25,12 @@ from besovlab.besov import (
     _log_t_grid,
     _modulus_on_grid,
     _node_values,
+    _p2_shift_cell_sums,
     shift_norms,
 )
 from besovlab.criterion import _power_sums
 from besovlab.errors import ParameterError, ResolutionError, SizeError
+from oracles import p2_shift_cell_sums_indexed
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -373,6 +376,36 @@ class TestP2ShiftNorms:
         rep = besov_norm(path, BesovParams(0.4, 2.0, 2.0), extrapolate=True)
         assert all(math.isfinite(x) for x in (rep.seminorm_truncated, rep.lp_norm))
         assert rep.extrapolated_seminorm is not None
+
+    @pytest.mark.parametrize("kind", ["bm", "fbm", "offset", "ramp_noise", "zigzag"])
+    @given(st.integers(8, 13), st.integers(0, 2**32 - 1), st.floats(0.1, 0.95))
+    @settings(max_examples=10, deadline=None)
+    def test_in_place_sums_equal_the_indexed_ones(self, kind, J, seed, H):
+        # the same operands in the same order: every shift's sum is bit for bit
+        # the indexed version's (tests/oracles.py), in the FFT range too
+        v = _test_path(kind, J, seed, H).values
+        got, want = _p2_shift_cell_sums(v), p2_shift_cell_sums_indexed(v)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("path", [const(10, 2.5), _zigzag_1e154(10)], ids=["const", "zigzag"])
+    def test_in_place_sums_equal_the_indexed_ones_at_the_extremes(self, path):
+        # a constant path sums to exact zeros; the zigzag's overflow gives the same inf and NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = _p2_shift_cell_sums(path.values), p2_shift_cell_sums_indexed(path.values)
+        assert got.tobytes() == want.tobytes()
+
+    def test_memory(self):
+        # each FFT-range array is built in place and freed once used: the centred
+        # path, the output, the 2N-point autocorrelation and three scratch rows
+        N = 2**16
+        path = path_of(GeneratorSpec("bm", Grid(0.0, 1.0, 16)).sample(9))
+        tracemalloc.start()
+        try:
+            shift_norms(path, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9 * 8 * N
 
     def test_overflow_propagates(self):
         # squared shift differences overflow: the result is NaN/inf, never a number

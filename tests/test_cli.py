@@ -295,6 +295,17 @@ class TestDyadic:
             assert (code, out) == (EXIT_DATA, "")
             assert "exceeds grid resolution J=4" in err
 
+    def test_byte_order_mark_is_read_past(self, tmp_path, capsys):
+        # spreadsheet "CSV UTF-8" exports start with EF BB BF
+        plain = tmp_path / "plain.csv"
+        _write_path_csv(path_of(GeneratorSpec("bm", Grid(0.0, 1.0, 8), seed=4).sample()), plain)
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        outputs = [run(capsys, "dyadic", "--input", str(f), "--alpha", "0.4")
+                   for f in (plain, marked)]
+        assert outputs[0][0] == EXIT_OK and outputs[0][1]
+        assert outputs[1] == outputs[0]
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "dyadic", "--input", "/no/such.csv", "--alpha", "0.4")
         assert code == EXIT_DATA
@@ -487,6 +498,21 @@ class TestSweepCmd:
         assert (code, out) == (EXIT_DATA, "")
         assert err.startswith("error: cannot read config: ")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("out_dir", ["afile", "afile/sub"])
+    def test_out_dir_that_cannot_be_made_is_refused_before_the_sweep(
+        self, tmp_path, capsys, monkeypatch, out_dir
+    ):
+        def never(config):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli, "run_alpha_sweep", never)
+        (tmp_path / "afile").write_text("")
+        code, out, err = run(capsys, "sweep", "--config", str(write_sweep_config(tmp_path)),
+                             "--out-dir", str(tmp_path / out_dir))
+        assert (code, out) == (EXIT_DATA, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "afile is not a directory" in err
 
     def test_report_with_null_slopes_is_strict_json(self, tmp_path, capsys):
         # the indicator of [2, 3] is zero on [0, 1]: every level sum is 0, so every
